@@ -12,9 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -436,16 +434,7 @@ SUITE_RUNNERS = {
 def run(config: ExperimentConfig) -> ReportRecord:
     """Execute the selected suites and assemble the report record."""
     names = list(SUITES) if config.suite == "all" else [config.suite]
-    threads = max(1, int(os.environ.get("TLW_THREADS", "1")))
-    results: dict[str, list[dict]] = {}
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {name: pool.submit(SUITE_RUNNERS[name], config) for name in names}
-            for name, fut in futs.items():
-                results[name] = fut.result()
-    else:
-        for name in names:
-            results[name] = SUITE_RUNNERS[name](config)
+    results = {name: SUITE_RUNNERS[name](config) for name in names}
     checks = []
     for name in sorted(results):
         for c in results[name]:

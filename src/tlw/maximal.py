@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import Grid, GridFunction
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
@@ -39,44 +38,66 @@ class MaximalConfig:
         return [1 << (self.grid.J - j) for j in self.side_levels()]
 
 
-def _window_averages(cells: np.ndarray, w: int, n: int) -> np.ndarray:
-    """Averages over every in-domain window of w cells per axis (anchor-indexed)."""
-    if w == 1:
-        return cells  # exact: keeps the pointwise domination M(f) >= |f| rounding-free
-    out = cells
-    for ax in range(n):
-        cs = np.cumsum(out, axis=ax)
-        cs = np.concatenate([np.zeros_like(np.take(cs, [0], axis=ax)), cs], axis=ax)
-        lead = np.take(cs, range(w, cs.shape[ax]), axis=ax)
-        lag = np.take(cs, range(0, cs.shape[ax] - w), axis=ax)
-        out = lead - lag
-    return out / float(w**n)
+def _axis_slice(ax: int, sl: slice) -> tuple[slice, ...]:
+    return (slice(None),) * ax + (sl,)
+
+
+def _window_averages(cells: np.ndarray, w_max: int):
+    """Yield (w, window averages) for w = 1, 2, 4, ..., w_max cells per axis.
+
+    Averages run over every in-domain window and are anchor-indexed.  The 2w-window at anchor a is the mean of the
+    2^n w-windows at anchors a + {0, w}^n, so each width costs one pass per
+    axis (O(cells log w_max) in all) and roundoff grows with log2(w), not with
+    the cell count.  Width 1 is the input itself, which keeps the pointwise
+    domination M(f) >= |f| rounding-free.
+    """
+    avg, w = cells, 1
+    while True:
+        yield w, avg
+        if w >= w_max:
+            return
+        for ax in range(cells.ndim):
+            lag = avg[_axis_slice(ax, slice(None, -w))]
+            lead = avg[_axis_slice(ax, slice(w, None))]
+            avg = 0.5 * (lag + lead)
+        w *= 2
 
 
 def _containing_max(anchors: np.ndarray, w: int) -> np.ndarray:
     """Per-cell max over all anchors whose window contains the cell.
 
     Cell i sees anchors a in [i-w+1, i]; padding with -inf handles the ends,
-    so the output regains the full cell shape along every axis.
+    so the output regains the full cell shape along every axis.  The sliding
+    max of width w (a power of two) takes log2(w) rounds of maxima of two
+    shifted copies per axis.
     """
     out = anchors
     for ax in range(anchors.ndim):
         pad = [(w - 1, w - 1) if i == ax else (0, 0) for i in range(out.ndim)]
-        padded = np.pad(out, pad, constant_values=-np.inf)
-        out = sliding_window_view(padded, w, axis=ax).max(axis=-1)
+        out = np.pad(out, pad, constant_values=-np.inf)
+        width = 1
+        while width < w:
+            out = np.maximum(out[_axis_slice(ax, slice(None, -width))],
+                             out[_axis_slice(ax, slice(width, None))])
+            width *= 2
     return out
 
 
 def maximal(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
-    """Sup over configured windows containing each cell of the window average of |f|."""
+    """Sup over configured windows containing each cell of the window average of |f|.
+
+    Both the window averages and the containing maxima are built by dyadic
+    doubling, so the full window family costs O(cells * log^2 cells).
+    """
     if cfg.grid != f.grid:
         raise LevelMismatchError("config grid does not match the function grid")
     grid = f.grid
     absf = np.abs(f.values).astype(float)
+    widths = cfg.window_cells()
     best = np.full(grid.shape, -np.inf)
-    for w in cfg.window_cells():
-        avg = _window_averages(absf, w, grid.n)
-        np.maximum(best, _containing_max(avg, w), out=best)
+    for w, avg in _window_averages(absf, max(widths)):
+        if w in widths:
+            np.maximum(best, _containing_max(avg, w), out=best)
     return GridFunction(grid, best)
 
 

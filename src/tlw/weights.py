@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, GridFunction, cube_means, cubes_at_level
+from .dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
 from .errors import (
+    DomainError,
     LevelMismatchError,
     LevelRangeError,
     PositivityError,
@@ -29,6 +30,12 @@ from .errors import (
 )
 
 INF = math.inf
+
+
+def _require_positive(values: np.ndarray, what: str):
+    """Raise unless every cell is finite and strictly positive (NaN and inf fail)."""
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise PositivityError(f"{what} has a nonpositive or non-finite cell")
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,7 @@ class WeightSequence:
             a = np.asarray(tk[k], dtype=float)
             if a.shape != grid.shape:
                 raise LevelMismatchError(f"t_{k} has shape {a.shape}, grid is {grid.shape}")
-            if not np.all(a > 0):
-                raise PositivityError(f"t_{k} has a nonpositive cell")
+            _require_positive(a, f"t_{k}")
             self.tk[k] = a
 
     @property
@@ -167,15 +173,27 @@ def cube_mean_p(t: GridFunction, cube, p: float) -> float:
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
+def _block_means_p(cells: np.ndarray, start: tuple[int, ...], f: int, p: float) -> np.ndarray:
+    """M_{Q,p} over the lattice of windows of f cells per axis with corners at start + f*m.
+
+    Only windows that lie inside the grid are kept; entry m is the window at
+    start + f*m.  Positive cells are assumed (no absolute value is taken).
+    """
+    sl = tuple(slice(s, s + f * ((size - s) // f)) for s, size in zip(start, cells.shape))
+    block = cells[sl]
+    shape = [d for size in block.shape for d in (size // f, f)]
+    axes = tuple(range(1, 2 * cells.ndim, 2))
+    if p == INF:
+        return block.reshape(shape).max(axis=axes)
+    sums = (block**p).reshape(shape).sum(axis=axes)
+    return (sums / float(f**cells.ndim)) ** (1.0 / p)
+
+
 def _level_means_p(grid: Grid, cells: np.ndarray, k: int, p: float) -> np.ndarray:
     """M_{Q,p} over all level-k cubes at once (per-cube array)."""
-    if p == INF:
-        s = grid.cubes_per_axis(k)
-        f = 1 << (grid.J - k)
-        if grid.n == 1:
-            return cells.reshape(s, f).max(axis=1)
-        return cells.reshape(s, f, s, f).max(axis=(1, 3))
-    return cube_means(grid, k, cells**p) ** (1.0 / p)
+    if not -grid.L <= k <= grid.J:
+        raise LevelRangeError(f"level {k} outside [{-grid.L}, {grid.J}]")
+    return _block_means_p(cells, (0,) * grid.n, 1 << (grid.J - k), p)
 
 
 @dataclass
@@ -203,9 +221,8 @@ class ApReport:
 
 
 def per_cube_ap_value(gamma: GridFunction, p: float, cube) -> float:
-    """The single-cube Muckenhoupt product for gamma at exponent p."""
-    if np.any(gamma.values <= 0):
-        raise PositivityError("weight has a nonpositive cell")
+    """The single-cube Muckenhoupt product for gamma at exponent p (reference path)."""
+    _require_positive(gamma.values, "weight")
     if p < 1:
         raise LevelRangeError(f"Muckenhoupt exponent must be >= 1, got {p}")
     inv = GridFunction(gamma.grid, 1.0 / gamma.values)
@@ -216,20 +233,51 @@ def per_cube_ap_value(gamma: GridFunction, p: float, cube) -> float:
     return mean * cube_mean_p(inv, cube, pp / p)
 
 
+def _block_lattice(grid: Grid, cube) -> tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]:
+    """((window cells f, lattice origin), lattice index) of a dyadic cube or cell window."""
+    if isinstance(cube, CellWindow):
+        f = cube.size_cells
+        return (f, tuple(s % f for s in cube.start_cells)), tuple(s // f for s in cube.start_cells)
+    if cube.level > grid.J:
+        raise DomainError(f"cube {cube} not inside the domain grid")
+    return (1 << (grid.J - cube.level), (0,) * grid.n), cube.index
+
+
 def ap_constant(gamma: GridFunction, p: float, family: list,
                 keep_per_cube: bool = False) -> ApReport:
-    """Supremum of per-cube Muckenhoupt products over the audited family."""
+    """Supremum of per-cube Muckenhoupt products over the audited family.
+
+    The family is grouped into window lattices (one per dyadic level, plus one
+    per shifted offset); each lattice's products come from two block means of
+    gamma and 1/gamma, so the audit costs O(cells) per lattice, not per cube.
+    The first maximum in family order is the witness.
+    """
     if not family:
         raise ValueError("cube family is empty")
-    best, best_cube = -np.inf, None
-    per_cube = [] if keep_per_cube else None
-    for cube in family:
-        v = per_cube_ap_value(gamma, p, cube)
-        if keep_per_cube:
-            per_cube.append((cube, v))
-        if v > best:
-            best, best_cube = v, cube
-    return ApReport(p=p, constant=best, argmax_cube=best_cube, per_cube=per_cube)
+    vals = gamma.values
+    _require_positive(vals, "weight")
+    if p < 1:
+        raise LevelRangeError(f"Muckenhoupt exponent must be >= 1, got {p}")
+    grid = gamma.grid
+    inv = 1.0 / vals
+    inv_p = INF if p == 1 else (p / (p - 1.0)) / p
+    groups: dict[tuple, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for pos, cube in enumerate(family):
+        key, index = _block_lattice(grid, cube)
+        positions, indices = groups.setdefault(key, ([], []))
+        positions.append(pos)
+        indices.append(index)
+    values = np.empty(len(family))
+    for (f, start), (positions, indices) in groups.items():
+        prod = _block_means_p(vals, start, f, 1.0) * _block_means_p(inv, start, f, inv_p)
+        idx = np.array(indices, dtype=np.intp)
+        if idx.shape[1] != prod.ndim or np.any(idx < 0) or np.any(idx >= prod.shape):
+            raise DomainError(f"a cube of {f} cells per axis lies outside the domain grid")
+        values[positions] = prod[tuple(idx.T)]
+    best = int(np.argmax(values))
+    per_cube = list(zip(family, values.tolist())) if keep_per_cube else None
+    return ApReport(p=p, constant=float(values[best]), argmax_cube=family[best],
+                    per_cube=per_cube)
 
 
 def ap_duality_identity(gamma: GridFunction, p: float, cube) -> tuple[float, float]:

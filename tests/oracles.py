@@ -2,13 +2,17 @@
 
 Everything here recomputes quantities from the raw definitions (cell loops,
 window enumerations, candidate scans) so the fast vectorised implementations
-have a genuinely independent check.  Only usable at small sizes.
+have a genuinely independent check.  The one library call is the single-cube
+reference `per_cube_ap_value`, which the audit's lattice path does not use.
+Only usable at small sizes.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from tlw.weights import per_cube_ap_value
 
 
 def cell_iter(grid):
@@ -39,6 +43,16 @@ def naive_cube_mean_p(values, grid, cube, p):
     if p == math.inf:
         return max(vals)
     return (sum(v**p for v in vals) / len(vals)) ** (1.0 / p)
+
+
+def naive_ap_constant(gamma, p, family):
+    """Per-cube loop over the family: (sup, first argmax cube, per-cube values)."""
+    values = [per_cube_ap_value(gamma, p, cube) for cube in family]
+    best = 0
+    for i, v in enumerate(values):
+        if v > values[best]:
+            best = i
+    return values[best], family[best], values
 
 
 def naive_maximal(values, grid, side_levels):

@@ -47,8 +47,7 @@ def test_exit_codes_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()  # same seed, byte-identical
 
 
-def test_all_suites_run_and_merge(tmp_path, monkeypatch):
-    monkeypatch.setenv("TLW_THREADS", "2")
+def test_all_suites_run_and_merge(tmp_path):
     cfg = base_config(suite="all")
     cfg["grid"] = {"n": 1, "L": 2, "J": 5, "k_min": 0, "k_max": 3}
     report = run(ExperimentConfig.from_dict(cfg))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlw.dyadic import DyadicCube, Grid, GridFunction, indicator
 from tlw.errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
@@ -77,6 +79,29 @@ def test_maximal_restricted_side_lengths_oracle():
     f = GridFunction(g, rng.standard_normal(g.shape))
     want = naive_maximal(f.values, g, [2, 3, 4])
     np.testing.assert_allclose(maximal(f, cfg).values, want, rtol=1e-13)
+
+
+@given(st.sampled_from([1, 2]), st.integers(0, 1), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=30, deadline=None)
+def test_maximal_matches_oracle_random_side_levels(n, L, seed, data):
+    J = data.draw(st.integers(max(0, 1 - L), 4 if n == 1 else 2))
+    lo = data.draw(st.integers(-L, J))
+    hi = data.draw(st.integers(lo, J))
+    g = Grid(n=n, L=L, J=J, k_min=0, k_max=0)
+    f = GridFunction(g, np.random.default_rng(seed).standard_normal(g.shape))
+    cfg = MaximalConfig(g, side_level_min=lo, side_level_max=hi)
+    want = naive_maximal(f.values, g, list(range(lo, hi + 1)))
+    np.testing.assert_allclose(maximal(f, cfg).values, want, rtol=1e-13, atol=1e-15)
+
+
+def test_maximal_scaling_roundoff_fine_grid():
+    # 2^15 cells: window averages must not pick up roundoff that grows with the
+    # cell count; the CLI's maximal_scaling check allows 1e-12 times |c|
+    g = Grid(n=1, L=2, J=13, k_min=0, k_max=3)
+    cfg = MaximalConfig(g)
+    f = GridFunction(g, np.random.default_rng(83).standard_normal(g.shape))
+    scaled = maximal(GridFunction(g, -2.5 * f.values), cfg).values
+    assert np.abs(scaled - 2.5 * maximal(f, cfg).values).max() <= 2.5e-12
 
 
 def test_maximal_config_validation():

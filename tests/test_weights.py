@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlw.dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
-from tlw.errors import LevelRangeError, PositivityError
+from tlw.errors import DomainError, LevelRangeError, PositivityError
 from tlw.weights import (
+    CellWindow,
     WeightSequence,
     alpha_consistency,
     ap_constant,
@@ -23,7 +24,7 @@ from tlw.weights import (
     verify_x_class,
 )
 
-from .oracles import naive_cube_mean_p
+from .oracles import naive_ap_constant, naive_cube_mean_p
 
 INF = math.inf
 
@@ -105,6 +106,89 @@ def test_ap_positivity_error():
     vals[3] = 0.0
     with pytest.raises(PositivityError):
         ap_constant(GridFunction(g, vals), 2.0, audit_family(g))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ap_positivity_rejects_nan_and_inf(bad):
+    g = grid1()
+    vals = np.ones(g.shape)
+    vals[3] = bad
+    gamma = GridFunction(g, vals)
+    with pytest.raises(PositivityError):
+        per_cube_ap_value(gamma, 2.0, DyadicCube(0, (0,)))
+    with pytest.raises(PositivityError):
+        ap_constant(gamma, 2.0, audit_family(g))
+
+
+def test_ap_constant_first_maximum_wins():
+    # a constant weight ties every cube at exactly 1; the witness is the first in family order
+    g = Grid(n=2, L=1, J=2, k_min=0, k_max=0)
+    gamma = GridFunction.constant(g, 3.0)
+    fam = audit_family(g, shifted=True)
+    for order in (fam, fam[::-1]):
+        rep = ap_constant(gamma, 2.0, order)
+        assert rep.constant == 1.0
+        assert rep.argmax_cube == order[0] == naive_ap_constant(gamma, 2.0, order)[1]
+
+
+def test_ap_constant_rejects_cubes_outside_domain():
+    g = grid1()
+    gamma = GridFunction.constant(g, 1.0)
+    for cube in (DyadicCube(0, (2,)), DyadicCube(0, (-1,)), DyadicCube(g.J + 1, (0,))):
+        with pytest.raises(DomainError):
+            ap_constant(gamma, 2.0, [cube])
+    window = CellWindow(level=0, start_cells=(g.cells_per_axis - 4,), size_cells=8)
+    with pytest.raises(DomainError):
+        ap_constant(gamma, 2.0, [DyadicCube(0, (0,)), window])
+
+
+@st.composite
+def ap_audit_cases(draw):
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(0, 1))
+    J = draw(st.integers(1, 4 if n == 1 else 3))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    spread = draw(st.floats(0.0, 2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = Grid(n=n, L=L, J=J, k_min=0, k_max=0)
+    rng = np.random.default_rng(seed)
+    gamma = GridFunction(g, np.exp(rng.uniform(-spread, spread, g.shape)))
+    return g, gamma, p, rng
+
+
+def _assert_audit_matches_oracle(gamma, p, fam):
+    rep = ap_constant(gamma, p, fam, keep_per_cube=True)
+    want, want_cube, want_values = naive_ap_constant(gamma, p, fam)
+    got_values = np.array([v for _, v in rep.per_cube])
+    assert [c for c, _ in rep.per_cube] == list(fam)
+    np.testing.assert_allclose(got_values, want_values, rtol=1e-14, atol=0)
+    assert abs(rep.constant - want) <= 1e-14 * want
+    runner_up = max((v for v, c in zip(want_values, fam) if c != want_cube), default=-INF)
+    if runner_up < want * (1 - 1e-12):  # unique maximum: the witness must agree
+        assert rep.argmax_cube == want_cube
+
+
+@given(ap_audit_cases())
+@settings(max_examples=40, deadline=None)
+def test_ap_constant_matches_per_cube_oracle(case):
+    g, gamma, p, rng = case
+    _assert_audit_matches_oracle(gamma, p, audit_family(g))
+
+
+@given(ap_audit_cases())
+@settings(max_examples=40, deadline=None)
+def test_ap_constant_matches_oracle_on_shifted_family(case):
+    g, gamma, p, rng = case
+    _assert_audit_matches_oracle(gamma, p, audit_family(g, shifted=True))
+
+
+@given(ap_audit_cases(), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_ap_constant_matches_oracle_on_shuffled_subset(case, frac):
+    g, gamma, p, rng = case
+    fam = audit_family(g, shifted=True)
+    order = rng.permutation(len(fam))[: max(1, int(frac * len(fam)))]
+    _assert_audit_matches_oracle(gamma, p, [fam[i] for i in order])
 
 
 def _origin_cube_value_closed_form(J, j, p):
@@ -289,6 +373,10 @@ def test_weight_sequence_validation():
     tk[1][0] = -1.0
     with pytest.raises(PositivityError):
         WeightSequence(g, tk)
+    for bad in (np.inf, np.nan):
+        tk[1][0] = bad
+        with pytest.raises(PositivityError):
+            WeightSequence(g, tk)
     with pytest.raises(Exception):
         WeightSequence(g, {k: np.ones(3) for k in g.levels})
 
