@@ -5,17 +5,16 @@ constructed extremal sequence (optionally tightened by seeded random search)
 and upper-bounded by the Hoelder inequality, and both bounds are reported.
 On the truncated lattice the pairing matrix is the identity, so the
 "every functional arises this way" direction reduces to coordinate
-round-tripping, which is exercised in the tests.
+round-tripping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, cube_means, cube_sums, expand_level_array
+from .dyadic import INF, DyadicCube, block_reduce, expand_level_array, localized_sup
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from .seqspace import (
     CoeffField,
@@ -26,8 +25,6 @@ from .seqspace import (
     restricted_sup_norm,
 )
 from .weights import WeightSequence
-
-INF = math.inf
 
 
 def conjugate_exponent(p: float) -> float:
@@ -122,13 +119,6 @@ def _sgn(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cube_integral_root(w: WeightSequence, k: int, exponent: float) -> np.ndarray:
-    """(int_Q t_k^exponent)^{1/exponent} per level-k cube (may be negative exponent)."""
-    grid = w.grid
-    vals = cube_sums(grid, k, w.tk[k] ** exponent) * grid.cell_volume
-    return vals ** (1.0 / exponent)
-
-
 def extremal_sequence(lam: CoeffField, w: WeightSequence, q: float) -> CoeffField:
     """The explicit test sequence attaining the conjugate norm up to the A_q factor.
 
@@ -147,8 +137,8 @@ def extremal_sequence(lam: CoeffField, w: WeightSequence, q: float) -> CoeffFiel
     qq = conjugate_exponent(q)
     out = {}
     for k in lam.levels:
-        t_q = _cube_integral_root(w, k, q)                     # t_{k,m,q}
-        t_dual = _cube_integral_root(w.reciprocal(), k, qq)    # tilde t_{k,m,q'}
+        t_q = w.cube_norm(k, q)                     # t_{k,m,q}
+        t_dual = w.reciprocal().cube_norm(k, qq)    # tilde t_{k,m,q'}
         u = np.abs(lam.entries[k]) / norm
         out[k] = (
             t_q ** (q - 1.0)
@@ -175,24 +165,13 @@ def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
     if s.grid != lam.grid:
         raise LevelMismatchError("fields live on different lattices")
     grid = lam.grid
-    summands = {
-        k: expand_level_array(grid, k, lam.entries[k] * s.entries[k]) for k in lam.levels
-    }
-    acc = np.zeros(grid.shape, dtype=complex)
-    suffix = {}
-    for k in sorted(summands, reverse=True):
-        acc = acc + summands[k]
-        suffix[k] = acc
-    k_min, k_max = min(summands), max(summands)
-    best = 0.0
-    for lev in range(-grid.L, grid.k_max + 1):
-        if lev > k_max:
-            continue
-        tail = suffix[max(lev, k_min)]
-        means = np.abs(cube_means(grid, lev, tail.real)
-                       + 1j * cube_means(grid, lev, tail.imag))
-        best = max(best, float(means.max()))
-    return best
+
+    def abs_mean(lev, tail):  # parts summed apart: a complex block sum rounds differently
+        f = grid.side_cells(lev)
+        return np.abs(block_reduce(tail.real, f, "mean") + 1j * block_reduce(tail.imag, f, "mean"))
+
+    summands = {k: expand_level_array(grid, k, lam.entries[k] * s.entries[k]) for k in lam.levels}
+    return localized_sup(grid, summands, abs_mean)[0]
 
 
 def conjugate_norm(lam: CoeffField, w: WeightSequence, q: float,
@@ -257,22 +236,4 @@ def aq_cube_consequence(w: WeightSequence, q: float, k: int) -> np.ndarray:
     bounded by (audited A_q constant)^{1/q}."""
     qq = conjugate_exponent(q)
     grid = w.grid
-    t_q = _cube_integral_root(w, k, q)
-    t_dual = _cube_integral_root(w.reciprocal(), k, qq)
-    return 2.0 ** (k * grid.n) * t_q * t_dual
-
-
-def representability_roundtrip(lam: CoeffField) -> float:
-    """Coordinate round-trip through the pairing: max |<e_{k,m}, lam> - conj(lam_{k,m})|.
-
-    On the truncated lattice the pairing matrix is the identity, so the
-    functional lam is recovered exactly from its coordinate evaluations.
-    """
-    worst = 0.0
-    for k in lam.levels:
-        arr = lam.entries[k]
-        it = np.nditer(arr, flags=["multi_index"])
-        for val in it:
-            e = CoeffField.single(lam.grid, k, it.multi_index, 1.0)
-            worst = max(worst, abs(pairing(e, lam) - np.conj(complex(val))))
-    return worst
+    return 2.0 ** (k * grid.n) * w.cube_norm(k, q) * w.reciprocal().cube_norm(k, qq)

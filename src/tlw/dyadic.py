@@ -9,11 +9,14 @@ plain cell sums times the cell volume, with no quadrature error.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, LevelRangeError
+
+INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,11 @@ class Grid:
             raise LevelRangeError(f"level {k} outside [{-self.L}, {self.J}]")
         return 1 << (self.L + k)
 
+    def side_cells(self, k: int) -> int:
+        """Finest cells per axis of a level-k cube."""
+        self.cubes_per_axis(k)  # validates the level
+        return 1 << (self.J - k)
+
     def level_shape(self, k: int) -> tuple[int, ...]:
         return (self.cubes_per_axis(k),) * self.n
 
@@ -139,7 +147,7 @@ class Grid:
         """Finest-cell index slices covered by `cube` (requires level <= J)."""
         if not self.contains_cube(cube):
             raise DomainError(f"cube {cube} not inside the domain grid")
-        f = 1 << (self.J - cube.level)
+        f = self.side_cells(cube.level)
         return tuple(slice(m * f, (m + 1) * f) for m in cube.index)
 
 
@@ -215,22 +223,104 @@ def expand_level_array(grid: Grid, k: int, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.shape != grid.level_shape(k):
         raise ValueError(f"level-{k} array has shape {a.shape}, expected {grid.level_shape(k)}")
-    f = 1 << (grid.J - k)
+    f = grid.side_cells(k)
     out = a
     for ax in range(grid.n):
         out = np.repeat(out, f, axis=ax)
     return out
 
 
-def cube_sums(grid: Grid, k: int, cells: np.ndarray) -> np.ndarray:
-    """Sum cell values over every level-k cube; returns the per-cube array."""
-    s = grid.cubes_per_axis(k)
-    f = 1 << (grid.J - k)
-    if grid.n == 1:
-        return cells.reshape(s, f).sum(axis=1)
-    return cells.reshape(s, f, s, f).sum(axis=(1, 3))
+def _cube_blocks(cells: np.ndarray, f: int, start: tuple[int, ...] | None = None) -> np.ndarray:
+    """Interleaved (s, f, s, f, ...) view of the windows of f cells per axis.
+
+    Window m has its corner at cell start + f*m (default start 0: the lattice
+    of level cubes with f cells per side); windows reaching past the grid are
+    dropped.  The odd axes run over the cells of one window.  With a start,
+    the in-grid part is copied to a contiguous array first: numpy may sum a
+    strided view in another order.
+    """
+    if start is not None:
+        inside = tuple(slice(s, s + f * ((size - s) // f)) for s, size in zip(start, cells.shape))
+        cells = np.ascontiguousarray(cells[inside])
+    return cells.reshape([d for size in cells.shape for d in (size // f, f)])
 
 
-def cube_means(grid: Grid, k: int, cells: np.ndarray) -> np.ndarray:
-    """Average cell values over every level-k cube."""
-    return cube_sums(grid, k, cells) / float((1 << (grid.J - k)) ** grid.n)
+def block_reduce(cells: np.ndarray, f: int, how: str = "sum", p: float = 1.0,
+                 start: tuple[int, ...] | None = None) -> np.ndarray:
+    """One value per window of `_cube_blocks`: the "sum" of x^p, or the "mean" at exponent p.
+
+    The mean at exponent p is the power mean ((1/N) sum x^p)^{1/p}.  p = inf
+    gives the max either way.  Cells are taken as they are (no absolute value).
+    """
+    blocks = _cube_blocks(cells, f, start)
+    axes = tuple(range(1, blocks.ndim, 2))
+    if p == INF:
+        return blocks.max(axis=axes)
+    sums = (blocks if p == 1 else blocks**p).sum(axis=axes)
+    if how == "sum":
+        return sums
+    means = sums / float(f ** len(axes))
+    return means if p == 1 else means ** (1.0 / p)
+
+
+def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
+    """(cubes..., f**n) copy of cells, one row per level cube; for order-free per-cube work."""
+    blocks = _cube_blocks(cells, f)
+    n = cells.ndim
+    rows = blocks.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    return rows.reshape(*blocks.shape[0::2], -1)
+
+
+def localized_sup(grid: Grid, summands: dict[int, np.ndarray], cube_value=None,
+                  pointwise: bool = False):
+    """Sup over dyadic P (levels -L..top summand level) of cube_value on P's localized sum.
+
+    The localized sum of P is the suffix T_j = sum_{k >= j} u_k at
+    j = max(k_P, lowest summand level).  cube_value(level, T) gives one value
+    per level cube (default: the mean of T over the cube), or None to leave
+    the level out.  Returns (sup, suffix): sup is a float, or with `pointwise`
+    the per-cell sup over the cubes containing each cell; suffix maps every
+    summand level j to T_j.
+    """
+    suffix, acc = {}, 0.0
+    for k in sorted(summands, reverse=True):
+        acc = acc + summands[k]
+        suffix[k] = acc
+    if cube_value is None:
+        def cube_value(lev, tail):
+            return block_reduce(tail, grid.side_cells(lev), "mean")
+    k_min, k_max = min(summands), max(summands)
+    best = np.zeros(grid.shape) if pointwise else 0.0
+    for lev in range(-grid.L, k_max + 1):
+        vals = cube_value(lev, suffix[max(lev, k_min)])
+        if vals is None:
+            continue
+        if pointwise:
+            np.maximum(best, expand_level_array(grid, lev, vals), out=best)
+        else:
+            best = max(best, float(vals.max()))
+    return best, suffix
+
+
+def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0) -> float:
+    """Exact grid norm || (sum_k u_k)^{1/q} ||_{L_p} of cell fields u_k.
+
+    For finite q each u_k is already the q-th power |a_k|^q; for q = inf the
+    u_k are the |a_k| and the sum becomes their pointwise max.  p = inf gives
+    the max over cells.
+    """
+    if not p > 0:
+        raise LevelRangeError(f"p must be positive or inf, got {p}")
+    if not q > 0:
+        raise LevelRangeError(f"q must be positive or inf, got {q}")
+    body = np.zeros(grid.shape)
+    for u in summands:
+        if q == INF:
+            np.maximum(body, u, out=body)
+        else:
+            body += u
+    if q != INF:
+        body **= 1.0 / q
+    if p == INF:
+        return float(body.max()) if body.size else 0.0
+    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)

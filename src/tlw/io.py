@@ -113,22 +113,27 @@ def load_coeff_field(base: str | Path) -> CoeffField:
     return CoeffField(grid, entries)
 
 
+def _spec_number(spec: dict, key: str, default: float) -> float:
+    try:
+        return float(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"weights.{key}: expected a number, got {spec.get(key)!r}") from None
+
+
 def weights_from_spec(grid: Grid, spec: dict,
                       rng: np.random.Generator | None = None) -> WeightSequence:
     """Build a weight sequence from {kind: exp2|power|random-ap|grid, ...}."""
     kind = spec.get("kind")
+    p = _spec_number(spec, "p", 2.0)
     if kind == "exp2":
-        return exp2_weights(grid, float(spec.get("s", 0.0)), p=float(spec.get("p", 2.0)))
+        return exp2_weights(grid, _spec_number(spec, "s", 0.0), p=p)
     if kind == "power":
-        s = float(spec.get("s", 0.0))
-        alpha = float(spec.get("alpha", 0.0))
-        return exp2_weights(grid, s, omega=power_profile(grid, alpha),
-                            p=float(spec.get("p", 2.0)))
+        return exp2_weights(grid, _spec_number(spec, "s", 0.0),
+                            omega=power_profile(grid, _spec_number(spec, "alpha", 0.0)), p=p)
     if kind == "random-ap":
         if rng is None:
             rng = np.random.default_rng(int(spec.get("seed", 0)))
-        return random_ap_weights(grid, float(spec.get("spread", 0.5)), rng,
-                                 p=float(spec.get("p", 2.0)))
+        return random_ap_weights(grid, _spec_number(spec, "spread", 0.5), rng, p=p)
     if kind == "grid":
         file = spec.get("file")
         if file is None:
@@ -137,7 +142,7 @@ def weights_from_spec(grid: Grid, spec: dict,
         for k in grid.levels:
             gf = load_grid_function(Path(file).with_name(f"{Path(file).name}_k{k}"))
             tk[k] = gf.values.real
-        return WeightSequence(grid, tk, WeightMeta(p=float(spec.get("p", 2.0)), kind="grid"))
+        return WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
     raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")
 
 

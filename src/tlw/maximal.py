@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import Grid, GridFunction
+from .dyadic import Grid, GridFunction, lp_lq_norm
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
-from .weights import INF, WeightSequence
+from .weights import WeightSequence
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,7 @@ def maximal_sigma(f: GridFunction, sigma: float, cfg: MaximalConfig) -> GridFunc
 
 def weighted_lp_norm(f: GridFunction, t: GridFunction, p: float) -> float:
     """Exact grid L_p norm of f*t; p = inf gives the max over cells."""
-    prod = np.abs(f.values * t.values)
-    if p == INF:
-        return float(prod.max())
-    if p <= 0:
-        raise LevelRangeError(f"p must be positive or inf, got {p}")
-    return float((prod**p).sum() * f.grid.cell_volume) ** (1.0 / p)
+    return lp_lq_norm(f.grid, [np.abs(f.values * t.values)], p)
 
 
 def scalar_maximal_ratio(f: GridFunction, t: GridFunction, p: float,
@@ -165,15 +160,6 @@ class FSRatioReport:
         }
 
 
-def _lp_lq_norm(grid: Grid, stacks: list[np.ndarray], weights: list[np.ndarray],
-                p: float, q: float) -> float:
-    body = np.zeros(grid.shape)
-    for g, t in zip(stacks, weights):
-        body += (t * np.abs(g)) ** q
-    body **= 1.0 / q
-    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)
-
-
 def fs_ratio(fs: dict[int, GridFunction], w: WeightSequence, p: float, q: float,
              cfg: MaximalConfig) -> FSRatioReport:
     """Both sides of the vector-valued maximal inequality as exact grid norms."""
@@ -183,13 +169,9 @@ def fs_ratio(fs: dict[int, GridFunction], w: WeightSequence, p: float, q: float,
         raise LevelMismatchError(
             f"function levels {sorted(fs)} do not match weight levels {list(w.levels)}"
         )
-    grid = w.grid
-    levels = list(w.levels)
-    raw = [fs[k].values for k in levels]
-    maxed = [maximal(fs[k], cfg).values for k in levels]
-    tks = [w.tk[k] for k in levels]
-    lhs = _lp_lq_norm(grid, maxed, tks, p, q)
-    rhs = _lp_lq_norm(grid, raw, tks, p, q)
+    lhs = lp_lq_norm(w.grid, ((w.tk[k] * np.abs(maximal(fs[k], cfg).values)) ** q
+                              for k in w.levels), p, q)
+    rhs = lp_lq_norm(w.grid, ((w.tk[k] * np.abs(fs[k].values)) ** q for k in w.levels), p, q)
     ratio = None if rhs == 0.0 else lhs / rhs
-    return FSRatioReport(p=p, q=q, J=grid.J, lhs=lhs, rhs=rhs, ratio=ratio,
+    return FSRatioReport(p=p, q=q, J=w.grid.J, lhs=lhs, rhs=rhs, ratio=ratio,
                          weight_kind=w.meta.kind)

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Grid, GridFunction
+from .dyadic import INF, Grid, localized_sup, lp_lq_norm
 from .errors import LevelMismatchError, LevelRangeError, ResolutionError
-from .seqspace import CoeffField, _sup_cube_average
+from .seqspace import CoeffField
 from .weights import WeightSequence
-
-INF = math.inf
 
 PLATEAU_LO, PLATEAU_HI = 3.0 / 5.0, 5.0 / 3.0
 SUPPORT_LO, SUPPORT_HI = 0.5, 2.0
@@ -233,14 +231,6 @@ def _check_level_representable(grid: Grid, k: int):
         )
 
 
-def filtered(f: BandSignal, fp: FilterPair, k: int, conjugate: bool = False) -> np.ndarray:
-    """Spectral convolution with the level-k analysis filter (conjugated on request)."""
-    mult = fp.phi_multiplier(k)
-    if conjugate:
-        mult = np.conj(mult)
-    return np.fft.ifftn(np.fft.fftn(f.values) * mult)
-
-
 def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> CoeffField:
     """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m) over the level range."""
     if fp.grid.shape != f.grid.shape or fp.grid.L != f.grid.L:
@@ -300,44 +290,30 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
     return float((np.abs(spec[~reproduced]) ** 2).sum()) / total
 
 
+def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence):
+    """Yield (k, t_k |phi_k * f|) over the weight levels."""
+    if w.grid.shape != f.grid.shape:
+        raise LevelMismatchError("weights and signal live on different grids")
+    spec = np.fft.fftn(f.values)
+    for k in w.levels:
+        yield k, w.tk[k] * np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
+
+
 def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
               q: float) -> float:
     """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}; q = inf as sup over k."""
-    grid = w.grid
-    if grid.shape != f.grid.shape:
-        raise LevelMismatchError("weights and signal live on different grids")
     if not 0 < p < INF:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
-    spec = np.fft.fftn(f.values)
-    if q == INF:
-        body = np.zeros(grid.shape)
-        for k in w.levels:
-            conv = np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
-            np.maximum(body, w.tk[k] * conv, out=body)
-    else:
-        if q <= 0:
-            raise LevelRangeError(f"q must be positive or inf, got {q}")
-        body = np.zeros(grid.shape)
-        for k in w.levels:
-            conv = np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
-            body += (w.tk[k] * conv) ** q
-        body **= 1.0 / q
-    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)
+    terms = (a if q == INF else a**q for _, a in _weighted_levels(f, fp, w))
+    return lp_lq_norm(w.grid, terms, p, q)
 
 
 def F_inf_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, q: float) -> float:
     """sup over dyadic P of the localized average of sum_{k >= k_P} t_k^q |phi_k * f|^q."""
-    grid = w.grid
-    if grid.shape != f.grid.shape:
-        raise LevelMismatchError("weights and signal live on different grids")
     if not 0 < q < INF:
         raise LevelRangeError(f"q must be in (0, inf), got {q}")
-    spec = np.fft.fftn(f.values)
-    summands = {}
-    for k in w.levels:
-        conv = np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
-        summands[k] = (w.tk[k] * conv) ** q
-    return _sup_cube_average(grid, summands, grid.k_max) ** (1.0 / q)
+    summands = {k: a**q for k, a in _weighted_levels(f, fp, w)}
+    return localized_sup(w.grid, summands)[0] ** (1.0 / q)
 
 
 def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,

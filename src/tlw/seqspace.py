@@ -24,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (
+    INF,
     DyadicCube,
     Grid,
     GridFunction,
-    cube_means,
-    cube_sums,
+    block_reduce,
+    cube_major,
     expand_level_array,
+    localized_sup,
+    lp_lq_norm,
 )
 from .errors import (
     LevelMismatchError,
@@ -38,8 +41,6 @@ from .errors import (
     ResolutionError,
 )
 from .weights import WeightSequence
-
-INF = math.inf
 
 
 class CoeffField:
@@ -115,15 +116,9 @@ def _pointwise_summand(lam: CoeffField, w: WeightSequence, k: int, q: float) -> 
 def _cubeavg_summand(lam: CoeffField, w: WeightSequence, k: int, q: float) -> np.ndarray:
     """Cell field 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_{k,m}|^q chi_{k,m}(x)."""
     grid = lam.grid
-    tq_int = cube_sums(grid, k, w.tk[k] ** q) * grid.cell_volume
+    tq_int = block_reduce(w.tk[k], grid.side_cells(k), "sum", q) * grid.cell_volume
     per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
     return expand_level_array(grid, k, per_cube)
-
-
-def _lp_norm(grid: Grid, body: np.ndarray, p: float) -> float:
-    if p == INF:
-        return float(body.max()) if body.size else 0.0
-    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)
 
 
 def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
@@ -136,19 +131,11 @@ def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
     grid = lam.grid
     if q == INF:
-        body = np.zeros(grid.shape)
-        for k in lam.levels:
-            term = (2.0 ** (k * grid.n / 2.0)) * w.tk[k] * expand_level_array(
-                grid, k, np.abs(lam.entries[k])
-            )
-            np.maximum(body, term, out=body)
-        return _lp_norm(grid, body, p)
-    if q <= 0:
-        raise LevelRangeError(f"q must be positive or inf, got {q}")
-    body = np.zeros(grid.shape)
-    for k in lam.levels:
-        body += _pointwise_summand(lam, w, k, q)
-    return _lp_norm(grid, body ** (1.0 / q), p)
+        terms = ((2.0 ** (k * grid.n / 2.0)) * w.tk[k]
+                 * expand_level_array(grid, k, np.abs(lam.entries[k])) for k in lam.levels)
+    else:
+        terms = (_pointwise_summand(lam, w, k, q) for k in lam.levels)
+    return lp_lq_norm(grid, terms, p, q)
 
 
 def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
@@ -161,42 +148,10 @@ def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
         raise LevelRangeError("star norm needs finite positive p and q")
     grid = lam.grid
     dp = delta * p
-    body = np.zeros(grid.shape)
-    for k in lam.levels:
-        t_int = (cube_sums(grid, k, w.tk[k] ** dp) * grid.cell_volume) ** (1.0 / dp)
-        per_cube = (
-            2.0 ** (k * grid.n * q * (0.5 + 1.0 / dp))
-            * t_int**q
-            * np.abs(lam.entries[k]) ** q
-        )
-        body += expand_level_array(grid, k, per_cube)
-    return _lp_norm(grid, body ** (1.0 / q), p)
-
-
-def _suffix_fields(grid: Grid, summands: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """T_j = sum_{k >= j} u_k for j in the summand level range."""
-    out: dict[int, np.ndarray] = {}
-    acc = np.zeros(grid.shape)
-    for k in sorted(summands, reverse=True):
-        acc = acc + summands[k]
-        out[k] = acc
-    return out
-
-
-def _sup_cube_average(grid: Grid, summands: dict[int, np.ndarray],
-                      p_level_max: int) -> float:
-    """sup over dyadic P (levels -L..p_level_max) of (1/|P|) int_P  sum_{k>=k_P} u_k."""
-    if not summands:
-        return 0.0
-    k_min, k_max = min(summands), max(summands)
-    suffix = _suffix_fields(grid, summands)
-    best = 0.0
-    for lev in range(-grid.L, p_level_max + 1):
-        if lev > k_max:
-            continue  # localized sum is empty for cubes finer than the top level
-        means = cube_means(grid, lev, suffix[max(lev, k_min)])
-        best = max(best, float(means.max()))
-    return best
+    terms = (expand_level_array(grid, k, 2.0 ** (k * grid.n * q * (0.5 + 1.0 / dp))
+                                * w.cube_norm(k, dp) ** q * np.abs(lam.entries[k]) ** q)
+             for k in lam.levels)
+    return lp_lq_norm(grid, terms, p, q)
 
 
 def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -204,9 +159,8 @@ def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
     _check_pair(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
-    grid = lam.grid
     summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-    return _sup_cube_average(grid, summands, grid.k_max) ** (1.0 / q)
+    return localized_sup(lam.grid, summands)[0] ** (1.0 / q)
 
 
 def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -214,9 +168,8 @@ def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
     _check_pair(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
-    grid = lam.grid
     summands = {k: _cubeavg_summand(lam, w, k, q) for k in lam.levels}
-    return _sup_cube_average(grid, summands, grid.k_max) ** (1.0 / q)
+    return localized_sup(lam.grid, summands)[0] ** (1.0 / q)
 
 
 def lambda_star(lam: CoeffField, r: float, d: float) -> CoeffField:
@@ -308,7 +261,7 @@ def m_p(lam: CoeffField, w: WeightSequence, q: float, P: DyadicCube) -> float:
     resolve downward, matching the infimum over real thresholds exactly.
     """
     grid = lam.grid
-    n_cells = (1 << (grid.J - P.level)) ** grid.n
+    n_cells = grid.side_cells(P.level) ** grid.n
     if n_cells < 4:
         raise ResolutionError(f"cube at level {P.level} has {n_cells} cells; need >= 4")
     vals = g_p(lam, w, q, P).values[grid.cube_slices(P)].ravel()
@@ -326,28 +279,23 @@ def m_fun(lam: CoeffField, w: WeightSequence, q: float,
     are skipped; pass min_cells=1 to extend the quartile rule down to single
     cells (there it degenerates to the plain maximum over the cube).
     """
+    return GridFunction(lam.grid, _quartile_sup(lam, w, q, min_cells)[0])
+
+
+def _quartile_sup(lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
+    """(m_fun's cell values, the suffix fields sum_{k >= j} u_k it was built from)."""
     _check_pair(lam, w)
     grid = lam.grid
+
+    def quartile(lev, tail):
+        f = grid.side_cells(lev)
+        if f**grid.n < min_cells:
+            return None
+        rank = f**grid.n - 1 - _quartile_count(f**grid.n)
+        return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
+
     summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-    suffix = _suffix_fields(grid, summands)
-    k_min = min(summands)
-    out = np.zeros(grid.shape)
-    for lev in range(-grid.L, grid.k_max + 1):
-        f = 1 << (grid.J - lev)
-        n_cells = f**grid.n
-        if n_cells < min_cells:
-            continue
-        tail = suffix[max(lev, k_min)]
-        allowed = _quartile_count(n_cells)
-        s = grid.cubes_per_axis(lev)
-        if grid.n == 1:
-            blocks = tail.reshape(s, f)
-        else:
-            blocks = tail.reshape(s, f, s, f).transpose(0, 2, 1, 3).reshape(s, s, f * f)
-        kth = np.partition(blocks, n_cells - 1 - allowed, axis=-1)[..., n_cells - 1 - allowed]
-        per_cube = kth ** (1.0 / q)
-        np.maximum(out, expand_level_array(grid, lev, per_cube), out=out)
-    return GridFunction(grid, out)
+    return localized_sup(grid, summands, quartile, pointwise=True)
 
 
 def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float,
@@ -355,8 +303,7 @@ def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float,
     """L_p norm of the quartile functional; pairs with f_pq_norm in equivalence suites."""
     if p == INF:
         raise LevelRangeError("use the L_inf pairing with f_inf_norm instead")
-    m = m_fun(lam, w, q, min_cells=min_cells)
-    return _lp_norm(lam.grid, m.values, p)
+    return lp_lq_norm(lam.grid, [m_fun(lam, w, q, min_cells=min_cells).values], p)
 
 
 class RestrictionSets:
@@ -374,8 +321,8 @@ class RestrictionSets:
             mask = np.asarray(masks[k], dtype=bool)
             if mask.shape != grid.shape:
                 raise LevelMismatchError(f"mask for level {k} has shape {mask.shape}")
-            cells_per_cube = (1 << (grid.J - k)) ** grid.n
-            counts = cube_sums(grid, k, mask.astype(float))
+            cells_per_cube = grid.side_cells(k) ** grid.n
+            counts = block_reduce(mask, grid.side_cells(k))
             if not np.all(counts > fraction * cells_per_cube):
                 bad = int(np.argmin(counts))
                 raise PositivityError(
@@ -391,19 +338,19 @@ class RestrictionSets:
     @classmethod
     def random(cls, grid: Grid, keep_fraction: float, rng: np.random.Generator,
                fraction: float = 0.5) -> "RestrictionSets":
-        """Keep floor(keep_fraction * N) + 1 random cells per cube (strictly above)."""
+        """Keep floor(keep_fraction * N) + 1 random cells per cube (strictly above).
+
+        One draw per level: each cube keeps the cells holding its `keep`
+        smallest uniform keys, a uniformly random subset.
+        """
         masks = {}
+        cell_ids = np.arange(math.prod(grid.shape)).reshape(grid.shape)
         for k in grid.levels:
-            f = 1 << (grid.J - k)
-            n_cells = f**grid.n
-            keep = min(int(keep_fraction * n_cells) + 1, n_cells)
-            mask = np.zeros(grid.shape, dtype=bool)
-            flat = mask.reshape(-1)
-            for cube_idx in range(grid.cubes_per_axis(k) ** grid.n):
-                chosen = rng.choice(n_cells, size=keep, replace=False)
-                cells = _cube_cell_flat_indices(grid, k, cube_idx)
-                flat[cells[chosen]] = True
-            masks[k] = mask
+            cells = cube_major(cell_ids, grid.side_cells(k))
+            keep = min(int(keep_fraction * cells.shape[-1]) + 1, cells.shape[-1])
+            chosen = np.argpartition(rng.random(cells.shape), keep - 1, axis=-1)[..., :keep]
+            masks[k] = np.zeros(grid.shape, dtype=bool)
+            masks[k].flat[np.take_along_axis(cells, chosen, axis=-1)] = True
         return cls(grid, masks, fraction)
 
     @classmethod
@@ -412,7 +359,7 @@ class RestrictionSets:
         """Lower-left corner block of each cube (per-axis fraction of the side)."""
         masks = {}
         for k in grid.levels:
-            f = 1 << (grid.J - k)
+            f = grid.side_cells(k)
             keep = max(int(round(fraction_per_axis * f)), 1)
             block = np.zeros((f,) * grid.n, dtype=bool)
             block[(slice(0, keep),) * grid.n] = True
@@ -425,41 +372,22 @@ class RestrictionSets:
                    fraction: float = 0.5) -> "RestrictionSets":
         """E_Q = {x in Q : G_Q(x) <= m(x)} per cube; guarantees |E_Q| >= 3|Q|/4."""
         grid = lam.grid
-        min_side = 1 << (grid.J - grid.k_max)
-        if min_side**grid.n < 4:
+        if grid.side_cells(grid.k_max) ** grid.n < 4:
             raise ResolutionError(
                 "finest coefficient cubes have fewer than 4 cells; the quartile "
                 "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
             )
-        m = m_fun(lam, w, q).values
-        summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-        suffix = _suffix_fields(grid, summands)
-        masks = {}
-        for k in lam.levels:
-            g_vals = suffix[k] ** (1.0 / q)
-            masks[k] = g_vals <= m
-        return cls(grid, masks, fraction)
+        m, suffix = _quartile_sup(lam, w, q, min_cells=4)
+        return cls(grid, {k: suffix[k] ** (1.0 / q) <= m for k in lam.levels}, fraction)
 
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels."""
         worst = 1.0
         for k, mask in self.masks.items():
-            cells_per_cube = (1 << (self.grid.J - k)) ** self.grid.n
-            counts = cube_sums(self.grid, k, mask.astype(float))
+            cells_per_cube = self.grid.side_cells(k) ** self.grid.n
+            counts = block_reduce(mask, self.grid.side_cells(k))
             worst = min(worst, float(counts.min()) / cells_per_cube)
         return worst
-
-
-def _cube_cell_flat_indices(grid: Grid, k: int, cube_flat_idx: int) -> np.ndarray:
-    f = 1 << (grid.J - k)
-    s = grid.cubes_per_axis(k)
-    if grid.n == 1:
-        start = cube_flat_idx * f
-        return np.arange(start, start + f)
-    ci, cj = divmod(cube_flat_idx, s)
-    rows = np.arange(ci * f, (ci + 1) * f)
-    cols = np.arange(cj * f, (cj + 1) * f)
-    return (rows[:, None] * grid.cells_per_axis + cols[None, :]).ravel()
 
 
 def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,
@@ -468,11 +396,8 @@ def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,
     _check_pair(lam, w)
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
-    grid = lam.grid
-    summands = {
-        k: _pointwise_summand(lam, w, k, q) * E.masks[k] for k in lam.levels
-    }
-    return _sup_cube_average(grid, summands, grid.k_max) ** (1.0 / q)
+    summands = {k: _pointwise_summand(lam, w, k, q) * E.masks[k] for k in lam.levels}
+    return localized_sup(lam.grid, summands)[0] ** (1.0 / q)
 
 
 def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,

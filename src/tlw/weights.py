@@ -15,12 +15,11 @@ constants and are labelled as such in reports.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
+from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, cubes_at_level
 from .errors import (
     DomainError,
     LevelMismatchError,
@@ -28,8 +27,6 @@ from .errors import (
     PositivityError,
     ResolutionError,
 )
-
-INF = math.inf
 
 
 def _require_positive(values: np.ndarray, what: str):
@@ -113,6 +110,11 @@ class WeightSequence:
         grid = self.grid.with_levels(levels.start, levels.stop - 1)
         return WeightSequence(grid, out, self.meta)
 
+    def cube_norm(self, k: int, r: float) -> np.ndarray:
+        """(int_Q t_k^r)^{1/r} per level-k cube Q (r may be negative)."""
+        sums = block_reduce(self.tk[k], self.grid.side_cells(k), "sum", r)
+        return (sums * self.grid.cell_volume) ** (1.0 / r)
+
 
 def exp2_weights(grid: Grid, s: float, omega: np.ndarray | None = None,
                  p: float = 2.0) -> WeightSequence:
@@ -171,29 +173,6 @@ def cube_mean_p(t: GridFunction, cube, p: float) -> float:
     if p <= 0:
         raise LevelRangeError(f"exponent p must be positive or inf, got {p}")
     return float(np.mean(vals**p) ** (1.0 / p))
-
-
-def _block_means_p(cells: np.ndarray, start: tuple[int, ...], f: int, p: float) -> np.ndarray:
-    """M_{Q,p} over the lattice of windows of f cells per axis with corners at start + f*m.
-
-    Only windows that lie inside the grid are kept; entry m is the window at
-    start + f*m.  Positive cells are assumed (no absolute value is taken).
-    """
-    sl = tuple(slice(s, s + f * ((size - s) // f)) for s, size in zip(start, cells.shape))
-    block = cells[sl]
-    shape = [d for size in block.shape for d in (size // f, f)]
-    axes = tuple(range(1, 2 * cells.ndim, 2))
-    if p == INF:
-        return block.reshape(shape).max(axis=axes)
-    sums = (block**p).reshape(shape).sum(axis=axes)
-    return (sums / float(f**cells.ndim)) ** (1.0 / p)
-
-
-def _level_means_p(grid: Grid, cells: np.ndarray, k: int, p: float) -> np.ndarray:
-    """M_{Q,p} over all level-k cubes at once (per-cube array)."""
-    if not -grid.L <= k <= grid.J:
-        raise LevelRangeError(f"level {k} outside [{-grid.L}, {grid.J}]")
-    return _block_means_p(cells, (0,) * grid.n, 1 << (grid.J - k), p)
 
 
 @dataclass
@@ -269,7 +248,8 @@ def ap_constant(gamma: GridFunction, p: float, family: list,
         indices.append(index)
     values = np.empty(len(family))
     for (f, start), (positions, indices) in groups.items():
-        prod = _block_means_p(vals, start, f, 1.0) * _block_means_p(inv, start, f, inv_p)
+        prod = (block_reduce(vals, f, "mean", 1.0, start)
+                * block_reduce(inv, f, "mean", inv_p, start))
         idx = np.array(indices, dtype=np.intp)
         if idx.shape[1] != prod.ndim or np.any(idx < 0) or np.any(idx >= prod.shape):
             raise DomainError(f"a cube of {f} cells per axis lies outside the domain grid")
@@ -309,7 +289,7 @@ def audit_family(grid: Grid, levels: range | None = None, shifted: bool = False)
         for k in levels:
             if k >= grid.J:
                 continue
-            f = 1 << (grid.J - k)
+            f = grid.side_cells(k)
             off = f // 3
             if off == 0:
                 continue
@@ -399,9 +379,10 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
     tracker1 = _SupTracker()
     tracker2 = _SupTracker()
     for lev in fam_levels:
-        means_p = {k: _level_means_p(grid, w.tk[k], lev, p) for k in levels}
-        means_s1_inv = {k: _level_means_p(grid, 1.0 / w.tk[k], lev, sigma1) for k in levels}
-        means_s2 = {k: _level_means_p(grid, w.tk[k], lev, sigma2) for k in levels}
+        f = grid.side_cells(lev)
+        means_p = {k: block_reduce(w.tk[k], f, "mean", p) for k in levels}
+        means_s1_inv = {k: block_reduce(1.0 / w.tk[k], f, "mean", sigma1) for k in levels}
+        means_s2 = {k: block_reduce(w.tk[k], f, "mean", sigma2) for k in levels}
         for k in levels:
             for j in levels:
                 if j < k:

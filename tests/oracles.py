@@ -80,15 +80,18 @@ def naive_weighted_lp(fvals, tvals, grid, p):
 
 
 def naive_f_pq_norm(entries, tk, grid, p, q):
-    """Triple loop over cells, levels, cubes via direct membership."""
+    """Triple loop over cells, levels, cubes via direct membership; q = inf takes the max."""
     levels = sorted(entries)
     acc = np.zeros(grid.shape)
     for cell in cell_iter(grid):
         s = 0.0
         for k in levels:
             m = cube_of_cell(grid, cell, k)
-            s += (2.0 ** (k * grid.n * q / 2.0)) * (tk[k][cell] ** q) * abs(entries[k][m]) ** q
-        acc[cell] = s ** (1.0 / q)
+            if q == math.inf:
+                s = max(s, (2.0 ** (k * grid.n / 2.0)) * tk[k][cell] * abs(entries[k][m]))
+            else:
+                s += (2.0 ** (k * grid.n * q / 2.0)) * (tk[k][cell] ** q) * abs(entries[k][m]) ** q
+        acc[cell] = s if q == math.inf else s ** (1.0 / q)
     return (sum(acc[c] ** p for c in cell_iter(grid)) * grid.cell_volume) ** (1.0 / p)
 
 
@@ -121,6 +124,23 @@ def naive_f_inf_norm(entries, tk, grid, q):
         best = max(best, naive_localized_average(entries, tk, grid, q, lev, index,
                                                  k_min, k_max))
     return best ** (1.0 / q)
+
+
+def naive_localized_pairing(l_entries, s_entries, grid):
+    """sup over dyadic P of |(1/|P|) int_P sum_{k >= k_P} lam s chi_{k,m}|, cube by cube."""
+    levels = sorted(l_entries)
+    k_min, k_max = levels[0], levels[-1]
+    best = 0.0
+    for lev, index in dyadic_cubes(grid, range(-grid.L, k_max + 1)):
+        total = 0.0 + 0.0j
+        for cell in cell_iter(grid):
+            if not cell_in_cube(grid, cell, lev, index):
+                continue
+            for k in range(max(lev, k_min), k_max + 1):
+                m = cube_of_cell(grid, cell, k)
+                total += l_entries[k][m] * s_entries[k][m]
+        best = max(best, abs(total * grid.cell_volume / 2.0 ** (-lev * grid.n)))
+    return best
 
 
 def naive_lambda_star(entries, r, d):

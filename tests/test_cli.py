@@ -102,6 +102,66 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["run", "-c", str(cfg_path)]) == 64
 
 
+@pytest.mark.parametrize("over, field", [
+    ({"trials": "abc"}, "trials"),
+    ({"tolerances": {"identity": "x"}}, "tolerances.identity"),
+    ({"tolerances": [1e-12]}, "tolerances"),
+    ({"seed": -1}, "seed"),
+    ({"weights": {"kind": "exp2", "s": "foo"}}, "weights.s"),
+    ({"weights": {"kind": "exp2", "p": None}}, "weights.p"),
+    ({"weights": {"kind": "power", "alpha": [1]}}, "weights.alpha"),
+    ({"weights": {"kind": "random-ap", "spread": "wide"}}, "weights.spread"),
+])
+def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(base_config(**over)))
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 64
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("suite, skipped", [
+    ("seqnorms", "chebyshev_quartile_bound"),  # no cube has the 4 cells m_P needs
+    ("duality", "hoelder_slack_1q"),  # the default sets E need 4-cell cubes
+])
+def test_two_cell_grid_skips_with_reason_and_writes_strict_json(tmp_path, suite, skipped):
+    cfg = base_config(suite=suite, grid={"n": 1, "L": 0, "J": 1, "k_min": 0, "k_max": 0})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
+    checks = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
+    assert checks[skipped]["status"] == "skip"
+    assert checks[skipped]["reason"]
+
+
+def test_emit_refuses_non_finite_values(tmp_path):
+    from tlw.cli import ReportRecord
+
+    report = ReportRecord(suite="seqnorms", checks=[{"name": "x", "value": float("-inf")}],
+                          provenance={})
+    with pytest.raises(ValueError):
+        emit(report, "json", tmp_path / "r.json")
+
+
+def test_each_random_role_has_its_own_stream():
+    from tlw.cli import _rng_for
+
+    config = ExperimentConfig.from_dict(base_config())
+    draws = {role: _rng_for(config, "maximal", role).random(4).tolist()
+             for role in ("tests", "weights", "subsets")}
+    assert len({tuple(d) for d in draws.values()}) == 3
+    # the test-function stream is the one a suite drew everything from before
+    legacy = np.random.default_rng(np.random.SeedSequence([config.seed, 2])).random(4)
+    assert draws["tests"] == legacy.tolist()
+
+
 def test_nonpositive_weight_fails_at_config_time(tmp_path):
     from tlw.dyadic import Grid, GridFunction
     from tlw.io import save_grid_function

@@ -14,7 +14,6 @@ from tlw.duality import (
     kappa_constraint_norm,
     localized_pairing,
     pairing,
-    representability_roundtrip,
     star_constraint_norm,
 )
 from tlw.errors import LevelRangeError, UndefinedRatioError
@@ -295,8 +294,3 @@ def test_d_p_claim_measured_band():
         worst = max(worst, dp_claim_value(kappa.scale(1.0 / c), w, q, P))
     assert worst < 6.0  # recorded band for this family; the claim is boundedness
 
-
-def test_representability_roundtrip_exact():
-    g = Grid(n=1, L=1, J=3, k_min=0, k_max=1)
-    lam = CoeffField.random(g, np.random.default_rng(271))
-    assert representability_roundtrip(lam) <= 1e-15 * lam.max_abs()

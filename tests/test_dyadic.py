@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,16 @@ from tlw.dyadic import (
     DyadicCube,
     Grid,
     GridFunction,
+    block_reduce,
     cube_containing,
+    cube_major,
     cubes_at_level,
     indicator,
     integrate,
 )
 from tlw.errors import DomainError, LevelRangeError
 
-from .oracles import naive_integrate
+from .oracles import naive_cube_mean_p, naive_integrate
 
 
 def small_grid(n=1, L=1, J=4):
@@ -158,3 +162,55 @@ def test_refined_keeps_levels():
     g = small_grid()
     r = g.refined()
     assert r.J == g.J + 1 and r.levels == g.levels and r.cells_per_axis == 2 * g.cells_per_axis
+
+
+@st.composite
+def block_cases(draw):
+    """A positive cell field, a level, a lattice offset per axis and an exponent."""
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(0, 2))
+    J = draw(st.integers(-L, (5 if n == 1 else 3) - L))
+    k = draw(st.integers(-L, J))
+    f = 1 << (J - k)
+    start = tuple(draw(st.integers(0, f - 1)) for _ in range(n))
+    p = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, math.inf]))
+    g = Grid(n=n, L=L, J=J, k_min=J, k_max=J)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g, k, start, p, np.exp(rng.uniform(-1.0, 1.0, g.shape))
+
+
+@given(block_cases())
+@settings(max_examples=60, deadline=None)
+def test_block_reduce_matches_naive_oracles(case):
+    # Window m at corner start + f*m is the dyadic cube m of the field shifted
+    # by -start, so the dyadic-cube oracles check the offset lattices too.
+    g, k, start, p, cells = case
+    f = 1 << (g.J - k)
+    shifted = np.roll(cells, [-s for s in start], axis=tuple(range(g.n)))
+    sums = block_reduce(cells, f, "sum", start=start)
+    psums = block_reduce(cells, f, "sum", p, start) if p != math.inf else None
+    means = block_reduce(cells, f, "mean", start=start)
+    maxes = block_reduce(cells, f, "mean", math.inf, start)
+    pmeans = block_reduce(cells, f, "mean", p, start)
+    assert sums.shape == tuple((g.cells_per_axis - s) // f for s in start)
+    for m in np.ndindex(*sums.shape):
+        cube = DyadicCube(k, m)
+        want = naive_integrate(shifted, g, cube)
+        assert sums[m] * g.cell_volume == pytest.approx(want, rel=1e-12)
+        if psums is not None:
+            want = naive_integrate(shifted**p, g, cube) / g.cell_volume
+            assert psums[m] == pytest.approx(want, rel=1e-12)
+        assert means[m] == pytest.approx(naive_cube_mean_p(shifted, g, cube, 1.0), rel=1e-12)
+        assert maxes[m] == naive_cube_mean_p(shifted, g, cube, math.inf)
+        assert pmeans[m] == pytest.approx(naive_cube_mean_p(shifted, g, cube, p), rel=1e-12)
+
+
+@given(block_cases())
+@settings(max_examples=30, deadline=None)
+def test_cube_major_rows_hold_each_cubes_cells(case):
+    g, k, _, _, cells = case
+    rows = cube_major(cells, 1 << (g.J - k))
+    assert rows.shape == g.level_shape(k) + ((1 << (g.J - k)) ** g.n,)
+    for cube in cubes_at_level(g, k):
+        want = np.sort(cells[g.cube_slices(cube)].ravel())
+        np.testing.assert_array_equal(np.sort(rows[cube.index]), want)

@@ -559,11 +559,11 @@ def test_restriction_from_m_fun_three_quarter_guarantee():
     w = random_ap_weights(g, 0.5, rng)
     lam = CoeffField.random(g, rng)
     E = RestrictionSets.from_m_fun(lam, w, 2.0)
-    from tlw.dyadic import cube_sums
+    from tlw.dyadic import block_reduce
 
     for k in lam.levels:
         cells_per_cube = (1 << (g.J - k)) ** g.n
-        counts = cube_sums(g, k, E.masks[k].astype(float))
+        counts = block_reduce(E.masks[k], 1 << (g.J - k))
         assert np.all(counts >= 0.75 * cells_per_cube)
 
 
@@ -582,3 +582,65 @@ def test_restricted_sup_norm_monotone():
     E = RestrictionSets.random(g, 0.75, rng)
     full = RestrictionSets.full(g)
     assert restricted_sup_norm(lam, w, 2.0, E) <= restricted_sup_norm(lam, w, 2.0, full)
+
+
+# ------------------------------------------------- kernel layer against oracles
+
+
+@st.composite
+def field_cases(draw):
+    """Random-ap weights and a complex field on a small grid with a random level range."""
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(0, 1))
+    J = draw(st.integers(1, 4 if n == 1 else 2))
+    k_min = draw(st.integers(-L, J))
+    k_max = draw(st.integers(k_min, J))
+    g = Grid(n=n, L=L, J=J, k_min=k_min, k_max=k_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = random_ap_weights(g, draw(st.floats(0.0, 1.5)), rng)
+    return g, w, CoeffField.random(g, rng), rng
+
+
+@given(field_cases(), st.sampled_from([1.0, 2.0, 3.0]))
+@settings(max_examples=40, deadline=None)
+def test_m_fun_matches_naive_oracle(case, q):
+    g, w, lam, _ = case
+    for min_cells in (1, 4):
+        want = oracles.naive_m_fun(lam.entries, w.tk, g, q, g.k_min, g.k_max, min_cells)
+        got = m_fun(lam, w, q, min_cells=min_cells).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@given(field_cases(), st.sampled_from([1.0, 2.0, 3.0]))
+@settings(max_examples=40, deadline=None)
+def test_f_inf_and_localized_pairing_match_naive_oracles(case, q):
+    from tlw.duality import localized_pairing
+
+    g, w, lam, rng = case
+    s = CoeffField.random(g, rng)
+    want = oracles.naive_f_inf_norm(lam.entries, w.tk, g, q)
+    assert f_inf_norm(lam, w, q) == pytest.approx(want, rel=1e-12)
+    want = oracles.naive_localized_pairing(lam.entries, s.entries, g)
+    assert localized_pairing(lam, s) == pytest.approx(want, rel=1e-12)
+
+
+@given(field_cases(), st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 2.0, INF]))
+@settings(max_examples=40, deadline=None)
+def test_f_pq_matches_naive_oracle_including_q_inf(case, p, q):
+    g, w, lam, _ = case
+    want = oracles.naive_f_pq_norm(lam.entries, w.tk, g, p, q)
+    assert f_pq_norm(lam, w, p, q) == pytest.approx(want, rel=1e-12)
+
+
+@given(field_cases(), st.floats(0.0, 0.99))
+@settings(max_examples=40, deadline=None)
+def test_random_restriction_keeps_exact_count_per_cube(case, keep_fraction):
+    g, _, _, rng = case
+    E = RestrictionSets.random(g, keep_fraction, rng, fraction=0.01)
+    for k in g.levels:
+        n_cells = (1 << (g.J - k)) ** g.n
+        keep = min(math.floor(keep_fraction * n_cells) + 1, n_cells)
+        for cube in cubes_at_level(g, k):
+            cells = [c for c in oracles.cell_iter(g)
+                     if oracles.cell_in_cube(g, c, cube.level, cube.index)]
+            assert sum(bool(E.masks[k][c]) for c in cells) == keep
