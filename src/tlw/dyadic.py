@@ -173,16 +173,6 @@ class GridFunction:
     def constant(cls, grid: Grid, value) -> "GridFunction":
         return cls(grid, np.full(grid.shape, value, dtype=np.result_type(value, float)))
 
-    @classmethod
-    def from_cell_centers(cls, grid: Grid, fn) -> "GridFunction":
-        """Sample fn at cell centers; fn takes n arrays (meshgrid, ij indexing)."""
-        axes = [grid.cell_centers() for _ in range(grid.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return cls(grid, np.asarray(fn(*mesh), dtype=float))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
 
 def cube_containing(grid: Grid, k: int, x) -> DyadicCube:
     """The unique level-k dyadic cube containing the point x; m_i = floor(2^k x_i)."""
@@ -197,10 +187,11 @@ def cube_containing(grid: Grid, k: int, x) -> DyadicCube:
     return DyadicCube(k, m)
 
 
-def cubes_at_level(grid: Grid, k: int) -> list[DyadicCube]:
-    """All 2^{(L+k)n} level-k cubes inside the domain, in lexicographic index order."""
+def cubes_at_level(grid: Grid, k: int, limit: int | None = None) -> list[DyadicCube]:
+    """The first `limit` (default all 2^{(L+k)n}) level-k cubes, in lexicographic index order."""
     top = grid.cubes_per_axis(k)
-    return [DyadicCube(k, m) for m in itertools.product(range(top), repeat=grid.n)]
+    indices = itertools.islice(itertools.product(range(top), repeat=grid.n), limit)
+    return [DyadicCube(k, m) for m in indices]
 
 
 def integrate(f: GridFunction, cube: DyadicCube):

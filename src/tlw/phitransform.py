@@ -10,6 +10,12 @@ level-k annulus spans 2^{k+2} < 2*pi*2^k).
 
 Content at frequencies below the coarsest covered annulus is annihilated by
 design; the leakage diagnostic reports it rather than erroring.
+
+The level-k lattice has M = 2^{L+k} points per axis, step s = 2^{J-k}: `analyze`
+folds the filtered full-grid spectrum onto its M^n aliases (sum over the s
+copies) and inverts that small spectrum; `synthesize` tiles each level's small
+coefficient spectrum s times per axis (the comb's spectrum), filters by Psi_k
+and inverts the sum of all levels once.
 """
 
 from __future__ import annotations
@@ -90,17 +96,22 @@ class FilterPair:
         np.divide(phi, den, out=out, where=den > 0)
         return out
 
-    def phi_multiplier(self, k: int) -> np.ndarray:
-        key = ("phi", k)
+    def _cached(self, key, make) -> np.ndarray:
         if key not in self._mult_cache:
-            self._mult_cache[key] = self.phi_profile(self.xi_abs * 2.0**-k)
+            self._mult_cache[key] = make()
         return self._mult_cache[key]
 
+    def phi_multiplier(self, k: int) -> np.ndarray:
+        return self._cached(("phi", k), lambda: self.phi_profile(self.xi_abs * 2.0**-k))
+
+    def scale_sum(self) -> np.ndarray:
+        """sum_j Phi(2^{-j} |xi|)^2 on the grid; dyadic-invariant, so it serves every level."""
+        return self._cached("den", lambda: self._denominator(self.xi_abs))
+
     def psi_multiplier(self, k: int) -> np.ndarray:
-        key = ("psi", k)
-        if key not in self._mult_cache:
-            self._mult_cache[key] = self.psi_profile(self.xi_abs * 2.0**-k)
-        return self._mult_cache[key]
+        den = self.scale_sum()
+        return self._cached(("psi", k), lambda: np.divide(
+            self.phi_multiplier(k), den, out=np.zeros_like(den), where=den > 0))
 
     def covered_levels(self) -> list[int]:
         """Levels whose open annulus (2^{k-1}, 2^{k+1}) contains a represented frequency."""
@@ -130,6 +141,7 @@ class FilterPair:
         """
         pos_mask = self.xi_abs > 0
         r = self.xi_abs[pos_mask]
+        den = self.scale_sum()[pos_mask]  # > 0 wherever r > 0
         if r.size == 0:
             return 0.0
         if levels is None:
@@ -140,12 +152,13 @@ class FilterPair:
             levels = list(levels)
             lo, hi = 2.0 ** min(levels), 2.0 ** max(levels)
             keep = (r >= lo) & (r <= hi)
-            r = r[keep]
+            r, den = r[keep], den[keep]
             if r.size == 0:
                 return 0.0
         acc = np.zeros_like(r)
         for k in levels:
-            acc += np.conj(self.phi_profile(r * 2.0**-k)) * self.psi_profile(r * 2.0**-k)
+            phi = self.phi_profile(r * 2.0**-k)
+            acc += np.conj(phi) * (phi / den)
         return float(np.abs(acc - 1.0).max())
 
 
@@ -171,8 +184,8 @@ def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
             "base annulus {1/2 <= |xi| <= 2} contains no represented frequencies "
             f"(domain exponent L={grid.L} too small)"
         )
-    fp.spectrum_phi = fp.phi_profile(xi_abs)
-    fp.spectrum_psi = fp.psi_profile(xi_abs)
+    fp.spectrum_phi = fp.phi_multiplier(0)
+    fp.spectrum_psi = fp.psi_multiplier(0)
     plateau = (xi_abs >= PLATEAU_LO) & (xi_abs <= PLATEAU_HI)
     fp.plateau_floor = float(fp.spectrum_phi[plateau].min()) if plateau.any() else 0.0
     return fp
@@ -231,38 +244,39 @@ def _check_level_representable(grid: Grid, k: int):
         )
 
 
-def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> CoeffField:
-    """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m) over the level range."""
+def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
+            spec: np.ndarray | None = None) -> CoeffField:
+    """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m); `spec` = fftn(f.values) if known."""
     if fp.grid.shape != f.grid.shape or fp.grid.L != f.grid.L:
         raise LevelMismatchError("filter pair and signal live on different grids")
     k_lo, k_hi = levels
     grid = f.grid.with_levels(k_lo, k_hi)
-    spec = np.fft.fftn(f.values)
+    spec = np.fft.fftn(f.values) if spec is None else spec
+    s_axes = tuple(range(0, 2 * grid.n, 2))  # of the (s, M) * n view
     entries = {}
     for k in range(k_lo, k_hi + 1):
         _check_level_representable(grid, k)
-        g = np.fft.ifftn(spec * np.conj(fp.phi_multiplier(k)))
-        step = 1 << (grid.J - k)
-        sampler = tuple(slice(None, None, step) for _ in range(grid.n))
-        entries[k] = (2.0 ** (-k * grid.n / 2.0)) * g[sampler]
+        shape = (grid.side_cells(k), grid.cubes_per_axis(k)) * grid.n
+        folded = (spec * fp.phi_multiplier(k)).reshape(shape).sum(axis=s_axes)  # Phi real
+        scale = 2.0 ** (-k * grid.n / 2.0) * (folded.size / spec.size)
+        entries[k] = scale * np.fft.ifftn(folded)
     return CoeffField(grid, entries)
 
 
 def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
-    """sum_k sum_m lambda_{k,m} psi_{k,m} via per-level combs filtered spectrally."""
+    """sum_k sum_m lambda_{k,m} psi_{k,m}: tiled lattice spectra filtered by Psi_k, one ifftn."""
     grid = lam.grid
     if fp.grid.shape != grid.shape or fp.grid.L != grid.L:
         raise LevelMismatchError("filter pair and coefficients live on different grids")
-    out = np.zeros(grid.shape, dtype=complex)
-    inv_cell = 1.0 / grid.cell_volume
+    acc = np.zeros(grid.shape, dtype=complex)
+    s_axes = tuple(range(0, 2 * grid.n, 2))  # of the (s, M) * n view
     for k in lam.levels:
         _check_level_representable(grid, k)
-        step = 1 << (grid.J - k)
-        comb = np.zeros(grid.shape, dtype=complex)
-        sampler = tuple(slice(None, None, step) for _ in range(grid.n))
-        comb[sampler] = lam.entries[k] * (2.0 ** (-k * grid.n / 2.0)) * inv_cell
-        out += np.fft.ifftn(np.fft.fftn(comb) * fp.psi_multiplier(k))
-    return BandSignal(grid, out, support_levels=(grid.k_min, grid.k_max))
+        shape = (grid.side_cells(k), grid.cubes_per_axis(k)) * grid.n
+        tile = np.expand_dims(np.fft.fftn(lam.entries[k]), s_axes)  # the comb's spectrum
+        tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
+        acc.reshape(shape)[...] += tile * fp.psi_multiplier(k).reshape(shape)
+    return BandSignal(grid, np.fft.ifftn(acc), support_levels=(grid.k_min, grid.k_max))
 
 
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
@@ -282,29 +296,28 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
     total = float((np.abs(spec) ** 2).sum())
     if total == 0.0:
         return 0.0
-    r = fp.xi_abs
-    acc = np.zeros_like(r)
+    acc = np.zeros_like(fp.xi_abs)
     for k in range(levels[0], levels[1] + 1):
-        acc += np.conj(fp.phi_profile(r * 2.0**-k)) * fp.psi_profile(r * 2.0**-k)
+        acc += fp.phi_multiplier(k) * fp.psi_multiplier(k)  # Phi real
     reproduced = np.abs(acc - 1.0) <= tol
     return float((np.abs(spec[~reproduced]) ** 2).sum()) / total
 
 
-def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence):
-    """Yield (k, t_k |phi_k * f|) over the weight levels."""
+def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None):
+    """Yield (k, t_k |phi_k * f|) over the weight levels; `spec` as in `analyze`."""
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
-    spec = np.fft.fftn(f.values)
+    spec = np.fft.fftn(f.values) if spec is None else spec
     for k in w.levels:
         yield k, w.tk[k] * np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
 
 
 def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
-              q: float) -> float:
+              q: float, spec: np.ndarray | None = None) -> float:
     """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}; q = inf as sup over k."""
     if not 0 < p < INF:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
-    terms = (a if q == INF else a**q for _, a in _weighted_levels(f, fp, w))
+    terms = (a if q == INF else a**q for _, a in _weighted_levels(f, fp, w, spec))
     return lp_lq_norm(w.grid, terms, p, q)
 
 
@@ -319,7 +332,8 @@ def F_inf_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, q: float) -> fl
 def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
                    q: float) -> tuple[float, float]:
     """(sequence norm of the analysis coefficients, function-space norm of f)."""
-    lam = analyze(f, fp, (w.grid.k_min, w.grid.k_max))
+    spec = np.fft.fftn(f.values)
+    lam = analyze(f, fp, (w.grid.k_min, w.grid.k_max), spec)
     from .seqspace import f_pq_norm as _seq_norm
 
-    return _seq_norm(lam, w, p, q), F_pq_norm(f, fp, w, p, q)
+    return _seq_norm(lam, w, p, q), F_pq_norm(f, fp, w, p, q, spec)

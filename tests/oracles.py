@@ -259,3 +259,46 @@ def naive_m_fun(entries, tk, grid, q, k_min, k_max, min_cells=4):
             if cell_in_cube(grid, c, lev, index):
                 out[c] = max(out[c], m_val)
     return out
+
+
+def _lattice_sampler(grid, k):
+    return (slice(None, None, 2 ** (grid.J - k)),) * grid.n
+
+
+def naive_analyze(values, grid, levels, phi_k):
+    """Per-level full-grid analysis: ifftn of the filtered spectrum, sampled at stride s.
+
+    `phi_k(k)` gives the level-k analysis multiplier on the grid's frequencies.
+    """
+    spec = np.fft.fftn(values)
+    out = {}
+    for k in range(levels[0], levels[1] + 1):
+        g = np.fft.ifftn(spec * np.conj(phi_k(k)))
+        out[k] = 2.0 ** (-k * grid.n / 2.0) * g[_lattice_sampler(grid, k)]
+    return out
+
+
+def naive_synthesize(entries, grid, psi_k):
+    """Per-level full-grid synthesis: coefficient comb -> fftn -> Psi_k -> ifftn, summed."""
+    out = np.zeros(grid.shape, dtype=complex)
+    for k, c in entries.items():
+        comb = np.zeros(grid.shape, dtype=complex)
+        comb[_lattice_sampler(grid, k)] = c * 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
+        out += np.fft.ifftn(np.fft.fftn(comb) * psi_k(k))
+    return out
+
+
+def per_level_psi(fp, k):
+    """Psi_k with the scale sum recomputed at the level's own scaled frequencies."""
+    return fp.psi_profile(fp.xi_abs * 2.0**-k)
+
+
+def per_level_partition_deviation(fp):
+    """max |sum_k conj(Phi_k) Psi_k - 1| over xi != 0, one scale sum per level."""
+    r = fp.xi_abs[fp.xi_abs > 0]
+    j_lo = math.floor(math.log2(r.min())) - 2
+    j_hi = math.ceil(math.log2(r.max())) + 2
+    acc = np.zeros_like(r)
+    for k in range(j_lo, j_hi + 1):
+        acc += np.conj(fp.phi_profile(r * 2.0**-k)) * fp.psi_profile(r * 2.0**-k)
+    return float(np.abs(acc - 1.0).max())

@@ -111,11 +111,18 @@ def test_invalid_config_exit_code(tmp_path):
     ({"weights": {"kind": "exp2", "p": None}}, "weights.p"),
     ({"weights": {"kind": "power", "alpha": [1]}}, "weights.alpha"),
     ({"weights": {"kind": "random-ap", "spread": "wide"}}, "weights.spread"),
+    # a list is a `tlw` command line rather than a config override
+    (["fixture", "exp2", "--params", '{"grid": {"n": 1, "J": "x"}}'], "grid.J"),
+    ({"grid": {"n": 1, "L": 1, "J": 5, "k_max": "3.5"}}, "grid.k_max"),
 ])
 def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(base_config(**over)))
-    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 64
+    if isinstance(over, list):
+        argv = over + ["-o", str(tmp_path / "w")]
+    else:
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(base_config(**over)))
+        argv = ["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]
+    assert main(argv) == 64
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
@@ -129,6 +136,8 @@ def _strict_json(text):
 @pytest.mark.parametrize("suite, skipped", [
     ("seqnorms", "chebyshev_quartile_bound"),  # no cube has the 4 cells m_P needs
     ("duality", "hoelder_slack_1q"),  # the default sets E need 4-cell cubes
+    ("xclass", "xclass_overdeclared_alpha_rejected"),  # one level: lag 0 only, no growth rate
+    ("all", "xclass_overdeclared_alpha_rejected"),
 ])
 def test_two_cell_grid_skips_with_reason_and_writes_strict_json(tmp_path, suite, skipped):
     cfg = base_config(suite=suite, grid={"n": 1, "L": 0, "J": 1, "k_min": 0, "k_max": 0})
@@ -139,6 +148,36 @@ def test_two_cell_grid_skips_with_reason_and_writes_strict_json(tmp_path, suite,
     checks = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
     assert checks[skipped]["status"] == "skip"
     assert checks[skipped]["reason"]
+
+
+def test_undefined_fs_ratio_makes_stability_a_skip(monkeypatch):
+    import dataclasses
+
+    import tlw.cli as cli
+
+    real = cli.fs_ratio
+    monkeypatch.setattr(cli, "fs_ratio",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), ratio=None))
+    checks = {c["name"]: c for c in cli.suite_maximal(ExperimentConfig.from_dict(
+        base_config(suite="maximal")))}
+    assert checks["fs_ratio_stable"]["status"] == "skip"
+    assert "undefined" in checks["fs_ratio_stable"]["reason"]
+    assert checks["scalar_ratio_stable"]["status"] in ("pass", "fail")
+
+
+def test_seqnorms_checks_the_first_four_cubes_of_each_level(monkeypatch):
+    import tlw.cli as cli
+
+    seen = []
+    real = cli.m_p
+    monkeypatch.setattr(cli, "m_p",
+                        lambda lam, w, q, cube: seen.append(cube) or real(lam, w, q, cube))
+    cfg = base_config(grid={"n": 2, "L": 1, "J": 3, "k_min": 0, "k_max": 1}, trials=2)
+    cli.suite_seqnorms(ExperimentConfig.from_dict(cfg))
+    per_trial = ([(-1, (0, 0))]
+                 + [(0, m) for m in ((0, 0), (0, 1), (1, 0), (1, 1))]
+                 + [(1, m) for m in ((0, 0), (0, 1), (0, 2), (0, 3))])
+    assert [(c.level, c.index) for c in seen] == per_trial * 2
 
 
 def test_emit_refuses_non_finite_values(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlw.dyadic import Grid
 from tlw.errors import LevelMismatchError, LevelRangeError, ResolutionError
@@ -18,6 +20,8 @@ from tlw.phitransform import (
 )
 from tlw.seqspace import CoeffField, f_pq_norm
 from tlw.weights import exp2_weights
+
+from . import oracles
 
 INF = math.inf
 
@@ -288,3 +292,64 @@ def test_grid_mismatch_rejected(fp1):
     f = BandSignal.zeros(g_other)
     with pytest.raises(LevelMismatchError):
         analyze(f, fp1, (0, 2))
+
+
+class _RandomRealMultipliers:
+    """Filter-pair stand-in: random real multipliers per level on the whole grid.
+
+    Folding and tiling are exact for any real multiplier; unlike Phi_k, these
+    excite every lattice frequency, including the M = 1 lattice at k = -L.
+    """
+
+    def __init__(self, grid, seed):
+        self.grid = grid
+        self._rng = np.random.default_rng(seed)
+        self._cache = {}
+
+    def _draw(self, key):
+        if key not in self._cache:
+            self._cache[key] = self._rng.standard_normal(self.grid.shape)
+        return self._cache[key]
+
+    def phi_multiplier(self, k):
+        return self._draw(("phi", k))
+
+    def psi_multiplier(self, k):
+        return self._draw(("psi", k))
+
+
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_folded_kernels_match_full_grid_oracles(n, L, seed, data):
+    J = data.draw(st.integers(1, 5 if n == 1 else 3))
+    k_lo = data.draw(st.integers(-L, J - 1))
+    k_hi = data.draw(st.integers(k_lo, J - 1))
+    g = Grid(n=n, L=L, J=J, k_min=k_lo, k_max=k_hi)
+    rng = np.random.default_rng(seed)
+    stub = _RandomRealMultipliers(g, seed)
+    cases = [(stub, stub.phi_multiplier, stub.psi_multiplier)]
+    if L == 2:  # L = 1 leaves the base annulus empty
+        fp = build_filter_pair(g)
+        cases.append((fp, fp.phi_multiplier, lambda k: oracles.per_level_psi(fp, k)))
+    f = BandSignal(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    lam = CoeffField.random(g, rng)
+    for pair, phi_k, psi_k in cases:
+        got = analyze(f, pair, (k_lo, k_hi)).entries
+        want = oracles.naive_analyze(f.values, g, (k_lo, k_hi), phi_k)
+        scale = max(np.abs(v).max() for v in want.values())
+        for k in want:
+            assert got[k].shape == g.level_shape(k)
+            assert np.abs(got[k] - want[k]).max() <= 1e-12 * scale
+        recon = oracles.naive_synthesize(lam.entries, g, psi_k)
+        assert np.abs(synthesize(lam, pair).values - recon).max() <= 1e-12 * np.abs(recon).max()
+
+
+@pytest.mark.parametrize("n, L, J, smoothing", [
+    (1, 3, 6, 1.0), (1, 2, 11, 1.0), (1, 2, 6, 0.25), (2, 2, 4, 1.0), (2, 3, 5, 0.5),
+])
+def test_scale_sum_once_is_bit_identical_to_per_level_formula(n, L, J, smoothing):
+    fp = build_filter_pair(Grid(n=n, L=L, J=J, k_min=0, k_max=0), smoothing)
+    for k in range(-L, J):
+        assert np.array_equal(fp.psi_multiplier(k), oracles.per_level_psi(fp, k))
+    assert np.array_equal(fp.spectrum_psi, oracles.per_level_psi(fp, 0))
+    assert fp.partition_deviation() == oracles.per_level_partition_deviation(fp)
