@@ -11,7 +11,6 @@ from .dyadic import (
     DyadicCube,
     Grid,
     GridFunction,
-    cube_containing,
     cubes_at_level,
     indicator,
     integrate,
@@ -21,7 +20,6 @@ __all__ = [
     "DyadicCube",
     "Grid",
     "GridFunction",
-    "cube_containing",
     "cubes_at_level",
     "indicator",
     "integrate",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
+from .dyadic import DyadicCube, Grid, GridFunction, cube_at, cubes_at_level
 from .errors import ConfigError, ResolutionError, TlwError
 from .io import (
     export_filter_csv,
@@ -68,9 +68,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config: must be a JSON object, got {raw!r}")
         for key in ("grid", "weights"):
             if key not in raw:
                 raise ConfigError(f"{key}: missing required section")
+            if not isinstance(raw[key], dict):
+                raise ConfigError(f"{key}: must be an object, got {raw[key]!r}")
         grid = raw["grid"]
         for key in ("n", "L", "J"):
             if key not in grid:
@@ -197,8 +201,7 @@ def suite_ap_audit(config: ExperimentConfig) -> list[dict]:
     worst = 0.0
     for _ in range(config.trials):
         lev = int(rng.integers(-grid.L, grid.J + 1))
-        cubes = cubes_at_level(grid, lev)
-        cube = cubes[int(rng.integers(len(cubes)))]
+        cube = cube_at(grid, lev, int(rng.integers(grid.cubes_per_axis(lev) ** grid.n)))
         a, b = ap_duality_identity(gamma0, p, cube)
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     checks.append(_check("ap_duality_identity", worst <= tol, worst, tolerance=tol, J=grid.J))
@@ -212,10 +215,8 @@ def suite_xclass(config: ExperimentConfig) -> list[dict]:
     p = meta.p
     a1 = meta.alpha1 if meta.alpha1 is not None else 0.0
     a2 = meta.alpha2 if meta.alpha2 is not None else a1
-    s1 = meta.sigma1 if meta.sigma1 is not None else p
-    s2 = meta.sigma2 if meta.sigma2 is not None else p
     tol = config.tol("xclass_exact", 1e-12)
-    rep = verify_x_class(w, a1, a2, s1, s2, p)
+    rep = verify_x_class(w, a1, a2, p, p, p)
     checks = [
         _measured("xclass_C1", rep.C1, grid.J, witness=rep.witness1.to_json()),
         _measured("xclass_C2", rep.C2, grid.J, witness=rep.witness2.to_json()),
@@ -227,7 +228,7 @@ def suite_xclass(config: ExperimentConfig) -> list[dict]:
                              tolerance=tol, J=grid.J))
         checks.append(_check("xclass_exp2_C2_exact", abs(rep.C2 - 1.0) <= tol, rep.C2,
                              tolerance=tol, J=grid.J))
-        bad = verify_x_class(w, a1 + 1.0, a2, s1, s2, p)
+        bad = verify_x_class(w, a1 + 1.0, a2, p, p, p)
         if len(bad.lag_profile1) < 2:
             checks.append(_skip("xclass_overdeclared_alpha_rejected",
                                 "one coefficient level: a single lag has no growth rate", grid.J))
@@ -545,6 +546,14 @@ def fixture(kind: str, params: dict, seed: int, out_base: str | Path):
         save_grid_function(GridFunction(grid, sig.values), out_base)
 
 
+def _read_json(path: str, field: str):
+    """The parsed JSON file; an unreadable or malformed file raises ConfigError naming `field`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{field}: cannot read {path}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="tlw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -575,8 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            raw = json.loads(Path(args.config).read_text())
-            config = ExperimentConfig.from_dict(raw)
+            config = ExperimentConfig.from_dict(_read_json(args.config, "config"))
             report = run(config)
             out = args.output or "tlw_report.json"
             emit(report, "json", out)
@@ -596,7 +604,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"fixture written to {args.output}")
             return 0
         if args.command == "report":
-            raw = json.loads(Path(args.input).read_text())
+            raw = _read_json(args.input, "input")
+            for key in ("suite", "checks", "provenance"):
+                if not isinstance(raw, dict) or key not in raw:
+                    raise ConfigError(f"{key}: missing from the report {args.input}")
             report = ReportRecord(suite=raw["suite"], checks=raw["checks"],
                                   provenance=raw["provenance"])
             emit(report, args.format, args.output)

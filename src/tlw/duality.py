@@ -1,8 +1,8 @@
 """Pairings, Hoelder sandwiches, the explicit extremal sequence, and the D_P field.
 
 The dual-norm supremum is never optimized globally: it is lower-bounded by the
-constructed extremal sequence (optionally tightened by seeded random search)
-and upper-bounded by the Hoelder inequality, and both bounds are reported.
+constructed extremal sequence and upper-bounded by the Hoelder inequality, and
+both bounds are reported.
 On the truncated lattice the pairing matrix is the identity, so the
 "every functional arises this way" direction reduces to coordinate
 round-tripping.
@@ -50,25 +50,7 @@ class DualityReport:
     rhs_norm: float
     hoelder_slack: float
     extremal_ratio: float | None
-    p: float
-    q: float
     factor: float = 1.0
-    weight_kind: str = "grid"
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "weightSpec": self.weight_kind,
-            "pairing": [self.pairing.real, self.pairing.imag],
-            "lhsNorm": self.lhs_norm,
-            "rhsNorm": self.rhs_norm,
-            "slack": self.hoelder_slack,
-            "extremalRatio": self.extremal_ratio,
-            "factor": self.factor,
-            "seed": self.seed,
-        }
 
 
 def hoelder_check_pq(s: CoeffField, lam: CoeffField, w: WeightSequence,
@@ -82,8 +64,7 @@ def hoelder_check_pq(s: CoeffField, lam: CoeffField, w: WeightSequence,
     prod = lhs * rhs
     slack = prod - abs(pair)
     ratio = None if prod == 0.0 else abs(pair) / prod
-    return DualityReport(pair, lhs, rhs, slack, ratio, p=p, q=q,
-                         weight_kind=w.meta.kind)
+    return DualityReport(pair, lhs, rhs, slack, ratio)
 
 
 def hoelder_check_1q(s: CoeffField, lam: CoeffField, w: WeightSequence, q: float,
@@ -108,8 +89,7 @@ def hoelder_check_1q(s: CoeffField, lam: CoeffField, w: WeightSequence, q: float
     prod = factor * lhs * rhs
     slack = prod - abs(pair)
     ratio = None if prod == 0.0 else abs(pair) / prod
-    return DualityReport(pair, lhs, rhs, slack, ratio, p=1.0, q=q, factor=factor,
-                         weight_kind=w.meta.kind)
+    return DualityReport(pair, lhs, rhs, slack, ratio, factor=factor)
 
 
 def _sgn(z: np.ndarray) -> np.ndarray:
@@ -174,30 +154,13 @@ def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
     return localized_sup(grid, summands, abs_mean)[0]
 
 
-def conjugate_norm(lam: CoeffField, w: WeightSequence, q: float,
-                   strategy: str = "extremal", trials: int = 32,
-                   seed: int = 0) -> float:
-    """Lower bound of the conjugate norm via the extremal sequence.
-
-    "random-search" additionally samples seeded random test sequences,
-    rescales each to unit constraint norm, and keeps the best pairing.
-    """
-    if strategy not in ("extremal", "random-search"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+def conjugate_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
+    """Lower bound of the conjugate norm: the pairing with the normalised extremal sequence."""
     if lam.max_abs() == 0.0:
         return 0.0
     s = extremal_sequence(lam, w, q)
     c = star_constraint_norm(s, w, q)
-    best = localized_pairing(lam, s.scale(1.0 / c))
-    if strategy == "random-search":
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            cand = CoeffField.random(lam.grid, rng)
-            cc = star_constraint_norm(cand, w, q)
-            if cc == 0.0:
-                continue
-            best = max(best, localized_pairing(lam, cand.scale(1.0 / cc)))
-    return best
+    return localized_pairing(lam, s.scale(1.0 / c))
 
 
 def d_p_sequence(kappa: CoeffField, P: DyadicCube) -> CoeffField:

@@ -34,33 +34,14 @@ class DyadicCube:
         return len(self.index)
 
     @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (-self.level * self.n)
-
-    def lower(self) -> tuple[float, ...]:
-        return tuple(m * self.side for m in self.index)
-
-    def upper(self) -> tuple[float, ...]:
-        return tuple((m + 1) * self.side for m in self.index)
-
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.level - 1, tuple(m // 2 for m in self.index))
 
     def children(self) -> list["DyadicCube"]:
         return [
             DyadicCube(self.level + 1, tuple(2 * m + o for m, o in zip(self.index, off)))
             for off in itertools.product((0, 1), repeat=self.n)
         ]
-
-    def contains_cube(self, other: "DyadicCube") -> bool:
-        if other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return all(h >> shift == m for h, m in zip(other.index, self.index))
 
 
 @dataclass(frozen=True)
@@ -104,10 +85,6 @@ class Grid:
         return 2.0 ** (-self.J * self.n)
 
     @property
-    def domain_side(self) -> float:
-        return 2.0 ** self.L
-
-    @property
     def levels(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
@@ -127,10 +104,6 @@ class Grid:
     def cell_centers(self, axis: int = 0) -> np.ndarray:
         del axis  # uniform in every axis
         return (np.arange(self.cells_per_axis) + 0.5) * self.h
-
-    def refined(self, extra: int = 1) -> "Grid":
-        """Same domain and level range, finest level J+extra."""
-        return Grid(self.n, self.L, self.J + extra, self.k_min, self.k_max)
 
     def with_levels(self, k_min: int, k_max: int) -> "Grid":
         return Grid(self.n, self.L, self.J, k_min, k_max)
@@ -174,24 +147,16 @@ class GridFunction:
         return cls(grid, np.full(grid.shape, value, dtype=np.result_type(value, float)))
 
 
-def cube_containing(grid: Grid, k: int, x) -> DyadicCube:
-    """The unique level-k dyadic cube containing the point x; m_i = floor(2^k x_i)."""
-    if not (-grid.L <= k <= grid.J):
-        raise LevelRangeError(f"level {k} outside [{-grid.L}, {grid.J}]")
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (grid.n,):
-        raise ValueError(f"point has shape {pt.shape}, expected ({grid.n},)")
-    if np.any(pt < 0) or np.any(pt >= grid.domain_side):
-        raise DomainError(f"point {x} outside [0, {grid.domain_side})^{grid.n}")
-    m = tuple(int(np.floor((2.0**k) * xi)) for xi in pt)
-    return DyadicCube(k, m)
-
-
 def cubes_at_level(grid: Grid, k: int, limit: int | None = None) -> list[DyadicCube]:
     """The first `limit` (default all 2^{(L+k)n}) level-k cubes, in lexicographic index order."""
     top = grid.cubes_per_axis(k)
     indices = itertools.islice(itertools.product(range(top), repeat=grid.n), limit)
     return [DyadicCube(k, m) for m in indices]
+
+
+def cube_at(grid: Grid, k: int, i: int) -> DyadicCube:
+    """The level-k cube at position i of `cubes_at_level`, without building the others."""
+    return DyadicCube(k, np.unravel_index(i, grid.level_shape(k)))
 
 
 def integrate(f: GridFunction, cube: DyadicCube):
@@ -221,29 +186,22 @@ def expand_level_array(grid: Grid, k: int, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cube_blocks(cells: np.ndarray, f: int, start: tuple[int, ...] | None = None) -> np.ndarray:
-    """Interleaved (s, f, s, f, ...) view of the windows of f cells per axis.
+def _cube_blocks(cells: np.ndarray, f: int) -> np.ndarray:
+    """Interleaved (s, f, s, f, ...) view of the level cubes with f cells per axis.
 
-    Window m has its corner at cell start + f*m (default start 0: the lattice
-    of level cubes with f cells per side); windows reaching past the grid are
-    dropped.  The odd axes run over the cells of one window.  With a start,
-    the in-grid part is copied to a contiguous array first: numpy may sum a
-    strided view in another order.
+    Cube m covers cells f*m .. f*m + f - 1 per axis; the odd axes run over the
+    cells of one cube.
     """
-    if start is not None:
-        inside = tuple(slice(s, s + f * ((size - s) // f)) for s, size in zip(start, cells.shape))
-        cells = np.ascontiguousarray(cells[inside])
     return cells.reshape([d for size in cells.shape for d in (size // f, f)])
 
 
-def block_reduce(cells: np.ndarray, f: int, how: str = "sum", p: float = 1.0,
-                 start: tuple[int, ...] | None = None) -> np.ndarray:
-    """One value per window of `_cube_blocks`: the "sum" of x^p, or the "mean" at exponent p.
+def block_reduce(cells: np.ndarray, f: int, how: str = "sum", p: float = 1.0) -> np.ndarray:
+    """One value per cube of `_cube_blocks`: the "sum" of x^p, or the "mean" at exponent p.
 
     The mean at exponent p is the power mean ((1/N) sum x^p)^{1/p}.  p = inf
     gives the max either way.  Cells are taken as they are (no absolute value).
     """
-    blocks = _cube_blocks(cells, f, start)
+    blocks = _cube_blocks(cells, f)
     axes = tuple(range(1, blocks.ndim, 2))
     if p == INF:
         return blocks.max(axis=axes)

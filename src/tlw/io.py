@@ -8,6 +8,7 @@ with a JSON header `<base>.json`.  See docs/formats.md for the full layout.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +116,12 @@ def load_coeff_field(base: str | Path) -> CoeffField:
 
 def _spec_number(spec: dict, key: str, default: float) -> float:
     try:
-        return float(spec.get(key, default))
+        value = float(spec.get(key, default))
     except (TypeError, ValueError):
-        raise ConfigError(f"weights.{key}: expected a number, got {spec.get(key)!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"weights.{key}: expected a finite number, got {spec.get(key)!r}")
+    return value
 
 
 def weights_from_spec(grid: Grid, spec: dict,
@@ -125,6 +129,8 @@ def weights_from_spec(grid: Grid, spec: dict,
     """Build a weight sequence from {kind: exp2|power|random-ap|grid, ...}."""
     kind = spec.get("kind")
     p = _spec_number(spec, "p", 2.0)
+    if not p > 0:
+        raise ConfigError(f"weights.p: must be positive, got {p!r}")
     if kind == "exp2":
         return exp2_weights(grid, _spec_number(spec, "s", 0.0), p=p)
     if kind == "power":
@@ -133,14 +139,20 @@ def weights_from_spec(grid: Grid, spec: dict,
     if kind == "random-ap":
         if rng is None:
             rng = np.random.default_rng(int(spec.get("seed", 0)))
-        return random_ap_weights(grid, _spec_number(spec, "spread", 0.5), rng, p=p)
+        spread = _spec_number(spec, "spread", 0.5)
+        if not spread >= 0:
+            raise ConfigError(f"weights.spread: must be nonnegative, got {spread!r}")
+        return random_ap_weights(grid, spread, rng, p=p)
     if kind == "grid":
         file = spec.get("file")
-        if file is None:
-            raise ConfigError("weights.file: grid weights need a file")
+        if not isinstance(file, str):
+            raise ConfigError(f"weights.file: grid weights need a file path, got {file!r}")
         tk = {}
         for k in grid.levels:
-            gf = load_grid_function(Path(file).with_name(f"{Path(file).name}_k{k}"))
+            try:
+                gf = load_grid_function(Path(file).with_name(f"{Path(file).name}_k{k}"))
+            except OSError as exc:
+                raise ConfigError(f"weights.file: cannot read level {k}: {exc}") from None
             tk[k] = gf.values.real
         return WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
     raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")

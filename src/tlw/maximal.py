@@ -140,24 +140,9 @@ def shifted_maximal_constant(f: GridFunction, w: WeightSequence, k: int, j: int,
 class FSRatioReport:
     """Vector-valued maximal ratio: weighted L_p(l_q) norms with and without M."""
 
-    p: float
-    q: float
-    J: int
     lhs: float
     rhs: float
     ratio: float | None
-    weight_kind: str = "grid"
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "J": self.J,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "weightSpec": self.weight_kind,
-        }
 
 
 def fs_ratio(fs: dict[int, GridFunction], w: WeightSequence, p: float, q: float,
@@ -173,5 +158,4 @@ def fs_ratio(fs: dict[int, GridFunction], w: WeightSequence, p: float, q: float,
                               for k in w.levels), p, q)
     rhs = lp_lq_norm(w.grid, ((w.tk[k] * np.abs(fs[k].values)) ** q for k in w.levels), p, q)
     ratio = None if rhs == 0.0 else lhs / rhs
-    return FSRatioReport(p=p, q=q, J=w.grid.J, lhs=lhs, rhs=rhs, ratio=ratio,
-                         weight_kind=w.meta.kind)
+    return FSRatioReport(lhs=lhs, rhs=rhs, ratio=ratio)

@@ -9,7 +9,7 @@ sampling step is alias-free (spectral copies sit 2*pi*2^k apart while the
 level-k annulus spans 2^{k+2} < 2*pi*2^k).
 
 Content at frequencies below the coarsest covered annulus is annihilated by
-design; the leakage diagnostic reports it rather than erroring.
+design; `band_leakage` measures it rather than erroring.
 
 The level-k lattice has M = 2^{L+k} points per axis, step s = 2^{J-k}: `analyze`
 folds the filtered full-grid spectrum onto its M^n aliases (sum over the s
@@ -193,11 +193,10 @@ def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
 
 @dataclass
 class BandSignal:
-    """Complex samples at grid points i*h with recorded spectral support levels."""
+    """Complex samples at grid points i*h."""
 
     grid: Grid
     values: np.ndarray
-    support_levels: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -223,18 +222,18 @@ class BandSignal:
         spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
             int(mask.sum())
         )
-        return cls(grid, np.fft.ifftn(spec), support_levels=levels)
+        return cls(grid, np.fft.ifftn(spec))
 
     def l2_norm(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.grid.cell_volume))
 
     def scale(self, c) -> "BandSignal":
-        return BandSignal(self.grid, c * self.values, self.support_levels)
+        return BandSignal(self.grid, c * self.values)
 
     def plus(self, other: "BandSignal") -> "BandSignal":
         if other.grid != self.grid:
             raise LevelMismatchError("signals live on different grids")
-        return BandSignal(self.grid, self.values + other.values, None)
+        return BandSignal(self.grid, self.values + other.values)
 
 
 def _check_level_representable(grid: Grid, k: int):
@@ -276,7 +275,7 @@ def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
         tile = np.expand_dims(np.fft.fftn(lam.entries[k]), s_axes)  # the comb's spectrum
         tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
         acc.reshape(shape)[...] += tile * fp.psi_multiplier(k).reshape(shape)
-    return BandSignal(grid, np.fft.ifftn(acc), support_levels=(grid.k_min, grid.k_max))
+    return BandSignal(grid, np.fft.ifftn(acc))
 
 
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:

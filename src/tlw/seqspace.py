@@ -76,14 +76,14 @@ class CoeffField:
         return out
 
     @classmethod
-    def random(cls, grid: Grid, rng: np.random.Generator, scale: float = 1.0,
+    def random(cls, grid: Grid, rng: np.random.Generator,
                complex_values: bool = True) -> "CoeffField":
         entries = {}
         for k in grid.levels:
             shape = grid.level_shape(k)
             re = rng.standard_normal(shape)
             im = rng.standard_normal(shape) if complex_values else 0.0
-            entries[k] = scale * (re + 1j * im)
+            entries[k] = re + 1j * im
         return cls(grid, entries)
 
     def scale(self, c) -> "CoeffField":
@@ -406,8 +406,5 @@ def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,
     _check_pair(lam, w)
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
-    grid = lam.grid
-    body = np.zeros(grid.shape)
-    for k in lam.levels:
-        body += _pointwise_summand(lam, w, k, q) * E.masks[k]
-    return float(body.max()) ** (1.0 / q)
+    terms = (_pointwise_summand(lam, w, k, q) * E.masks[k] for k in lam.levels)
+    return lp_lq_norm(lam.grid, terms, INF) ** (1.0 / q)

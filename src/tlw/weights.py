@@ -7,14 +7,13 @@ the sharpest constants for
     M_{Q,p}(t_k) * M_{Q,s1}(t_j^{-1})   <= C1 * 2^{a1 (k-j)}     (k <= j)
     M_{Q,s2}(t_j) / M_{Q,p}(t_k)        <= C2 * 2^{a2 (j-k)}     (k <= j)
 
-together with worst-case witnesses, and per-cube Muckenhoupt products.  All
-suprema over finite families are lower bounds of the true (all-cubes)
-constants and are labelled as such in reports.
+together with worst-case witnesses, and per-cube Muckenhoupt products.  The
+audited family is every dyadic cube of level -L..J, so each supremum is a
+lower bound of the true constant over all cubes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
     LevelMismatchError,
     LevelRangeError,
     PositivityError,
-    ResolutionError,
 )
 
 
@@ -42,8 +40,6 @@ class WeightMeta:
     p: float
     alpha1: float | None = None
     alpha2: float | None = None
-    sigma1: float | None = None
-    sigma2: float | None = None
     kind: str = "grid"
     params: dict = field(default_factory=dict)
 
@@ -142,32 +138,9 @@ def random_ap_weights(grid: Grid, spread: float, rng: np.random.Generator,
     return WeightSequence(grid, tk, WeightMeta(p=p, kind="random-ap", params={"spread": spread}))
 
 
-@dataclass(frozen=True)
-class CellWindow:
-    """An exact cell-union cube not on the standard dyadic lattice (shifted audits)."""
-
-    level: int
-    start_cells: tuple[int, ...]
-    size_cells: int
-
-    @property
-    def n(self) -> int:
-        return len(self.start_cells)
-
-    @property
-    def index(self) -> tuple[int, ...]:
-        return self.start_cells
-
-
-def window_slices(grid: Grid, cube) -> tuple[slice, ...]:
-    if isinstance(cube, CellWindow):
-        return tuple(slice(s, s + cube.size_cells) for s in cube.start_cells)
-    return grid.cube_slices(cube)
-
-
-def cube_mean_p(t: GridFunction, cube, p: float) -> float:
+def cube_mean_p(t: GridFunction, cube: DyadicCube, p: float) -> float:
     """M_{Q,p}(t) = ((1/|Q|) int_Q |t|^p)^{1/p}; p = inf gives the max over cells."""
-    vals = np.abs(t.values[window_slices(t.grid, cube)])
+    vals = np.abs(t.values[t.grid.cube_slices(cube)])
     if p == INF:
         return float(vals.max())
     if p <= 0:
@@ -182,24 +155,9 @@ class ApReport:
     p: float
     constant: float
     argmax_cube: DyadicCube
-    lower_bound_only: bool = True
-    per_cube: list[tuple[DyadicCube, float]] | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "p": self.p,
-            "constant": self.constant,
-            "argmax_cube": [self.argmax_cube.level, list(self.argmax_cube.index)],
-            "lower_bound_only": self.lower_bound_only,
-        }
-        if self.per_cube is not None:
-            out["per_cube"] = [
-                {"cube": [c.level, list(c.index)], "value": v} for c, v in self.per_cube
-            ]
-        return out
 
 
-def per_cube_ap_value(gamma: GridFunction, p: float, cube) -> float:
+def per_cube_ap_value(gamma: GridFunction, p: float, cube: DyadicCube) -> float:
     """The single-cube Muckenhoupt product for gamma at exponent p (reference path)."""
     _require_positive(gamma.values, "weight")
     if p < 1:
@@ -212,24 +170,12 @@ def per_cube_ap_value(gamma: GridFunction, p: float, cube) -> float:
     return mean * cube_mean_p(inv, cube, pp / p)
 
 
-def _block_lattice(grid: Grid, cube) -> tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]:
-    """((window cells f, lattice origin), lattice index) of a dyadic cube or cell window."""
-    if isinstance(cube, CellWindow):
-        f = cube.size_cells
-        return (f, tuple(s % f for s in cube.start_cells)), tuple(s // f for s in cube.start_cells)
-    if cube.level > grid.J:
-        raise DomainError(f"cube {cube} not inside the domain grid")
-    return (1 << (grid.J - cube.level), (0,) * grid.n), cube.index
-
-
-def ap_constant(gamma: GridFunction, p: float, family: list,
-                keep_per_cube: bool = False) -> ApReport:
+def ap_constant(gamma: GridFunction, p: float, family: list[DyadicCube]) -> ApReport:
     """Supremum of per-cube Muckenhoupt products over the audited family.
 
-    The family is grouped into window lattices (one per dyadic level, plus one
-    per shifted offset); each lattice's products come from two block means of
-    gamma and 1/gamma, so the audit costs O(cells) per lattice, not per cube.
-    The first maximum in family order is the witness.
+    The family is grouped by cube level; each level's products come from two
+    block means of gamma and 1/gamma, so the audit costs O(cells) per level,
+    not per cube.  The first maximum in family order is the witness.
     """
     if not family:
         raise ValueError("cube family is empty")
@@ -240,27 +186,26 @@ def ap_constant(gamma: GridFunction, p: float, family: list,
     grid = gamma.grid
     inv = 1.0 / vals
     inv_p = INF if p == 1 else (p / (p - 1.0)) / p
-    groups: dict[tuple, tuple[list[int], list[tuple[int, ...]]]] = {}
+    groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
     for pos, cube in enumerate(family):
-        key, index = _block_lattice(grid, cube)
-        positions, indices = groups.setdefault(key, ([], []))
+        positions, indices = groups.setdefault(cube.level, ([], []))
         positions.append(pos)
-        indices.append(index)
+        indices.append(cube.index)
     values = np.empty(len(family))
-    for (f, start), (positions, indices) in groups.items():
-        prod = (block_reduce(vals, f, "mean", 1.0, start)
-                * block_reduce(inv, f, "mean", inv_p, start))
+    for level, (positions, indices) in groups.items():
+        if not -grid.L <= level <= grid.J:
+            raise DomainError(f"level-{level} cubes lie outside the domain grid")
+        f = grid.side_cells(level)
+        prod = block_reduce(vals, f, "mean") * block_reduce(inv, f, "mean", inv_p)
         idx = np.array(indices, dtype=np.intp)
         if idx.shape[1] != prod.ndim or np.any(idx < 0) or np.any(idx >= prod.shape):
-            raise DomainError(f"a cube of {f} cells per axis lies outside the domain grid")
+            raise DomainError(f"a level-{level} cube lies outside the domain grid")
         values[positions] = prod[tuple(idx.T)]
     best = int(np.argmax(values))
-    per_cube = list(zip(family, values.tolist())) if keep_per_cube else None
-    return ApReport(p=p, constant=float(values[best]), argmax_cube=family[best],
-                    per_cube=per_cube)
+    return ApReport(p=p, constant=float(values[best]), argmax_cube=family[best])
 
 
-def ap_duality_identity(gamma: GridFunction, p: float, cube) -> tuple[float, float]:
+def ap_duality_identity(gamma: GridFunction, p: float, cube: DyadicCube) -> tuple[float, float]:
     """Per-cube check of gamma in A_p  <->  gamma^{1-p'} in A_{p'}.
 
     Returns (a, b): a is the A_{p'} product of gamma^{1-p'} on the cube, b is
@@ -275,28 +220,9 @@ def ap_duality_identity(gamma: GridFunction, p: float, cube) -> tuple[float, flo
     return a, b
 
 
-def audit_family(grid: Grid, levels: range | None = None, shifted: bool = False) -> list:
-    """Default audited family: every dyadic cube with level in [-L, J].
-
-    With `shifted`, the 2^n one-third-shifted lattices (snapped to finest
-    cells, in-domain windows only) are appended for sharper constants.
-    """
-    levels = range(-grid.L, grid.J + 1) if levels is None else levels
-    fam: list = []
-    for k in levels:
-        fam.extend(cubes_at_level(grid, k))
-    if shifted:
-        for k in levels:
-            if k >= grid.J:
-                continue
-            f = grid.side_cells(k)
-            off = f // 3
-            if off == 0:
-                continue
-            starts = range(off, grid.cells_per_axis - f + 1, f)
-            for pos in itertools.product(starts, repeat=grid.n):
-                fam.append(CellWindow(level=k, start_cells=pos, size_cells=f))
-    return fam
+def audit_family(grid: Grid) -> list[DyadicCube]:
+    """The audited family: every dyadic cube with level in [-L, J], coarsest first."""
+    return [cube for k in range(-grid.L, grid.J + 1) for cube in cubes_at_level(grid, k)]
 
 
 @dataclass
@@ -348,22 +274,9 @@ class XClassReport:
             and abs(self.growth_rate(2)) <= growth_tol
         )
 
-    def to_json(self) -> dict:
-        return {
-            "C1": self.C1,
-            "C2": self.C2,
-            "witness1": self.witness1.to_json(),
-            "witness2": self.witness2.to_json(),
-            "lag_profile1": {str(k): v for k, v in sorted(self.lag_profile1.items())},
-            "lag_profile2": {str(k): v for k, v in sorted(self.lag_profile2.items())},
-            "growth_rate1": self.growth_rate(1),
-            "growth_rate2": self.growth_rate(2),
-        }
-
 
 def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
-                   sigma1: float, sigma2: float, p: float,
-                   family_levels: range | None = None) -> XClassReport:
+                   sigma1: float, sigma2: float, p: float) -> XClassReport:
     """Audit the two inter-level cube-mean conditions over all k <= j and all cubes.
 
     Candidate values are the left-hand sides divided by the declared decay
@@ -374,11 +287,10 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
         raise LevelRangeError("exponents must be positive")
     grid = w.grid
     levels = list(w.levels)
-    fam_levels = range(-grid.L, grid.J + 1) if family_levels is None else family_levels
 
     tracker1 = _SupTracker()
     tracker2 = _SupTracker()
-    for lev in fam_levels:
+    for lev in range(-grid.L, grid.J + 1):
         f = grid.side_cells(lev)
         means_p = {k: block_reduce(w.tk[k], f, "mean", p) for k in levels}
         means_s1_inv = {k: block_reduce(1.0 / w.tk[k], f, "mean", sigma1) for k in levels}
@@ -451,29 +363,3 @@ def subset_mean_bound(gamma: GridFunction, p: float, cube: DyadicCube,
     rhs = constant * float(vals[mask].mean())
     return lhs, rhs
 
-
-def fit_subset_decay(gamma: GridFunction, cube: DyadicCube,
-                     depth: int = 4) -> tuple[float, float]:
-    """Least-squares (C, delta) in M_S(gamma)/M_Q(gamma) <= C (|S|/|Q|)^{delta-1}.
-
-    Scans the dyadic subcubes of `cube` down `depth` levels, keeps the worst
-    mean ratio per subcube volume, and fits slope/intercept on log-log data.
-    Fitted, never asserted against paper values.
-    """
-    base_mean = cube_mean_p(gamma, cube, 1.0)
-    worst: dict[int, float] = {}
-    stack = [cube]
-    for _ in range(depth):
-        stack = [ch for c in stack for ch in c.children() if ch.level <= gamma.grid.J]
-        if not stack:
-            break
-        for c in stack:
-            d = c.level - cube.level
-            ratio = cube_mean_p(gamma, c, 1.0) / base_mean
-            worst[d] = max(worst.get(d, -np.inf), ratio)
-    if len(worst) < 2:
-        raise ResolutionError("not enough nesting depth to fit the decay exponent")
-    xs = np.array([-d * gamma.grid.n for d in sorted(worst)], dtype=float)  # log2 |S|/|Q|
-    ys = np.log2([worst[d] for d in sorted(worst)])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(2.0**intercept), float(slope + 1.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -114,14 +115,30 @@ def test_invalid_config_exit_code(tmp_path):
     # a list is a `tlw` command line rather than a config override
     (["fixture", "exp2", "--params", '{"grid": {"n": 1, "J": "x"}}'], "grid.J"),
     ({"grid": {"n": 1, "L": 1, "J": 5, "k_max": "3.5"}}, "grid.k_max"),
+    ("5", "config"),  # a string is the whole config file
+    ("null", "config"),
+    ('{"grid": ', "config"),
+    (["run", "-c", "no-such-dir/config.json"], "config"),
+    ({"grid": 3}, "grid"),
+    ({"weights": 7}, "weights"),
+    ({"weights": {"kind": "grid", "file": "no-such-dir/w"}}, "weights.file"),
+    ({"weights": {"kind": "grid", "file": 5}}, "weights.file"),
+    ({"weights": {"kind": "random-ap", "spread": -1}}, "weights.spread"),
+    ({"weights": {"kind": "exp2", "p": 0}}, "weights.p"),
+    ({"weights": {"kind": "exp2", "p": -2}}, "weights.p"),
+    ({"weights": {"kind": "exp2", "p": math.inf}}, "weights.p"),  # JSON Infinity
+    ({"weights": {"kind": "exp2", "s": math.nan}}, "weights.s"),  # JSON NaN
+    # BAD names a file holding a report without its `suite`
+    (["report", "-i", "BAD", "--format", "csv"], "suite"),
 ])
 def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
+    bad = tmp_path / "bad.json"
     if isinstance(over, list):
-        argv = over + ["-o", str(tmp_path / "w")]
+        bad.write_text(json.dumps({"checks": [], "provenance": {}}))
+        argv = [str(bad) if a == "BAD" else a for a in over] + ["-o", str(tmp_path / "w")]
     else:
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(base_config(**over)))
-        argv = ["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]
+        bad.write_text(over if isinstance(over, str) else json.dumps(base_config(**over)))
+        argv = ["run", "-c", str(bad), "-o", str(tmp_path / "r.json")]
     assert main(argv) == 64
     assert f"config error: {field}:" in capsys.readouterr().err
 

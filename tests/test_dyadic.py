@@ -10,7 +10,7 @@ from tlw.dyadic import (
     Grid,
     GridFunction,
     block_reduce,
-    cube_containing,
+    cube_at,
     cube_major,
     cubes_at_level,
     indicator,
@@ -23,32 +23,6 @@ from .oracles import naive_cube_mean_p, naive_integrate
 
 def small_grid(n=1, L=1, J=4):
     return Grid(n=n, L=L, J=J, k_min=0, k_max=min(3, J))
-
-
-def test_cube_containing_unit_interval():
-    g = small_grid()
-    assert cube_containing(g, 0, [0.3]) == DyadicCube(0, (0,))
-    assert cube_containing(g, 1, [0.6]) == DyadicCube(1, (1,))
-
-
-def test_cube_containing_finest_is_cell():
-    g = small_grid()
-    rng = np.random.default_rng(3)
-    i = int(rng.integers(g.cells_per_axis))
-    center = (i + 0.5) * g.h
-    assert cube_containing(g, g.J, [center]) == DyadicCube(g.J, (i,))
-
-
-def test_cube_containing_errors():
-    g = small_grid()
-    with pytest.raises(DomainError):
-        cube_containing(g, 0, [2.5])
-    with pytest.raises(DomainError):
-        cube_containing(g, 0, [-0.1])
-    with pytest.raises(LevelRangeError):
-        cube_containing(g, g.J + 1, [0.5])
-    with pytest.raises(LevelRangeError):
-        cube_containing(g, -g.L - 1, [0.5])
 
 
 def test_cubes_at_level_counts():
@@ -65,6 +39,14 @@ def test_cubes_at_level_lexicographic():
     g2 = small_grid(n=2)
     cubes = cubes_at_level(g2, 0)
     assert [c.index for c in cubes[:3]] == [(0, 0), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cube_at_is_the_indexed_cube_of_cubes_at_level(n):
+    g = small_grid(n=n, L=2)
+    for k in range(-g.L, g.J + 1):
+        cubes = cubes_at_level(g, k)
+        assert [cube_at(g, k, i) for i in range(len(cubes))] == cubes
 
 
 def test_integrate_constants():
@@ -127,28 +109,6 @@ def test_nesting_exact():
     assert integrate(f, parent) == pytest.approx(child_sum, rel=1e-13, abs=1e-16)
 
 
-def test_cube_geometry():
-    q = DyadicCube(2, (3, 1))
-    assert q.side == 0.25
-    assert q.volume == 0.0625
-    assert q.lower() == (0.75, 0.25)
-    assert q.upper() == (1.0, 0.5)
-    assert q.parent() == DyadicCube(1, (1, 0))
-    assert q.parent().contains_cube(q)
-    assert not q.contains_cube(q.parent())
-
-
-@given(st.floats(min_value=0.0, max_value=1.999, allow_nan=False),
-       st.integers(min_value=-1, max_value=4))
-@settings(max_examples=50, deadline=None)
-def test_cube_containing_consistent_with_nesting(x, k):
-    g = small_grid()
-    cube = cube_containing(g, k, [x])
-    assert cube.lower()[0] <= x < cube.upper()[0]
-    if k > -g.L:
-        assert cube.parent() == cube_containing(g, k - 1, [x])
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(n=3, L=1, J=4, k_min=0, k_max=2)
@@ -158,57 +118,46 @@ def test_grid_validation():
         Grid(n=1, L=1, J=-2, k_min=0, k_max=0)
 
 
-def test_refined_keeps_levels():
-    g = small_grid()
-    r = g.refined()
-    assert r.J == g.J + 1 and r.levels == g.levels and r.cells_per_axis == 2 * g.cells_per_axis
-
-
 @st.composite
 def block_cases(draw):
-    """A positive cell field, a level, a lattice offset per axis and an exponent."""
+    """A positive cell field, a level and an exponent."""
     n = draw(st.sampled_from([1, 2]))
     L = draw(st.integers(0, 2))
     J = draw(st.integers(-L, (5 if n == 1 else 3) - L))
     k = draw(st.integers(-L, J))
-    f = 1 << (J - k)
-    start = tuple(draw(st.integers(0, f - 1)) for _ in range(n))
     p = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, math.inf]))
     g = Grid(n=n, L=L, J=J, k_min=J, k_max=J)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return g, k, start, p, np.exp(rng.uniform(-1.0, 1.0, g.shape))
+    return g, k, p, np.exp(rng.uniform(-1.0, 1.0, g.shape))
 
 
 @given(block_cases())
 @settings(max_examples=60, deadline=None)
 def test_block_reduce_matches_naive_oracles(case):
-    # Window m at corner start + f*m is the dyadic cube m of the field shifted
-    # by -start, so the dyadic-cube oracles check the offset lattices too.
-    g, k, start, p, cells = case
+    g, k, p, cells = case
     f = 1 << (g.J - k)
-    shifted = np.roll(cells, [-s for s in start], axis=tuple(range(g.n)))
-    sums = block_reduce(cells, f, "sum", start=start)
-    psums = block_reduce(cells, f, "sum", p, start) if p != math.inf else None
-    means = block_reduce(cells, f, "mean", start=start)
-    maxes = block_reduce(cells, f, "mean", math.inf, start)
-    pmeans = block_reduce(cells, f, "mean", p, start)
-    assert sums.shape == tuple((g.cells_per_axis - s) // f for s in start)
+    sums = block_reduce(cells, f, "sum")
+    psums = block_reduce(cells, f, "sum", p) if p != math.inf else None
+    means = block_reduce(cells, f, "mean")
+    maxes = block_reduce(cells, f, "mean", math.inf)
+    pmeans = block_reduce(cells, f, "mean", p)
+    assert sums.shape == g.level_shape(k)
     for m in np.ndindex(*sums.shape):
         cube = DyadicCube(k, m)
-        want = naive_integrate(shifted, g, cube)
+        want = naive_integrate(cells, g, cube)
         assert sums[m] * g.cell_volume == pytest.approx(want, rel=1e-12)
         if psums is not None:
-            want = naive_integrate(shifted**p, g, cube) / g.cell_volume
+            want = naive_integrate(cells**p, g, cube) / g.cell_volume
             assert psums[m] == pytest.approx(want, rel=1e-12)
-        assert means[m] == pytest.approx(naive_cube_mean_p(shifted, g, cube, 1.0), rel=1e-12)
-        assert maxes[m] == naive_cube_mean_p(shifted, g, cube, math.inf)
-        assert pmeans[m] == pytest.approx(naive_cube_mean_p(shifted, g, cube, p), rel=1e-12)
+        assert means[m] == pytest.approx(naive_cube_mean_p(cells, g, cube, 1.0), rel=1e-12)
+        assert maxes[m] == naive_cube_mean_p(cells, g, cube, math.inf)
+        assert pmeans[m] == pytest.approx(naive_cube_mean_p(cells, g, cube, p), rel=1e-12)
 
 
 @given(block_cases())
 @settings(max_examples=30, deadline=None)
 def test_cube_major_rows_hold_each_cubes_cells(case):
-    g, k, _, _, cells = case
+    g, k, _, cells = case
     rows = cube_major(cells, 1 << (g.J - k))
     assert rows.shape == g.level_shape(k) + ((1 << (g.J - k)) ** g.n,)
     for cube in cubes_at_level(g, k):

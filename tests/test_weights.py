@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tlw.dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
 from tlw.errors import DomainError, LevelRangeError, PositivityError
 from tlw.weights import (
-    CellWindow,
     WeightSequence,
     alpha_consistency,
     ap_constant,
@@ -16,7 +15,6 @@ from tlw.weights import (
     audit_family,
     cube_mean_p,
     exp2_weights,
-    fit_subset_decay,
     per_cube_ap_value,
     power_profile,
     random_ap_weights,
@@ -79,7 +77,6 @@ def test_ap_constant_trivial_weight():
     fam = audit_family(g)
     rep = ap_constant(GridFunction.constant(g, 1.0), 2.0, fam)
     assert rep.constant == pytest.approx(1.0, abs=1e-15)
-    assert rep.lower_bound_only
 
 
 def test_ap_two_cell_example():
@@ -124,7 +121,7 @@ def test_ap_constant_first_maximum_wins():
     # a constant weight ties every cube at exactly 1; the witness is the first in family order
     g = Grid(n=2, L=1, J=2, k_min=0, k_max=0)
     gamma = GridFunction.constant(g, 3.0)
-    fam = audit_family(g, shifted=True)
+    fam = audit_family(g)
     for order in (fam, fam[::-1]):
         rep = ap_constant(gamma, 2.0, order)
         assert rep.constant == 1.0
@@ -137,9 +134,6 @@ def test_ap_constant_rejects_cubes_outside_domain():
     for cube in (DyadicCube(0, (2,)), DyadicCube(0, (-1,)), DyadicCube(g.J + 1, (0,))):
         with pytest.raises(DomainError):
             ap_constant(gamma, 2.0, [cube])
-    window = CellWindow(level=0, start_cells=(g.cells_per_axis - 4,), size_cells=8)
-    with pytest.raises(DomainError):
-        ap_constant(gamma, 2.0, [DyadicCube(0, (0,)), window])
 
 
 @st.composite
@@ -157,10 +151,9 @@ def ap_audit_cases(draw):
 
 
 def _assert_audit_matches_oracle(gamma, p, fam):
-    rep = ap_constant(gamma, p, fam, keep_per_cube=True)
+    rep = ap_constant(gamma, p, fam)
     want, want_cube, want_values = naive_ap_constant(gamma, p, fam)
-    got_values = np.array([v for _, v in rep.per_cube])
-    assert [c for c, _ in rep.per_cube] == list(fam)
+    got_values = np.array([ap_constant(gamma, p, [c]).constant for c in fam])
     np.testing.assert_allclose(got_values, want_values, rtol=1e-14, atol=0)
     assert abs(rep.constant - want) <= 1e-14 * want
     runner_up = max((v for v, c in zip(want_values, fam) if c != want_cube), default=-INF)
@@ -175,18 +168,11 @@ def test_ap_constant_matches_per_cube_oracle(case):
     _assert_audit_matches_oracle(gamma, p, audit_family(g))
 
 
-@given(ap_audit_cases())
-@settings(max_examples=40, deadline=None)
-def test_ap_constant_matches_oracle_on_shifted_family(case):
-    g, gamma, p, rng = case
-    _assert_audit_matches_oracle(gamma, p, audit_family(g, shifted=True))
-
-
 @given(ap_audit_cases(), st.floats(0.05, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_ap_constant_matches_oracle_on_shuffled_subset(case, frac):
     g, gamma, p, rng = case
-    fam = audit_family(g, shifted=True)
+    fam = audit_family(g)
     order = rng.permutation(len(fam))[: max(1, int(frac * len(fam)))]
     _assert_audit_matches_oracle(gamma, p, [fam[i] for i in order])
 
@@ -352,21 +338,6 @@ def test_subset_mean_bound_holds_with_audited_constant():
         assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_fit_subset_decay_bound():
-    rng = np.random.default_rng(31)
-    g = grid1(J=6)
-    gamma = GridFunction(g, np.exp(rng.uniform(-0.5, 0.5, g.shape)))
-    c_fit, delta = fit_subset_decay(gamma, DyadicCube(0, (0,)), depth=4)
-    assert 0.0 < delta <= 1.5
-    base = cube_mean_p(gamma, DyadicCube(0, (0,)), 1.0)
-    # the fitted pair must actually dominate the scanned ratios
-    for child in DyadicCube(0, (0,)).children():
-        for gc in child.children():
-            ratio = cube_mean_p(gamma, gc, 1.0) / base
-            frac = gc.volume / 1.0
-            assert ratio <= 1.05 * c_fit * frac ** (delta - 1.0)
-
-
 def test_weight_sequence_validation():
     g = grid1()
     tk = {k: np.ones(g.shape) for k in g.levels}
@@ -407,13 +378,3 @@ def test_exp2_class_constants_are_one(s):
     rep = verify_x_class(exp2_weights(g, s), s, s, 2.0, 2.0, 2.0)
     assert abs(rep.C1 - 1.0) <= 1e-11
     assert abs(rep.C2 - 1.0) <= 1e-11
-
-
-def test_shifted_audit_family_extends():
-    g = grid1(J=4)
-    base = audit_family(g)
-    ext = audit_family(g, shifted=True)
-    assert len(ext) > len(base)
-    gamma = GridFunction.constant(g, 1.0)
-    rep = ap_constant(gamma, 2.0, ext)
-    assert rep.constant == pytest.approx(1.0, abs=1e-14)
