@@ -115,15 +115,17 @@ def extremal_sequence(lam: CoeffField, w: WeightSequence, q: float) -> CoeffFiel
         raise UndefinedRatioError("zero field; extremal normalization undefined")
     grid = lam.grid
     qq = conjugate_exponent(q)
+    w_dual = w.reciprocal()
+    t_dual = {k: w_dual.cube_norm(k, qq) for k in lam.levels}  # tilde t_{k,m,q'}
+    del w_dual  # freed before the loop, so its cells never coexist with the loop's temporaries
     out = {}
     for k in lam.levels:
         t_q = w.cube_norm(k, q)                     # t_{k,m,q}
-        t_dual = w.reciprocal().cube_norm(k, qq)    # tilde t_{k,m,q'}
         u = np.abs(lam.entries[k]) / norm
         out[k] = (
             t_q ** (q - 1.0)
             * 2.0 ** (k * grid.n * (0.5 + q / (2.0 * qq)))
-            / t_dual
+            / t_dual[k]
             * u ** (q - 1.0)
             * _sgn(lam.entries[k])
         )

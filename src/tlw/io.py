@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,8 +135,10 @@ def weights_from_spec(grid: Grid, spec: dict,
     if kind == "exp2":
         return exp2_weights(grid, _spec_number(spec, "s", 0.0), p=p)
     if kind == "power":
-        return exp2_weights(grid, _spec_number(spec, "s", 0.0),
-                            omega=power_profile(grid, _spec_number(spec, "alpha", 0.0)), p=p)
+        s, alpha = _spec_number(spec, "s", 0.0), _spec_number(spec, "alpha", 0.0)
+        w = exp2_weights(grid, s, omega=power_profile(grid, alpha), p=p)
+        w.meta = replace(w.meta, kind="power", params={"s": s, "alpha": alpha})  # alpha1 = alpha2 = s
+        return w
     if kind == "random-ap":
         if rng is None:
             rng = np.random.default_rng(int(spec.get("seed", 0)))

@@ -20,6 +20,7 @@ and inverts the sum of all levels once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -162,10 +163,14 @@ class FilterPair:
         return float(np.abs(acc - 1.0).max())
 
 
-def _angular_frequencies(grid: Grid) -> np.ndarray:
-    ax = 2.0 * np.pi * np.fft.fftfreq(grid.cells_per_axis, d=grid.h)
-    mesh = np.meshgrid(*([ax] * grid.n), indexing="ij")
-    return np.sqrt(sum(m * m for m in mesh))
+@functools.lru_cache(maxsize=2)  # the phitransform suite runs at J and J+1
+def _angular_frequencies(n: int, L: int, J: int) -> np.ndarray:
+    """|xi| on the full DFT grid of (n, L, J); read-only, as every caller shares it."""
+    ax = 2.0 * np.pi * np.fft.fftfreq(1 << (L + J), d=2.0 ** (-J))
+    mesh = np.meshgrid(*([ax] * n), indexing="ij")
+    out = np.sqrt(sum(m * m for m in mesh))
+    out.flags.writeable = False
+    return out
 
 
 def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
@@ -174,7 +179,7 @@ def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
         raise ValueError(f"smoothing width must be in (0, 1], got {smoothing}")
     if grid.cells_per_axis < 4:
         raise ResolutionError("grid too coarse for any spectral annulus")
-    xi_abs = _angular_frequencies(grid)
+    xi_abs = _angular_frequencies(grid.n, grid.L, grid.J)
     fp = FilterPair(grid=grid, smoothing=smoothing, xi_abs=xi_abs,
                     spectrum_phi=np.zeros_like(xi_abs),
                     spectrum_psi=np.zeros_like(xi_abs))
@@ -214,7 +219,7 @@ class BandSignal:
                     levels: tuple[int, int]) -> "BandSignal":
         """Random spectrum on bins with 2^{k_lo} <= |xi| <= 2^{k_hi} (safely in-band)."""
         k_lo, k_hi = levels
-        xi_abs = _angular_frequencies(grid)
+        xi_abs = _angular_frequencies(grid.n, grid.L, grid.J)
         mask = (xi_abs >= 2.0**k_lo) & (xi_abs <= 2.0**k_hi)
         if not mask.any():
             raise ResolutionError(f"no represented frequencies in [2^{k_lo}, 2^{k_hi}]")

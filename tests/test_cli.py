@@ -105,7 +105,8 @@ def test_invalid_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("over, field", [
     ({"trials": "abc"}, "trials"),
-    ({"tolerances": {"identity": "x"}}, "tolerances.identity"),
+    # tolerances are fixed at their checks; a config that still sets one is refused
+    ({"tolerances": {"identity": 1e-12}}, "tolerances"),
     ({"tolerances": [1e-12]}, "tolerances"),
     ({"seed": -1}, "seed"),
     ({"weights": {"kind": "exp2", "s": "foo"}}, "weights.s"),
@@ -130,12 +131,17 @@ def test_invalid_config_exit_code(tmp_path):
     ({"weights": {"kind": "exp2", "s": math.nan}}, "weights.s"),  # JSON NaN
     # BAD names a file holding a report without its `suite`
     (["report", "-i", "BAD", "--format", "csv"], "suite"),
+    # an output in a missing directory is refused before any work
+    (["run", "-c", "BAD", "-o", "no-such-dir/r.json"], "output"),
+    (["fixture", "exp2", "-o", "no-such-dir/w"], "output"),
+    (["fixture", "exp2", "--params", "{"], "params"),
 ])
 def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
     bad = tmp_path / "bad.json"
     if isinstance(over, list):
         bad.write_text(json.dumps({"checks": [], "provenance": {}}))
-        argv = [str(bad) if a == "BAD" else a for a in over] + ["-o", str(tmp_path / "w")]
+        argv = [str(bad) if a == "BAD" else a for a in over]
+        argv += [] if "-o" in argv else ["-o", str(tmp_path / "w")]
     else:
         bad.write_text(over if isinstance(over, str) else json.dumps(base_config(**over)))
         argv = ["run", "-c", str(bad), "-o", str(tmp_path / "r.json")]
@@ -285,3 +291,68 @@ def test_fixture_coeff_field_and_band_signal(tmp_path):
     assert np.iscomplexobj(gf.values) and np.abs(gf.values).max() > 0
     with pytest.raises(ConfigError):
         fixture("bogus", {}, 0, tmp_path / "x")
+
+
+STRICT = ("plateau_floor_positive", "shifted_constant_bounded", "xclass_overdeclared_alpha_rejected")
+
+
+@pytest.mark.parametrize("grid", [
+    {"n": 1, "L": 2, "J": 6, "k_min": 0, "k_max": 3},
+    {"n": 2, "L": 2, "J": 3, "k_min": 0, "k_max": 1},
+])
+def test_every_check_reports_coverage_and_a_signed_margin(tmp_path, grid):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(suite="all", grid=grid)))
+    out = tmp_path / "r.json"
+    assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
+    checks = _strict_json(out.read_text())["checks"]
+    assert {c["status"] for c in checks} >= {"pass", "measured"}
+    for c in checks:
+        if c["status"] == "skip":
+            assert c["reason"] and c["covered"] == 0
+            continue
+        assert c["covered"] >= 1 and "witness" in c
+        if c["status"] == "measured":
+            continue
+        assert math.isfinite(c["margin"])
+        strict = c["name"].startswith(STRICT)
+        assert (c["status"] == "pass") == (c["margin"] > 0 if strict else c["margin"] >= 0)
+
+
+def test_record_margin_sign_and_witness():
+    from tlw.cli import _record
+
+    ok = _record("x", [0.5, None, 2.0, float("nan")], 3.0, J=4)
+    assert (ok["status"], ok["value"], ok["covered"], ok["margin"], ok["witness"]) == (
+        "pass", 2.0, 2, 1.0, 2)
+    low = _record("x", np.array([[1.0, -2.0], [0.0, 5.0]]), -1.0, ">=", J=4, hard=False)
+    assert (low["status"], low["value"], low["margin"], low["witness"], low["hard"]) == (
+        "fail", -2.0, -1.0, [0, 1], False)
+    assert _record("x", [0.0], 0.0, ">", J=4)["status"] == "fail"
+    assert _record("x", [0.0], 0.0, ">=", J=4)["status"] == "pass"
+    assert _record("x", [1.0, 3.0], J=4, labels=["a", "b"])["witness"] == "b"
+    assert _record("x", [1.0], J=4)["status"] == "measured"
+    skip = _record("x", [None], 1.0, J=4, reason="why")
+    assert (skip["status"], skip["reason"], skip["covered"], skip["hard"]) == ("skip", "why", 0, False)
+
+
+def test_power_weights_pass_every_suite(tmp_path):
+    cfg = base_config(suite="all", grid={"n": 1, "L": 2, "J": 10, "k_min": 0, "k_max": 5},
+                      weights={"kind": "power", "s": 0.3, "alpha": 0.3, "p": 2})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 0
+
+
+def test_lambda_star_deficit_fails_with_a_finite_value(tmp_path, monkeypatch):
+    import tlw.cli as cli
+
+    real = cli.lambda_star
+    monkeypatch.setattr(cli, "lambda_star", lambda *a, **kw: real(*a, **kw).scale(0.5))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    out = tmp_path / "r.json"
+    assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 1
+    checks = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
+    bound = checks["chebyshev_quartile_bound"]
+    assert bound["status"] == "fail" and bound["value"] > 1e-14 and bound["margin"] < 0

@@ -353,3 +353,13 @@ def test_scale_sum_once_is_bit_identical_to_per_level_formula(n, L, J, smoothing
         assert np.array_equal(fp.psi_multiplier(k), oracles.per_level_psi(fp, k))
     assert np.array_equal(fp.spectrum_psi, oracles.per_level_psi(fp, 0))
     assert fp.partition_deviation() == oracles.per_level_partition_deviation(fp)
+
+
+def test_frequency_mesh_is_built_once_per_grid_and_shared_read_only():
+    g = fgrid(n=2, L=2, J=4, k_max=2)
+    fp = build_filter_pair(g)
+    assert build_filter_pair(g.with_levels(0, 1)).xi_abs is fp.xi_abs
+    assert not fp.xi_abs.flags.writeable
+    a = BandSignal.random_band(g, np.random.default_rng(1), (0, 2))
+    b = BandSignal.random_band(g.with_levels(0, 1), np.random.default_rng(1), (0, 2))
+    assert np.array_equal(a.values, b.values)
