@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import DyadicCube, Grid, GridFunction, cube_at, cubes_at_level
+from .dyadic import DyadicCube, Grid, GridFunction, cube_at, first_max
 from .errors import ConfigError, ResolutionError, TlwError
 from .io import (
     export_filter_csv,
@@ -40,13 +40,12 @@ from .seqspace import (
     lambda_star,
     m_fun,
     m_fun_p_norm,
-    m_p,
+    m_p_levels,
     restricted_norm,
 )
 from .weights import (
     ap_constant,
     ap_duality_identity,
-    audit_family,
     exp2_weights,
     verify_x_class,
 )
@@ -77,10 +76,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: must be an object, got {raw[key]!r}")
         if "tolerances" in raw:
             raise ConfigError("tolerances: not a config section; each check's tolerance is fixed")
-        grid = raw["grid"]
-        for key in ("n", "L", "J"):
-            if key not in grid:
-                raise ConfigError(f"grid.{key}: missing")
+        _grid_from(raw["grid"])  # a bad grid is refused before any suite runs
         suite = raw.get("suite", "all")
         if suite != "all" and suite not in SUITES:
             raise ConfigError(f"suite: unknown suite {suite!r}")
@@ -90,7 +86,7 @@ class ExperimentConfig:
         seed = _config_int(raw, "seed", 0)
         if seed < 0:
             raise ConfigError(f"seed: must be a nonnegative integer, got {seed}")
-        return cls(grid=grid, weights=raw["weights"], suite=suite, trials=trials, seed=seed)
+        return cls(grid=raw["grid"], weights=raw["weights"], suite=suite, trials=trials, seed=seed)
 
     def make_grid(self, bump_j: int = 0) -> Grid:
         return _grid_from(self.grid, bump_j)
@@ -103,10 +99,14 @@ class ExperimentConfig:
 
 
 def _config_int(raw: dict, key: str, default: int | None, path: str = "") -> int:
+    """raw[key] as an int; a bool, a non-integral number or a non-number raises ConfigError."""
+    value = raw.get(key, default)
     try:
-        return int(raw.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}{key}: expected an integer, got {raw.get(key)!r}") from None
+        if isinstance(value, bool) or int(value) != float(value):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}{key}: expected an integer, got {value!r}") from None
 
 
 def _grid_from(g: dict, bump_j: int = 0, **defaults) -> Grid:
@@ -189,11 +189,10 @@ def suite_ap_audit(config: ExperimentConfig) -> list[dict]:
     rng = _rng_for(config, "ap-audit", "tests")
     grid = config.make_grid()
     w = weights_from_spec(grid, config.weights, _rng_for(config, "ap-audit", "weights"))
-    fam = audit_family(grid)
     checks = []
     p = w.meta.p if w.meta.p > 1 else 2.0
     for k in w.levels:
-        rep = ap_constant(w.as_grid_function(k), p, fam)
+        rep = ap_constant(w.as_grid_function(k), p)
         cube = [rep.argmax_cube.level, list(rep.argmax_cube.index)]
         checks.append(_record(f"ap_lower_bound_ge_1[k={k}]", [rep.constant], 1.0 - 1e-13, ">=",
                               J=grid.J, labels=[cube]))
@@ -288,9 +287,7 @@ def suite_seqnorms(config: ExperimentConfig) -> list[dict]:
     w = weights_from_spec(grid, config.weights, _rng_for(config, "seqnorms", "weights"))
     tol = 1e-12
     checks = []
-    probe = [cube for lev in range(-grid.L, min(grid.k_max, grid.J - 2) + 1)
-             for cube in cubes_at_level(grid, lev, limit=4)]
-    identity, cheby, deficits, restricted = [], [], [], []
+    identity, cheby, cheby_cubes, deficits, restricted = [], [], [], [], []
     for _ in range(config.trials):
         lam = CoeffField.random(grid, rng)
         a = f_inf_norm(lam, w, 2.0)
@@ -298,17 +295,20 @@ def suite_seqnorms(config: ExperimentConfig) -> list[dict]:
         star = lambda_star(lam, 2.0, 2 * grid.n + 1)
         deficits.append(max(float((lam.amplitude(k) - star.amplitude(k)).max())
                             for k in lam.levels))
-        cheby += [m_p(lam, w, 2.0, cube) - 4.0 ** (1 / 2.0) * a for cube in probe]
+        m_levels = m_p_levels(lam, w, 2.0)[0]  # every cube with at least 4 cells
+        if m_levels:
+            m, cube = first_max(m_levels)
+            cheby.append(m - 4.0 ** (1 / 2.0) * a)
+            cheby_cubes.append([cube.level, list(cube.index)])
         E = RestrictionSets.random(grid, 0.75, subset_rng)
         restricted.append(restricted_norm(lam, w, 2.0, E) / max(a, 1e-300))
     checks.append(_record("f_inf_equals_cubeavg", identity, tol, J=grid.J, tolerance=tol))
     # The bound rests on lambda* >= |lambda|; where that fails, the check
     # fails on the largest deficit |lambda| - lambda* instead.
     dominated = max(deficits) <= 1e-14
-    cubes = [[cube.level, list(cube.index)] for cube in probe] * config.trials
-    values, bound, labels = (cheby, 0.0, cubes) if dominated else (deficits, 1e-14, None)
+    values, bound, labels = (cheby, 0.0, cheby_cubes) if dominated else (deficits, 1e-14, None)
     checks.append(_record("chebyshev_quartile_bound", values, bound, J=grid.J, labels=labels,
-                          reason="no cube level in [-L, min(k_max, J-2)] to check"))
+                          reason="no cube of level <= k_max has the 4 cells m_P needs"))
     checks.append(_record("restricted_below_full", restricted, 1 + 1e-12, J=grid.J))
     if w.meta.kind == "exp2":
         s = w.meta.params["s"]
@@ -595,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-filter":
             from .phitransform import build_filter_pair
 
-            grid = Grid(args.n, args.L, args.J, 0, min(3, args.J - 2))
+            grid = _grid_from({"n": args.n, "L": args.L, "J": args.J})
             export_filter_csv(build_filter_pair(grid), args.output)
             print(f"filter spectra written to {args.output}")
             return 0

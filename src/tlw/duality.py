@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import INF, DyadicCube, block_reduce, expand_level_array, localized_sup
+from .dyadic import INF, DyadicCube, block_reduce, expand_level_array, first_max, localized_sup
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from .seqspace import (
     CoeffField,
@@ -153,7 +153,7 @@ def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
         return np.abs(block_reduce(tail.real, f, "mean") + 1j * block_reduce(tail.imag, f, "mean"))
 
     summands = {k: expand_level_array(grid, k, lam.entries[k] * s.entries[k]) for k in lam.levels}
-    return localized_sup(grid, summands, abs_mean)[0]
+    return first_max(localized_sup(grid, summands, abs_mean)[0])[0]
 
 
 def conjugate_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:

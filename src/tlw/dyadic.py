@@ -147,11 +147,23 @@ class GridFunction:
         return cls(grid, np.full(grid.shape, value, dtype=np.result_type(value, float)))
 
 
-def cubes_at_level(grid: Grid, k: int, limit: int | None = None) -> list[DyadicCube]:
-    """The first `limit` (default all 2^{(L+k)n}) level-k cubes, in lexicographic index order."""
+def cubes_at_level(grid: Grid, k: int) -> list[DyadicCube]:
+    """All 2^{(L+k)n} level-k cubes, in lexicographic (row-major) index order."""
     top = grid.cubes_per_axis(k)
-    indices = itertools.islice(itertools.product(range(top), repeat=grid.n), limit)
-    return [DyadicCube(k, m) for m in indices]
+    return [DyadicCube(k, m) for m in itertools.product(range(top), repeat=grid.n)]
+
+
+def first_max(levels: dict[int, np.ndarray]) -> tuple[float, DyadicCube]:
+    """Largest value of per-level cube arrays (one entry per level-k cube) and its cube.
+
+    Cubes are taken coarsest level first and row-major within a level, the
+    order of `cubes_at_level`; on a tie the first maximum wins.
+    """
+    tops = {lev: vals.max() for lev, vals in levels.items()}
+    best = max(tops.values())  # raises ValueError on no levels
+    lev = min(lev for lev, top in tops.items() if top == best)
+    i = int(np.argmax(levels[lev]))
+    return float(best), DyadicCube(lev, np.unravel_index(i, levels[lev].shape))
 
 
 def cube_at(grid: Grid, k: int, i: int) -> DyadicCube:
@@ -220,16 +232,15 @@ def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
     return rows.reshape(*blocks.shape[0::2], -1)
 
 
-def localized_sup(grid: Grid, summands: dict[int, np.ndarray], cube_value=None,
-                  pointwise: bool = False):
-    """Sup over dyadic P (levels -L..top summand level) of cube_value on P's localized sum.
+def localized_sup(grid: Grid, summands: dict[int, np.ndarray], cube_value=None):
+    """cube_value on the localized sum of every dyadic P (levels -L..top summand level).
 
     The localized sum of P is the suffix T_j = sum_{k >= j} u_k at
     j = max(k_P, lowest summand level).  cube_value(level, T) gives one value
     per level cube (default: the mean of T over the cube), or None to leave
-    the level out.  Returns (sup, suffix): sup is a float, or with `pointwise`
-    the per-cell sup over the cubes containing each cell; suffix maps every
-    summand level j to T_j.
+    the level out.  Returns (levels, suffix): levels maps each level kept to
+    its cube values, so `first_max(levels)` is the sup over P; suffix maps
+    every summand level j to T_j.
     """
     suffix, acc = {}, 0.0
     for k in sorted(summands, reverse=True):
@@ -239,16 +250,12 @@ def localized_sup(grid: Grid, summands: dict[int, np.ndarray], cube_value=None,
         def cube_value(lev, tail):
             return block_reduce(tail, grid.side_cells(lev), "mean")
     k_min, k_max = min(summands), max(summands)
-    best = np.zeros(grid.shape) if pointwise else 0.0
+    levels = {}
     for lev in range(-grid.L, k_max + 1):
         vals = cube_value(lev, suffix[max(lev, k_min)])
-        if vals is None:
-            continue
-        if pointwise:
-            np.maximum(best, expand_level_array(grid, lev, vals), out=best)
-        else:
-            best = max(best, float(vals.max()))
-    return best, suffix
+        if vals is not None:
+            levels[lev] = vals
+    return levels, suffix
 
 
 def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0) -> float:

@@ -154,8 +154,8 @@ def weights_from_spec(grid: Grid, spec: dict,
         for k in grid.levels:
             try:
                 gf = load_grid_function(Path(file).with_name(f"{Path(file).name}_k{k}"))
-            except OSError as exc:
-                raise ConfigError(f"weights.file: cannot read level {k}: {exc}") from None
+            except (OSError, ValueError, KeyError) as exc:  # missing, malformed or truncated
+                raise ConfigError(f"weights.file: cannot read level {k}: {exc!r}") from None
             tk[k] = gf.values.real
         return WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
     raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")

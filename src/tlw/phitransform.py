@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import INF, Grid, localized_sup, lp_lq_norm
+from .dyadic import INF, Grid, first_max, localized_sup, lp_lq_norm
 from .errors import LevelMismatchError, LevelRangeError, ResolutionError
 from .seqspace import CoeffField
 from .weights import WeightSequence
@@ -330,7 +330,7 @@ def F_inf_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, q: float) -> fl
     if not 0 < q < INF:
         raise LevelRangeError(f"q must be in (0, inf), got {q}")
     summands = {k: a**q for k, a in _weighted_levels(f, fp, w)}
-    return localized_sup(w.grid, summands)[0] ** (1.0 / q)
+    return first_max(localized_sup(w.grid, summands)[0])[0] ** (1.0 / q)
 
 
 def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,

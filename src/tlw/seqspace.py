@@ -11,7 +11,8 @@ for every level in the grid's range.  The norms implemented here:
     functional m_P with its pointwise supremum, and restricted variants over
     per-cube subsets E_Q.
 
-Every sup over P enumerates all dyadic cubes with level in [-L, k_max]; on the
+Every sup over P sweeps all dyadic cubes with level in [-L, k_max], one array
+per level, and takes the largest value with `dyadic.first_max`; on the
 truncated model this is the exact supremum (larger cubes cannot appear, and
 the domain cube dominates anything coarser).
 """
@@ -31,6 +32,7 @@ from .dyadic import (
     block_reduce,
     cube_major,
     expand_level_array,
+    first_max,
     localized_sup,
     lp_lq_norm,
 )
@@ -160,7 +162,7 @@ def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
     summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-    return localized_sup(lam.grid, summands)[0] ** (1.0 / q)
+    return first_max(localized_sup(lam.grid, summands)[0])[0] ** (1.0 / q)
 
 
 def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -169,7 +171,7 @@ def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
     summands = {k: _cubeavg_summand(lam, w, k, q) for k in lam.levels}
-    return localized_sup(lam.grid, summands)[0] ** (1.0 / q)
+    return first_max(localized_sup(lam.grid, summands)[0])[0] ** (1.0 / q)
 
 
 def lambda_star(lam: CoeffField, r: float, d: float) -> CoeffField:
@@ -271,6 +273,27 @@ def m_p(lam: CoeffField, w: WeightSequence, q: float, P: DyadicCube) -> float:
     return float(kth)
 
 
+def m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4):
+    """m_P of every dyadic P (levels -L..k_max) with at least `min_cells` cells.
+
+    Returns (levels, suffix) as `localized_sup` does: levels maps each level
+    kept to its m_P values, equal to `m_p` cube by cube up to the summation
+    order of G_P; suffix maps every level j to sum_{k >= j} u_k.
+    """
+    _check_pair(lam, w)
+    grid = lam.grid
+
+    def quartile(lev, tail):
+        f = grid.side_cells(lev)
+        if f**grid.n < min_cells:
+            return None
+        rank = f**grid.n - 1 - _quartile_count(f**grid.n)
+        return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
+
+    summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
+    return localized_sup(grid, summands, quartile)
+
+
 def m_fun(lam: CoeffField, w: WeightSequence, q: float,
           min_cells: int = 4) -> GridFunction:
     """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max).
@@ -284,26 +307,18 @@ def m_fun(lam: CoeffField, w: WeightSequence, q: float,
 
 def _quartile_sup(lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
     """(m_fun's cell values, the suffix fields sum_{k >= j} u_k it was built from)."""
-    _check_pair(lam, w)
-    grid = lam.grid
-
-    def quartile(lev, tail):
-        f = grid.side_cells(lev)
-        if f**grid.n < min_cells:
-            return None
-        rank = f**grid.n - 1 - _quartile_count(f**grid.n)
-        return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
-
-    summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-    return localized_sup(grid, summands, quartile, pointwise=True)
+    levels, suffix = m_p_levels(lam, w, q, min_cells)
+    best = np.zeros(lam.grid.shape)
+    for lev, vals in levels.items():
+        np.maximum(best, expand_level_array(lam.grid, lev, vals), out=best)
+    return best, suffix
 
 
-def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float,
-                 min_cells: int = 4) -> float:
+def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
     """L_p norm of the quartile functional; pairs with f_pq_norm in equivalence suites."""
     if p == INF:
         raise LevelRangeError("use the L_inf pairing with f_inf_norm instead")
-    return lp_lq_norm(lam.grid, [m_fun(lam, w, q, min_cells=min_cells).values], p)
+    return lp_lq_norm(lam.grid, [m_fun(lam, w, q).values], p)
 
 
 class RestrictionSets:
@@ -397,7 +412,7 @@ def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
     summands = {k: _pointwise_summand(lam, w, k, q) * E.masks[k] for k in lam.levels}
-    return localized_sup(lam.grid, summands)[0] ** (1.0 / q)
+    return first_max(localized_sup(lam.grid, summands)[0])[0] ** (1.0 / q)
 
 
 def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,

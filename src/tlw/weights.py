@@ -1,15 +1,16 @@
 """Weight sequences, cube means, Muckenhoupt constants, and inter-level class audits.
 
 A weight sequence is one strictly positive grid function per level k in the
-grid's level range.  The audits compute, over a finite dyadic cube family,
+grid's level range.  The audits compute, over every dyadic cube of the grid,
 the sharpest constants for
 
     M_{Q,p}(t_k) * M_{Q,s1}(t_j^{-1})   <= C1 * 2^{a1 (k-j)}     (k <= j)
     M_{Q,s2}(t_j) / M_{Q,p}(t_k)        <= C2 * 2^{a2 (j-k)}     (k <= j)
 
-together with worst-case witnesses, and per-cube Muckenhoupt products.  The
-audited family is every dyadic cube of level -L..J, so each supremum is a
-lower bound of the true constant over all cubes.
+together with worst-case witnesses, and per-cube Muckenhoupt products.  Each
+audit sweeps every dyadic cube of level -L..J as one array per level and takes
+its supremum and witness with `dyadic.first_max`, so each supremum is a lower
+bound of the true constant over all cubes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, cubes_at_level
+from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, first_max
 from .errors import (
-    DomainError,
     LevelMismatchError,
     LevelRangeError,
     PositivityError,
@@ -150,11 +150,14 @@ def cube_mean_p(t: GridFunction, cube: DyadicCube, p: float) -> float:
 
 @dataclass
 class ApReport:
-    """Muckenhoupt audit over a finite cube family (a lower bound of the true constant)."""
+    """Muckenhoupt audit over every grid cube (a lower bound of the true constant).
 
-    p: float
+    `products` maps each level -L..J to the per-cube Muckenhoupt products.
+    """
+
     constant: float
     argmax_cube: DyadicCube
+    products: dict[int, np.ndarray]
 
 
 def per_cube_ap_value(gamma: GridFunction, p: float, cube: DyadicCube) -> float:
@@ -170,15 +173,13 @@ def per_cube_ap_value(gamma: GridFunction, p: float, cube: DyadicCube) -> float:
     return mean * cube_mean_p(inv, cube, pp / p)
 
 
-def ap_constant(gamma: GridFunction, p: float, family: list[DyadicCube]) -> ApReport:
-    """Supremum of per-cube Muckenhoupt products over the audited family.
+def ap_constant(gamma: GridFunction, p: float) -> ApReport:
+    """Supremum of per-cube Muckenhoupt products over every cube of level -L..J.
 
-    The family is grouped by cube level; each level's products come from two
-    block means of gamma and 1/gamma, so the audit costs O(cells) per level,
-    not per cube.  The first maximum in family order is the witness.
+    Each level's products come from two block means of gamma and 1/gamma, so
+    the audit costs O(cells) per level, not per cube.  The witness is the
+    first maximum, coarsest level first and row-major within a level.
     """
-    if not family:
-        raise ValueError("cube family is empty")
     vals = gamma.values
     _require_positive(vals, "weight")
     if p < 1:
@@ -186,23 +187,12 @@ def ap_constant(gamma: GridFunction, p: float, family: list[DyadicCube]) -> ApRe
     grid = gamma.grid
     inv = 1.0 / vals
     inv_p = INF if p == 1 else (p / (p - 1.0)) / p
-    groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-    for pos, cube in enumerate(family):
-        positions, indices = groups.setdefault(cube.level, ([], []))
-        positions.append(pos)
-        indices.append(cube.index)
-    values = np.empty(len(family))
-    for level, (positions, indices) in groups.items():
-        if not -grid.L <= level <= grid.J:
-            raise DomainError(f"level-{level} cubes lie outside the domain grid")
+    products = {}
+    for level in range(-grid.L, grid.J + 1):
         f = grid.side_cells(level)
-        prod = block_reduce(vals, f, "mean") * block_reduce(inv, f, "mean", inv_p)
-        idx = np.array(indices, dtype=np.intp)
-        if idx.shape[1] != prod.ndim or np.any(idx < 0) or np.any(idx >= prod.shape):
-            raise DomainError(f"a level-{level} cube lies outside the domain grid")
-        values[positions] = prod[tuple(idx.T)]
-    best = int(np.argmax(values))
-    return ApReport(p=p, constant=float(values[best]), argmax_cube=family[best])
+        products[level] = block_reduce(vals, f, "mean") * block_reduce(inv, f, "mean", inv_p)
+    constant, cube = first_max(products)
+    return ApReport(constant=constant, argmax_cube=cube, products=products)
 
 
 def ap_duality_identity(gamma: GridFunction, p: float, cube: DyadicCube) -> tuple[float, float]:
@@ -218,11 +208,6 @@ def ap_duality_identity(gamma: GridFunction, p: float, cube: DyadicCube) -> tupl
     a = per_cube_ap_value(dual, pp, cube)
     b = per_cube_ap_value(gamma, p, cube) ** (pp - 1.0)
     return a, b
-
-
-def audit_family(grid: Grid) -> list[DyadicCube]:
-    """The audited family: every dyadic cube with level in [-L, J], coarsest first."""
-    return [cube for k in range(-grid.L, grid.J + 1) for cube in cubes_at_level(grid, k)]
 
 
 @dataclass
@@ -281,7 +266,7 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
 
     Candidate values are the left-hand sides divided by the declared decay
     2^{alpha(k-j)}; the report carries their suprema (the smallest admissible
-    C1, C2 over the audited family) and the worst (k, j, Q) triples.
+    C1, C2 over every grid cube) and the worst (k, j, Q) triples.
     """
     if sigma1 <= 0 or sigma2 <= 0 or p <= 0:
         raise LevelRangeError("exponents must be positive")
@@ -296,15 +281,13 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
         means_s1_inv = {k: block_reduce(1.0 / w.tk[k], f, "mean", sigma1) for k in levels}
         means_s2 = {k: block_reduce(w.tk[k], f, "mean", sigma2) for k in levels}
         for k in levels:
-            for j in levels:
-                if j < k:
-                    continue
+            for j in range(k, grid.k_max + 1):
                 c1 = means_p[k] * means_s1_inv[j] * 2.0 ** (-alpha1 * (k - j))
                 c2 = means_s2[j] / means_p[k] * 2.0 ** (-alpha2 * (j - k))
-                tracker1.update(grid, lev, k, j, c1)
-                tracker2.update(grid, lev, k, j, c2)
+                tracker1.update(lev, k, j, c1)
+                tracker2.update(lev, k, j, c2)
     return XClassReport(
-        C1=tracker1.best, C2=tracker2.best,
+        C1=tracker1.witness.value, C2=tracker2.witness.value,
         witness1=tracker1.witness, witness2=tracker2.witness,
         lag_profile1=tracker1.lag_profile, lag_profile2=tracker2.lag_profile,
     )
@@ -312,19 +295,14 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
 
 class _SupTracker:
     def __init__(self):
-        self.best = -np.inf
         self.witness: XClassWitness | None = None
         self.lag_profile: dict[int, float] = {}
 
-    def update(self, grid: Grid, lev: int, k: int, j: int, cand: np.ndarray):
-        flat = int(np.argmax(cand))
-        val = float(cand.flat[flat])
-        lag = j - k
-        self.lag_profile[lag] = max(self.lag_profile.get(lag, -np.inf), val)
-        if val > self.best:
-            idx = np.unravel_index(flat, cand.shape)
-            self.best = val
-            self.witness = XClassWitness(k, j, DyadicCube(lev, tuple(int(i) for i in idx)), val)
+    def update(self, lev: int, k: int, j: int, cand: np.ndarray):
+        val, cube = first_max({lev: cand})
+        self.lag_profile[j - k] = max(self.lag_profile.get(j - k, -np.inf), val)
+        if self.witness is None or val > self.witness.value:
+            self.witness = XClassWitness(k, j, cube, val)
 
 
 def alpha_consistency(report: XClassReport, alpha1: float, alpha2: float,

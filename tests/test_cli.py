@@ -103,6 +103,20 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["run", "-c", str(cfg_path)]) == 64
 
 
+def _drop_header_n(base):
+    header = json.loads(base.with_suffix(".json").read_text())
+    del header["n"]
+    base.with_suffix(".json").write_text(json.dumps(header))
+
+
+BROKEN_LEVEL_FILE = {
+    "header-not-json": lambda base: base.with_suffix(".json").write_text("{"),
+    "header-without-n": _drop_header_n,
+    "truncated-bin": lambda base: base.with_suffix(".bin").write_bytes(
+        base.with_suffix(".bin").read_bytes()[:-8]),
+}
+
+
 @pytest.mark.parametrize("over, field", [
     ({"trials": "abc"}, "trials"),
     # tolerances are fixed at their checks; a config that still sets one is refused
@@ -135,9 +149,25 @@ def test_invalid_config_exit_code(tmp_path):
     (["run", "-c", "BAD", "-o", "no-such-dir/r.json"], "output"),
     (["fixture", "exp2", "-o", "no-such-dir/w"], "output"),
     (["fixture", "exp2", "--params", "{"], "params"),
+    # integer fields take no fraction and no boolean
+    ({"grid": {"n": 1, "L": 1, "J": 6.9, "k_min": 0, "k_max": 3}}, "grid.J"),
+    ({"trials": 2.5}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"grid": {"n": 1, "L": False, "J": 5}}, "grid.L"),
+    # the export-filter grid takes the same path as a config's grid
+    (["export-filter", "--n", "3"], "grid"),
+    (["export-filter", "--J", "1"], "grid"),
+    # a level file of grid weights, damaged in a way BROKEN_LEVEL_FILE names
+    ({"damaged": "header-not-json"}, "weights.file"),
+    ({"damaged": "header-without-n"}, "weights.file"),
+    ({"damaged": "truncated-bin"}, "weights.file"),
 ])
 def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
     bad = tmp_path / "bad.json"
+    if isinstance(over, dict) and "damaged" in over:  # grid weights, level-0 file damaged
+        fixture("random-ap", {"grid": base_config()["grid"]}, 0, tmp_path / "w")
+        BROKEN_LEVEL_FILE[over["damaged"]](tmp_path / "w_k0")
+        over = {"weights": {"kind": "grid", "file": str(tmp_path / "w")}}
     if isinstance(over, list):
         bad.write_text(json.dumps({"checks": [], "provenance": {}}))
         argv = [str(bad) if a == "BAD" else a for a in over]
@@ -188,19 +218,32 @@ def test_undefined_fs_ratio_makes_stability_a_skip(monkeypatch):
     assert checks["scalar_ratio_stable"]["status"] in ("pass", "fail")
 
 
-def test_seqnorms_checks_the_first_four_cubes_of_each_level(monkeypatch):
+def test_seqnorms_chebyshev_check_is_the_worst_cube_of_the_worst_trial():
+    # m_P - 4^{1/2} ||lambda|| over every cube P with at least 4 cells (here every cube of
+    # level <= k_max), by the m_p oracle; the suite draws one field per trial from "tests"
     import tlw.cli as cli
+    from tlw.dyadic import cubes_at_level
+    from tlw.io import weights_from_spec
+    from tlw.seqspace import CoeffField, f_inf_norm, m_p
 
-    seen = []
-    real = cli.m_p
-    monkeypatch.setattr(cli, "m_p",
-                        lambda lam, w, q, cube: seen.append(cube) or real(lam, w, q, cube))
-    cfg = base_config(grid={"n": 2, "L": 1, "J": 3, "k_min": 0, "k_max": 1}, trials=2)
-    cli.suite_seqnorms(ExperimentConfig.from_dict(cfg))
-    per_trial = ([(-1, (0, 0))]
-                 + [(0, m) for m in ((0, 0), (0, 1), (1, 0), (1, 1))]
-                 + [(1, m) for m in ((0, 0), (0, 1), (0, 2), (0, 3))])
-    assert [(c.level, c.index) for c in seen] == per_trial * 2
+    cfg = ExperimentConfig.from_dict(base_config(
+        grid={"n": 2, "L": 1, "J": 3, "k_min": 0, "k_max": 2}, trials=3))
+    grid = cfg.make_grid()
+    w = weights_from_spec(grid, cfg.weights)
+    cubes = [c for lev in range(-grid.L, grid.k_max + 1) for c in cubes_at_level(grid, lev)]
+    rng = cli._rng_for(cfg, "seqnorms", "tests")
+    worst, at = -math.inf, None
+    for _ in range(cfg.trials):
+        lam = CoeffField.random(grid, rng)
+        bound = 2.0 * f_inf_norm(lam, w, 2.0)
+        for cube in cubes:
+            value = m_p(lam, w, 2.0, cube) - bound
+            if value > worst:
+                worst, at = value, cube
+    check = {c["name"]: c for c in cli.suite_seqnorms(cfg)}["chebyshev_quartile_bound"]
+    assert check["status"] == "pass" and check["covered"] == cfg.trials
+    assert check["value"] == pytest.approx(worst, rel=1e-12)
+    assert check["witness"] == [at.level, list(at.index)]
 
 
 def test_emit_refuses_non_finite_values(tmp_path):

@@ -18,7 +18,7 @@ from tlw.duality import (
 )
 from tlw.errors import LevelRangeError, UndefinedRatioError
 from tlw.seqspace import CoeffField, RestrictionSets, f_inf_norm, f_pq_norm
-from tlw.weights import ap_constant, audit_family, exp2_weights, random_ap_weights
+from tlw.weights import ap_constant, exp2_weights, random_ap_weights
 
 from .oracles import naive_pairing
 
@@ -218,16 +218,15 @@ def test_aq_cube_consequence_bounds():
     g = grid1()
     w = random_ap_weights(g, 0.7, rng)
     q = 2.0
-    fam = audit_family(g)
     for k in w.levels:
         vals = aq_cube_consequence(w, q, k)
         assert np.all(vals >= 1.0 - 1e-13)
-        rep = ap_constant(w.as_grid_function(k), q, fam)
+        rep = ap_constant(w.as_grid_function(k), q)
         gamma_q = rep.constant  # audited A_q of t_k ... at exponent q on t_k itself
         # per-cube consequence uses t_k^q in A_q; recompute on the power weight
         from tlw.dyadic import GridFunction
 
-        rep_q = ap_constant(GridFunction(g, w.tk[k] ** q), q, fam)
+        rep_q = ap_constant(GridFunction(g, w.tk[k] ** q), q)
         assert np.all(vals <= rep_q.constant ** (1.0 / q) * (1 + 1e-12))
 
 

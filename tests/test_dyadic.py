@@ -13,6 +13,7 @@ from tlw.dyadic import (
     cube_at,
     cube_major,
     cubes_at_level,
+    first_max,
     indicator,
     integrate,
 )
@@ -163,3 +164,35 @@ def test_cube_major_rows_hold_each_cubes_cells(case):
     for cube in cubes_at_level(g, k):
         want = np.sort(cells[g.cube_slices(cube)].ravel())
         np.testing.assert_array_equal(np.sort(rows[cube.index]), want)
+
+
+@st.composite
+def level_arrays(draw):
+    """Per-level cube arrays over a run of levels, drawn from 3 values so ties are common."""
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(0, 2))
+    J = draw(st.integers(-L, (4 if n == 1 else 2) - L))
+    lo = draw(st.integers(-L, J))
+    hi = draw(st.integers(lo, J))
+    g = Grid(n=n, L=L, J=J, k_min=J, k_max=J)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g, {k: rng.integers(0, 3, g.level_shape(k)).astype(float) for k in range(lo, hi + 1)}
+
+
+@given(level_arrays())
+@settings(max_examples=60, deadline=None)
+def test_first_max_is_the_first_maximum_in_cube_order(case):
+    g, levels = case
+    best, at = -math.inf, None
+    for k in sorted(levels):
+        for cube in cubes_at_level(g, k):
+            if levels[k][cube.index] > best:
+                best, at = levels[k][cube.index], cube
+    assert first_max(levels) == (best, at)
+    # insertion order of the levels does not matter
+    assert first_max(dict(reversed(list(levels.items())))) == (best, at)
+
+
+def test_first_max_needs_a_level():
+    with pytest.raises(ValueError):
+        first_max({})

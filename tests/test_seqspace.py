@@ -25,6 +25,7 @@ from tlw.seqspace import (
     m_fun,
     m_fun_p_norm,
     m_p,
+    m_p_levels,
     restricted_norm,
     restricted_sup_norm,
 )
@@ -423,6 +424,19 @@ def test_m_p_matches_candidate_scan():
                 G = g_p(lam, w, 2.0, P).values[g.cube_slices(P)].ravel()
                 want = oracles.naive_m_p(G, G.size)
                 assert m_p(lam, w, 2.0, P) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("g", [grid1(), grid2()], ids=["1d", "2d"])
+def test_m_p_levels_hold_m_p_of_every_cube_with_four_cells(g):
+    rng = np.random.default_rng(171)
+    w = random_ap_weights(g, 0.5, rng)
+    lam = CoeffField.random(g, rng)
+    levels = m_p_levels(lam, w, 2.0)[0]
+    want = [lev for lev in range(-g.L, g.k_max + 1) if g.side_cells(lev) ** g.n >= 4]
+    assert sorted(levels) == want
+    for lev in want:
+        for P in cubes_at_level(g, lev):
+            assert levels[lev][P.index] == pytest.approx(m_p(lam, w, 2.0, P), rel=1e-13)
 
 
 def test_m_p_resolution_error():

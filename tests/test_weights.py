@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlw.dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
-from tlw.errors import DomainError, LevelRangeError, PositivityError
+from tlw.errors import LevelRangeError, PositivityError
 from tlw.weights import (
     WeightSequence,
     alpha_consistency,
     ap_constant,
     ap_duality_identity,
-    audit_family,
     cube_mean_p,
     exp2_weights,
     per_cube_ap_value,
@@ -74,9 +73,9 @@ def test_cube_mean_bad_exponent():
 
 def test_ap_constant_trivial_weight():
     g = grid1()
-    fam = audit_family(g)
-    rep = ap_constant(GridFunction.constant(g, 1.0), 2.0, fam)
+    rep = ap_constant(GridFunction.constant(g, 1.0), 2.0)
     assert rep.constant == pytest.approx(1.0, abs=1e-15)
+    assert sorted(rep.products) == list(range(-g.L, g.J + 1))
 
 
 def test_ap_two_cell_example():
@@ -93,7 +92,7 @@ def test_ap_jensen_lower_bound():
     for _ in range(10):
         gamma = GridFunction(g, np.exp(rng.uniform(-1, 1, g.shape)))
         for p in (1.0, 1.5, 2.0, 3.0):
-            rep = ap_constant(gamma, p, audit_family(g))
+            rep = ap_constant(gamma, p)
             assert rep.constant >= 1.0 - 1e-13
 
 
@@ -102,7 +101,7 @@ def test_ap_positivity_error():
     vals = np.ones(g.shape)
     vals[3] = 0.0
     with pytest.raises(PositivityError):
-        ap_constant(GridFunction(g, vals), 2.0, audit_family(g))
+        ap_constant(GridFunction(g, vals), 2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -114,26 +113,22 @@ def test_ap_positivity_rejects_nan_and_inf(bad):
     with pytest.raises(PositivityError):
         per_cube_ap_value(gamma, 2.0, DyadicCube(0, (0,)))
     with pytest.raises(PositivityError):
-        ap_constant(gamma, 2.0, audit_family(g))
+        ap_constant(gamma, 2.0)
+
+
+def _audit_family(g):
+    """Every cube of level -L..J, coarsest first and row-major within a level."""
+    return [cube for k in range(-g.L, g.J + 1) for cube in cubes_at_level(g, k)]
 
 
 def test_ap_constant_first_maximum_wins():
-    # a constant weight ties every cube at exactly 1; the witness is the first in family order
+    # a constant weight ties every cube at exactly 1; the witness is the domain cube
     g = Grid(n=2, L=1, J=2, k_min=0, k_max=0)
     gamma = GridFunction.constant(g, 3.0)
-    fam = audit_family(g)
-    for order in (fam, fam[::-1]):
-        rep = ap_constant(gamma, 2.0, order)
-        assert rep.constant == 1.0
-        assert rep.argmax_cube == order[0] == naive_ap_constant(gamma, 2.0, order)[1]
-
-
-def test_ap_constant_rejects_cubes_outside_domain():
-    g = grid1()
-    gamma = GridFunction.constant(g, 1.0)
-    for cube in (DyadicCube(0, (2,)), DyadicCube(0, (-1,)), DyadicCube(g.J + 1, (0,))):
-        with pytest.raises(DomainError):
-            ap_constant(gamma, 2.0, [cube])
+    rep = ap_constant(gamma, 2.0)
+    want_cube = naive_ap_constant(gamma, 2.0, _audit_family(g))[1]
+    assert rep.constant == 1.0
+    assert rep.argmax_cube == want_cube == DyadicCube(-1, (0, 0))
 
 
 @st.composite
@@ -150,31 +145,21 @@ def ap_audit_cases(draw):
     return g, gamma, p, rng
 
 
-def _assert_audit_matches_oracle(gamma, p, fam):
-    rep = ap_constant(gamma, p, fam)
+@given(ap_audit_cases())
+@settings(max_examples=40, deadline=None)
+def test_ap_constant_matches_per_cube_oracle(case):
+    # every level's product array holds per_cube_ap_value of each of its cubes
+    g, gamma, p, rng = case
+    fam = _audit_family(g)
+    rep = ap_constant(gamma, p)
     want, want_cube, want_values = naive_ap_constant(gamma, p, fam)
-    got_values = np.array([ap_constant(gamma, p, [c]).constant for c in fam])
+    got_values = [rep.products[c.level][c.index] for c in fam]
     np.testing.assert_allclose(got_values, want_values, rtol=1e-14, atol=0)
+    assert sum(a.size for a in rep.products.values()) == len(fam)
     assert abs(rep.constant - want) <= 1e-14 * want
     runner_up = max((v for v, c in zip(want_values, fam) if c != want_cube), default=-INF)
     if runner_up < want * (1 - 1e-12):  # unique maximum: the witness must agree
         assert rep.argmax_cube == want_cube
-
-
-@given(ap_audit_cases())
-@settings(max_examples=40, deadline=None)
-def test_ap_constant_matches_per_cube_oracle(case):
-    g, gamma, p, rng = case
-    _assert_audit_matches_oracle(gamma, p, audit_family(g))
-
-
-@given(ap_audit_cases(), st.floats(0.05, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_ap_constant_matches_oracle_on_shuffled_subset(case, frac):
-    g, gamma, p, rng = case
-    fam = audit_family(g)
-    order = rng.permutation(len(fam))[: max(1, int(frac * len(fam)))]
-    _assert_audit_matches_oracle(gamma, p, [fam[i] for i in order])
 
 
 def _origin_cube_value_closed_form(J, j, p):
@@ -213,11 +198,10 @@ def test_power_weight_origin_cubes():
 def test_power_weight_family_sup_off_origin_small():
     g = Grid(n=1, L=0, J=6, k_min=0, k_max=0)
     gamma = GridFunction(g, power_profile(g, 1.0))
-    away = [c for c in cubes_at_level(g, 3) if c.index[0] >= 4]
-    near = [DyadicCube(j, (0,)) for j in range(7)]
-    rep_away = ap_constant(gamma, 2.0, away)
-    rep_near = ap_constant(gamma, 2.0, near)
-    assert rep_near.constant > 2.0 * rep_away.constant  # origin cubes drive the sup
+    products = ap_constant(gamma, 2.0).products
+    away = products[3][4:].max()  # level-3 cubes in [1/2, 1)
+    near = max(products[j][0] for j in range(7))  # the cubes [0, 2^-j)
+    assert near > 2.0 * away  # origin cubes drive the sup
 
 
 def test_ap_duality_trivial_and_two_level():
@@ -234,7 +218,7 @@ def test_ap_duality_trivial_and_two_level():
 def test_ap_duality_random_weights():
     rng = np.random.default_rng(17)
     g = grid1(J=4)
-    fam = audit_family(g)
+    fam = _audit_family(g)
     for _ in range(20):
         gamma = GridFunction(g, np.exp(rng.uniform(-1.5, 1.5, g.shape)))
         cube = fam[int(rng.integers(len(fam)))]
@@ -327,7 +311,7 @@ def test_subset_mean_bound_holds_with_audited_constant():
     g = grid1(J=4)
     gamma = GridFunction(g, np.exp(rng.uniform(-1, 1, g.shape)))
     p = 2.0
-    rep = ap_constant(gamma, p, audit_family(g))
+    rep = ap_constant(gamma, p)
     cube = DyadicCube(0, (0,))
     w = 2 ** (g.J - 0)
     for _ in range(20):
