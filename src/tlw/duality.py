@@ -116,8 +116,6 @@ def extremal_sequence(lam: CoeffField, w: WeightSequence, q: float) -> CoeffFiel
     grid = lam.grid
     qq = conjugate_exponent(q)
     w_dual = w.reciprocal()
-    t_dual = {k: w_dual.cube_norm(k, qq) for k in lam.levels}  # tilde t_{k,m,q'}
-    del w_dual  # freed before the loop, so its cells never coexist with the loop's temporaries
     out = {}
     for k in lam.levels:
         t_q = w.cube_norm(k, q)                     # t_{k,m,q}
@@ -125,21 +123,23 @@ def extremal_sequence(lam: CoeffField, w: WeightSequence, q: float) -> CoeffFiel
         out[k] = (
             t_q ** (q - 1.0)
             * 2.0 ** (k * grid.n * (0.5 + q / (2.0 * qq)))
-            / t_dual[k]
+            / w_dual.cube_norm(k, qq)               # tilde t_{k,m,q'}
             * u ** (q - 1.0)
             * _sgn(lam.entries[k])
         )
     return CoeffField(grid, out)
 
 
+def _times_cube_volume(c: CoeffField) -> CoeffField:
+    """c_{k,m} 2^{-nk}: a weight factor 2^{-nk} moved onto the level-k coefficients."""
+    return CoeffField(c.grid, {k: 2.0 ** (-c.grid.n * k) * v for k, v in c.entries.items()})
+
+
 def star_constraint_norm(s: CoeffField, w: WeightSequence, q: float) -> float:
     """Constraint norm of a test sequence: the p = inf norm of s against the
     weights 2^{-nk} t_k^{-1} at exponent q', evaluated through the exact
     cube-average identity (matches the per-cube integral display verbatim)."""
-    qq = conjugate_exponent(q)
-    grid = s.grid
-    w_star = w.reciprocal().scaled({k: 2.0 ** (-grid.n * k) for k in w.levels})
-    return f_inf_norm_cubeavg(s, w_star, qq)
+    return f_inf_norm_cubeavg(_times_cube_volume(s), w.reciprocal(), conjugate_exponent(q))
 
 
 def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
@@ -152,8 +152,10 @@ def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
         f = grid.side_cells(lev)
         return np.abs(block_reduce(tail.real, f, "mean") + 1j * block_reduce(tail.imag, f, "mean"))
 
-    summands = {k: expand_level_array(grid, k, lam.entries[k] * s.entries[k]) for k in lam.levels}
-    return first_max(localized_sup(grid, summands, abs_mean)[0])[0]
+    buf = np.empty(grid.shape, dtype=complex)
+    summands = ((k, expand_level_array(grid, k, lam.entries[k] * s.entries[k], buf))
+                for k in reversed(lam.levels))
+    return first_max(localized_sup(grid, summands, abs_mean))[0]
 
 
 def conjugate_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -189,9 +191,7 @@ def dp_claim_value(kappa: CoeffField, w: WeightSequence, q: float,
 
 def kappa_constraint_norm(kappa: CoeffField, w: WeightSequence, q: float) -> float:
     """||kappa|| in the p = inf norm against the weights 2^{-nk} t_k (exponent q)."""
-    grid = kappa.grid
-    w_scaled = w.scaled({k: 2.0 ** (-grid.n * k) for k in w.levels})
-    return f_inf_norm_cubeavg(kappa, w_scaled, q)
+    return f_inf_norm_cubeavg(_times_cube_volume(kappa), w, q)
 
 
 def aq_cube_consequence(w: WeightSequence, q: float, k: int) -> np.ndarray:

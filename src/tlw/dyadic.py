@@ -186,15 +186,14 @@ def indicator(grid: Grid, cube: DyadicCube) -> GridFunction:
     return out
 
 
-def expand_level_array(grid: Grid, k: int, a: np.ndarray) -> np.ndarray:
-    """Blow a per-cube level-k array up to the finest-cell shape (constant per cube)."""
+def expand_level_array(grid: Grid, k: int, a: np.ndarray, out=None) -> np.ndarray:
+    """Blow a per-cube level-k array up to the finest-cell shape (into `out` if given)."""
     a = np.asarray(a)
     if a.shape != grid.level_shape(k):
         raise ValueError(f"level-{k} array has shape {a.shape}, expected {grid.level_shape(k)}")
-    f = grid.side_cells(k)
-    out = a
-    for ax in range(grid.n):
-        out = np.repeat(out, f, axis=ax)
+    out = np.empty(grid.shape, dtype=a.dtype) if out is None else out
+    blocks, a = broadcast_cubes(out, a)
+    blocks[...] = a
     return out
 
 
@@ -232,30 +231,38 @@ def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
     return rows.reshape(*blocks.shape[0::2], -1)
 
 
-def localized_sup(grid: Grid, summands: dict[int, np.ndarray], cube_value=None):
+def localized_sup(grid: Grid, summands, cube_value=None, suffix: dict | None = None):
     """cube_value on the localized sum of every dyadic P (levels -L..top summand level).
 
-    The localized sum of P is the suffix T_j = sum_{k >= j} u_k at
-    j = max(k_P, lowest summand level).  cube_value(level, T) gives one value
-    per level cube (default: the mean of T over the cube), or None to leave
-    the level out.  Returns (levels, suffix): levels maps each level kept to
-    its cube values, so `first_max(levels)` is the sup over P; suffix maps
-    every summand level j to T_j.
+    `summands` yields (k, u_k) finest level first and may refill one buffer.
+    The localized sum of P is T_j = sum_{k >= j} u_k at j = max(k_P, lowest
+    summand level), accumulated in place.  cube_value(level, T) gives one value
+    per level cube (default: the mean of T over the cube), or None to leave the
+    level out.  Returns each level kept mapped to its cube values, so
+    `first_max` of it is the sup over P; a `suffix` dict receives a copy of T_j.
     """
-    suffix, acc = {}, 0.0
-    for k in sorted(summands, reverse=True):
-        acc = acc + summands[k]
-        suffix[k] = acc
     if cube_value is None:
         def cube_value(lev, tail):
             return block_reduce(tail, grid.side_cells(lev), "mean")
-    k_min, k_max = min(summands), max(summands)
-    levels = {}
-    for lev in range(-grid.L, k_max + 1):
-        vals = cube_value(lev, suffix[max(lev, k_min)])
-        if vals is not None:
-            levels[lev] = vals
-    return levels, suffix
+    levels, acc = {}, None
+    for k, u in summands:
+        acc = np.zeros_like(u) if acc is None else acc
+        acc += u
+        levels[k] = cube_value(k, acc)
+        if suffix is not None:
+            suffix[k] = acc.copy()
+    for lev in range(-grid.L, k):  # coarser than every summand: T of the lowest level
+        levels[lev] = cube_value(lev, acc)
+    return {lev: levels[lev] for lev in sorted(levels) if levels[lev] is not None}
+
+
+def broadcast_cubes(cells: np.ndarray, a: np.ndarray):
+    """(a view of cells with one block per cube of `a`, `a` shaped to broadcast over it).
+
+    So `blocks *= a_b` scales each cube's cells by its entry of `a`, in place.
+    """
+    blocks = _cube_blocks(cells, cells.shape[0] // a.shape[0])
+    return blocks, a.reshape([d for size in a.shape for d in (size, 1)])
 
 
 def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0) -> float:
@@ -279,4 +286,4 @@ def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0) -> float:
         body **= 1.0 / q
     if p == INF:
         return float(body.max()) if body.size else 0.0
-    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)
+    return float(np.power(body, p, out=body).sum() * grid.cell_volume) ** (1.0 / p)

@@ -307,12 +307,12 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
     return float((np.abs(spec[~reproduced]) ** 2).sum()) / total
 
 
-def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None):
-    """Yield (k, t_k |phi_k * f|) over the weight levels; `spec` as in `analyze`."""
+def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None, levels=None):
+    """Yield (k, t_k |phi_k * f|) over `levels` (default w.levels); `spec` as in `analyze`."""
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
     spec = np.fft.fftn(f.values) if spec is None else spec
-    for k in w.levels:
+    for k in w.levels if levels is None else levels:
         yield k, w.tk[k] * np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
 
 
@@ -329,8 +329,9 @@ def F_inf_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, q: float) -> fl
     """sup over dyadic P of the localized average of sum_{k >= k_P} t_k^q |phi_k * f|^q."""
     if not 0 < q < INF:
         raise LevelRangeError(f"q must be in (0, inf), got {q}")
-    summands = {k: a**q for k, a in _weighted_levels(f, fp, w)}
-    return first_max(localized_sup(w.grid, summands)[0])[0] ** (1.0 / q)
+    summands = ((k, np.power(a, q, out=a))
+                for k, a in _weighted_levels(f, fp, w, levels=reversed(w.levels)))
+    return first_max(localized_sup(w.grid, summands))[0] ** (1.0 / q)
 
 
 def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,

@@ -30,6 +30,7 @@ from .dyadic import (
     Grid,
     GridFunction,
     block_reduce,
+    broadcast_cubes,
     cube_major,
     expand_level_array,
     first_max,
@@ -108,19 +109,31 @@ def _check_pair(lam: CoeffField, w: WeightSequence):
         raise LevelMismatchError("coefficient field and weights live on different grids")
 
 
-def _pointwise_summand(lam: CoeffField, w: WeightSequence, k: int, q: float) -> np.ndarray:
-    """Cell field 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x)."""
-    grid = lam.grid
-    amp = expand_level_array(grid, k, np.abs(lam.entries[k]) ** q)
-    return (2.0 ** (k * grid.n * q / 2.0)) * amp * w.tk[k] ** q
+def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, masks=None):
+    """(k, 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x) [* masks[k]]) over `levels`, in one
+    reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x)."""
+    grid, buf = lam.grid, np.empty(lam.grid.shape)
+    for k in levels:
+        if q == INF:  # (2^{kn/2} t_k) |lambda_k|: scaling |lambda_k| first rounds differently
+            np.multiply(2.0 ** (k * grid.n / 2.0), w.power(k, 1.0, buf), out=buf)
+            per_cube = np.abs(lam.entries[k])
+        else:
+            w.power(k, q, buf)
+            per_cube = (2.0 ** (k * grid.n * q / 2.0)) * np.abs(lam.entries[k]) ** q
+        blocks, a = broadcast_cubes(buf, per_cube)
+        blocks *= a
+        if masks is not None:
+            buf *= masks[k]
+        yield k, buf
 
 
-def _cubeavg_summand(lam: CoeffField, w: WeightSequence, k: int, q: float) -> np.ndarray:
-    """Cell field 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_{k,m}|^q chi_{k,m}(x)."""
-    grid = lam.grid
-    tq_int = block_reduce(w.tk[k], grid.side_cells(k), "sum", q) * grid.cell_volume
-    per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
-    return expand_level_array(grid, k, per_cube)
+def _cubeavg_summands(lam: CoeffField, w: WeightSequence, q: float):
+    """(k, 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_{k,m}|^q chi_{k,m}(x)), finest level first."""
+    grid, buf = lam.grid, np.empty(lam.grid.shape)
+    for k in reversed(lam.levels):
+        tq_int = block_reduce(w.power(k, q, buf), grid.side_cells(k)) * grid.cell_volume
+        per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
+        yield k, expand_level_array(grid, k, per_cube, buf)
 
 
 def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
@@ -131,13 +144,8 @@ def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
     _check_pair(lam, w)
     if not 0 < p < INF:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
-    grid = lam.grid
-    if q == INF:
-        terms = ((2.0 ** (k * grid.n / 2.0)) * w.tk[k]
-                 * expand_level_array(grid, k, np.abs(lam.entries[k])) for k in lam.levels)
-    else:
-        terms = (_pointwise_summand(lam, w, k, q) for k in lam.levels)
-    return lp_lq_norm(grid, terms, p, q)
+    terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels))
+    return lp_lq_norm(lam.grid, terms, p, q)
 
 
 def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
@@ -161,8 +169,8 @@ def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
     _check_pair(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
-    summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-    return first_max(localized_sup(lam.grid, summands)[0])[0] ** (1.0 / q)
+    summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
+    return first_max(localized_sup(lam.grid, summands))[0] ** (1.0 / q)
 
 
 def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -170,8 +178,7 @@ def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
     _check_pair(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
-    summands = {k: _cubeavg_summand(lam, w, k, q) for k in lam.levels}
-    return first_max(localized_sup(lam.grid, summands)[0])[0] ** (1.0 / q)
+    return first_max(localized_sup(lam.grid, _cubeavg_summands(lam, w, q)))[0] ** (1.0 / q)
 
 
 def lambda_star(lam: CoeffField, r: float, d: float) -> CoeffField:
@@ -242,9 +249,8 @@ def g_p(lam: CoeffField, w: WeightSequence, q: float, P: DyadicCube) -> GridFunc
     if not grid.contains_cube(P):
         raise LevelRangeError(f"cube {P} not inside the domain")
     body = np.zeros(grid.shape)
-    for k in lam.levels:
-        if k >= P.level:
-            body += _pointwise_summand(lam, w, k, q)
+    for _, u in _pointwise_summands(lam, w, q, range(max(P.level, grid.k_min), grid.k_max + 1)):
+        body += u
     out = np.zeros(grid.shape)
     sl = grid.cube_slices(P)
     out[sl] = body[sl] ** (1.0 / q)
@@ -273,12 +279,12 @@ def m_p(lam: CoeffField, w: WeightSequence, q: float, P: DyadicCube) -> float:
     return float(kth)
 
 
-def m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4):
+def m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4,
+               suffix: dict | None = None) -> dict[int, np.ndarray]:
     """m_P of every dyadic P (levels -L..k_max) with at least `min_cells` cells.
 
-    Returns (levels, suffix) as `localized_sup` does: levels maps each level
-    kept to its m_P values, equal to `m_p` cube by cube up to the summation
-    order of G_P; suffix maps every level j to sum_{k >= j} u_k.
+    Returns each level kept mapped to its m_P values, equal to `m_p` cube by
+    cube up to the summation order of G_P; `suffix` as in `localized_sup`.
     """
     _check_pair(lam, w)
     grid = lam.grid
@@ -290,28 +296,24 @@ def m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4)
         rank = f**grid.n - 1 - _quartile_count(f**grid.n)
         return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
 
-    summands = {k: _pointwise_summand(lam, w, k, q) for k in lam.levels}
-    return localized_sup(grid, summands, quartile)
+    summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
+    return localized_sup(grid, summands, quartile, suffix)
 
 
-def m_fun(lam: CoeffField, w: WeightSequence, q: float,
-          min_cells: int = 4) -> GridFunction:
+def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4,
+          suffix: dict | None = None) -> GridFunction:
     """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max).
 
     Cubes with fewer than `min_cells` cells are outside the m_P resolution and
     are skipped; pass min_cells=1 to extend the quartile rule down to single
-    cells (there it degenerates to the plain maximum over the cube).
+    cells (there it degenerates to the plain maximum over the cube).  `suffix`
+    is filled as in `m_p_levels`.
     """
-    return GridFunction(lam.grid, _quartile_sup(lam, w, q, min_cells)[0])
-
-
-def _quartile_sup(lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
-    """(m_fun's cell values, the suffix fields sum_{k >= j} u_k it was built from)."""
-    levels, suffix = m_p_levels(lam, w, q, min_cells)
     best = np.zeros(lam.grid.shape)
-    for lev, vals in levels.items():
-        np.maximum(best, expand_level_array(lam.grid, lev, vals), out=best)
-    return best, suffix
+    for vals in m_p_levels(lam, w, q, min_cells, suffix).values():
+        blocks, m = broadcast_cubes(best, vals)
+        np.maximum(blocks, m, out=blocks)
+    return GridFunction(lam.grid, best)
 
 
 def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
@@ -392,8 +394,9 @@ class RestrictionSets:
                 "finest coefficient cubes have fewer than 4 cells; the quartile "
                 "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
             )
-        m, suffix = _quartile_sup(lam, w, q, min_cells=4)
-        return cls(grid, {k: suffix[k] ** (1.0 / q) <= m for k in lam.levels}, fraction)
+        suffix = {}
+        m = m_fun(lam, w, q, 4, suffix).values
+        return cls(grid, {k: t ** (1.0 / q) <= m for k, t in suffix.items()}, fraction)
 
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels."""
@@ -411,8 +414,8 @@ def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,
     _check_pair(lam, w)
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
-    summands = {k: _pointwise_summand(lam, w, k, q) * E.masks[k] for k in lam.levels}
-    return first_max(localized_sup(lam.grid, summands)[0])[0] ** (1.0 / q)
+    summands = _pointwise_summands(lam, w, q, reversed(lam.levels), E.masks)
+    return first_max(localized_sup(lam.grid, summands))[0] ** (1.0 / q)
 
 
 def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,
@@ -421,5 +424,5 @@ def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,
     _check_pair(lam, w)
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
-    terms = (_pointwise_summand(lam, w, k, q) * E.masks[k] for k in lam.levels)
+    terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels, E.masks))
     return lp_lq_norm(lam.grid, terms, INF) ** (1.0 / q)

@@ -73,21 +73,13 @@ class WeightSequence:
     def as_grid_function(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.level_values(k))
 
-    def reciprocal(self) -> "WeightSequence":
-        meta = WeightMeta(
-            p=self.meta.p,
-            kind=f"reciprocal({self.meta.kind})",
-            params=dict(self.meta.params),
-        )
-        return WeightSequence(self.grid, {k: 1.0 / v for k, v in self.tk.items()}, meta)
+    def power(self, k: int, r: float, out: np.ndarray) -> np.ndarray:
+        """t_k^r written into `out`, a full-grid buffer the caller owns; returns out."""
+        return np.power(self.tk[k], r, out=out)
 
-    def scaled(self, factors: dict[int, float]) -> "WeightSequence":
-        """Multiply each level by a positive scalar (e.g. 2^{-nk} for conjugate norms)."""
-        return WeightSequence(
-            self.grid,
-            {k: self.tk[k] * float(factors[k]) for k in self.levels},
-            WeightMeta(p=self.meta.p, kind=f"scaled({self.meta.kind})"),
-        )
+    def reciprocal(self) -> "WeightSequence":
+        """The weights 1/t_k, computed level by level when read (never stored)."""
+        return _Reciprocal(self)
 
     def shifted(self, gamma: int, levels: range | None = None) -> "WeightSequence":
         """Weight sequence k -> t_{k-gamma} over `levels` (default: own levels).
@@ -108,8 +100,27 @@ class WeightSequence:
 
     def cube_norm(self, k: int, r: float) -> np.ndarray:
         """(int_Q t_k^r)^{1/r} per level-k cube Q (r may be negative)."""
-        sums = block_reduce(self.tk[k], self.grid.side_cells(k), "sum", r)
+        sums = block_reduce(self.power(k, r, np.empty(self.grid.shape)), self.grid.side_cells(k))
         return (sums * self.grid.cell_volume) ** (1.0 / r)
+
+
+class _Reciprocal(WeightSequence):
+    """1/t_k of a base sequence, never stored: the kernels read it through `power` into
+    buffers they own, and `tk` computes every level anew on each access."""
+
+    def __init__(self, base: WeightSequence):
+        if min(float(v.min()) for v in base.tk.values()) < 1.0 / np.finfo(float).max:
+            raise PositivityError("a weight is so small that its reciprocal overflows")
+        self.grid, self._base = base.grid, base
+        self.meta = WeightMeta(p=base.meta.p, kind=f"reciprocal({base.meta.kind})",
+                               params=dict(base.meta.params))
+
+    @property
+    def tk(self) -> dict[int, np.ndarray]:
+        return {k: 1.0 / v for k, v in self._base.tk.items()}
+
+    def power(self, k: int, r: float, out: np.ndarray) -> np.ndarray:
+        return np.power(np.divide(1.0, self._base.tk[k], out=out), r, out=out)
 
 
 def exp2_weights(grid: Grid, s: float, omega: np.ndarray | None = None,

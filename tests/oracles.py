@@ -5,6 +5,11 @@ window enumerations, candidate scans) so the fast vectorised implementations
 have a genuinely independent check.  The one library call is the single-cube
 reference `per_cube_ap_value`, which the audit's lattice path does not use.
 Only usable at small sizes.
+
+The exception is the expand-then-sum section at the end: the sequence norms
+in their first vectorised form, which the buffered kernels must match bit for
+bit.  It shares the cube reductions (`expand_level_array`, `block_reduce`,
+`cube_major`) with the library, not its buffers or its suffix accumulation.
 """
 
 import itertools
@@ -12,6 +17,7 @@ import math
 
 import numpy as np
 
+from tlw.dyadic import block_reduce, cube_major, expand_level_array
 from tlw.weights import per_cube_ap_value
 
 
@@ -302,3 +308,88 @@ def per_level_partition_deviation(fp):
     for k in range(j_lo, j_hi + 1):
         acc += np.conj(fp.phi_profile(r * 2.0**-k)) * fp.psi_profile(r * 2.0**-k)
     return float(np.abs(acc - 1.0).max())
+
+
+# --------------------------------------------------------- expand-then-sum
+# Each level's summand expanded to a new full-grid array, the suffix sums
+# T_j = sum_{k >= j} u_k kept in a dict, in the same floating-point operation
+# order as the library's buffered kernels.
+
+
+def expanded_pointwise(lam, tk, q, masks=None):
+    """{k: 2^{knq/2} t_k^q |lambda_k|^q (times masks[k])}; q = inf: 2^{kn/2} t_k |lambda_k|."""
+    grid, out = lam.grid, {}
+    for k in lam.levels:
+        if q == math.inf:
+            amp = expand_level_array(grid, k, np.abs(lam.entries[k]))
+            u = (2.0 ** (k * grid.n / 2.0)) * tk[k] * amp
+        else:
+            amp = expand_level_array(grid, k, np.abs(lam.entries[k]) ** q)
+            u = (2.0 ** (k * grid.n * q / 2.0)) * amp * tk[k] ** q
+        out[k] = u if masks is None else u * masks[k]
+    return out
+
+
+def expanded_cubeavg(lam, tk, q):
+    """{k: 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_k|^q}, constant on each level-k cube."""
+    grid, out = lam.grid, {}
+    for k in lam.levels:
+        tq_int = block_reduce(tk[k], grid.side_cells(k), "sum", q) * grid.cell_volume
+        per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
+        out[k] = expand_level_array(grid, k, per_cube)
+    return out
+
+
+def expanded_lp_lq(grid, summands, p, q=1.0):
+    """|| (sum_k u_k)^{1/q} ||_{L_p}, the levels summed coarsest first (q = inf: their max)."""
+    body = np.zeros(grid.shape)
+    for k in sorted(summands):
+        if q == math.inf:
+            np.maximum(body, summands[k], out=body)
+        else:
+            body += summands[k]
+    if q != math.inf:
+        body **= 1.0 / q
+    if p == math.inf:
+        return float(body.max())
+    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)
+
+
+def expanded_localized(grid, summands, cube_value=None):
+    """(levels, suffix): cube_value(lev, T_max(lev, k_min)) per level -L..k_max, and every T_j."""
+    suffix, acc = {}, 0.0
+    for k in sorted(summands, reverse=True):
+        acc = acc + summands[k]
+        suffix[k] = acc
+    if cube_value is None:
+        def cube_value(lev, tail):
+            return block_reduce(tail, grid.side_cells(lev), "mean")
+    levels = {}
+    for lev in range(-grid.L, max(summands) + 1):
+        vals = cube_value(lev, suffix[max(lev, min(summands))])
+        if vals is not None:
+            levels[lev] = vals
+    return levels, suffix
+
+
+def level_sup(levels):
+    return max(float(v.max()) for v in levels.values())
+
+
+def expanded_quartile(grid, q, min_cells=4):
+    """cube_value of m_P: the (ceil(N/4))-th largest of G_P^q over the N cells of P."""
+    def quartile(lev, tail):
+        f = grid.side_cells(lev)
+        if f**grid.n < min_cells:
+            return None
+        rank = f**grid.n - 1 - (math.ceil(f**grid.n / 4.0) - 1)
+        return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
+    return quartile
+
+
+def expanded_abs_mean(grid):
+    """cube_value of the localized pairing: |mean| with real and imaginary parts summed apart."""
+    def abs_mean(lev, tail):
+        f = grid.side_cells(lev)
+        return np.abs(block_reduce(tail.real, f, "mean") + 1j * block_reduce(tail.imag, f, "mean"))
+    return abs_mean

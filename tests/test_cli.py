@@ -86,6 +86,19 @@ def test_report_roundtrip_parse_back(tmp_path):
     assert parsed["provenance"]["config_sha256"] == report.provenance["config_sha256"]
 
 
+def test_config_digest_covers_the_parsed_grid(tmp_path):
+    digests = set()
+    for i, J in enumerate(("5", 5.0, 5)):
+        cfg = base_config(suite="xclass", trials="2" if i == 0 else 2)
+        cfg["grid"] = {"n": 1, "L": 1, "J": J}  # k_min and k_max take their defaults
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["run", "-c", str(tmp_path / "c.json"), "-o", str(tmp_path / f"r{i}.json")]) == 0
+        digests.add(json.loads((tmp_path / f"r{i}.json").read_text())["provenance"]["config_sha256"])
+    cfg["grid"].update(k_min=0, k_max=3)
+    report = run(ExperimentConfig.from_dict(cfg))
+    assert digests == {report.provenance["config_sha256"]}
+
+
 def test_report_subcommand_csv(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config()))

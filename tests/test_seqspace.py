@@ -431,7 +431,7 @@ def test_m_p_levels_hold_m_p_of_every_cube_with_four_cells(g):
     rng = np.random.default_rng(171)
     w = random_ap_weights(g, 0.5, rng)
     lam = CoeffField.random(g, rng)
-    levels = m_p_levels(lam, w, 2.0)[0]
+    levels = m_p_levels(lam, w, 2.0)
     want = [lev for lev in range(-g.L, g.k_max + 1) if g.side_cells(lev) ** g.n >= 4]
     assert sorted(levels) == want
     for lev in want:

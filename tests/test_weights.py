@@ -362,3 +362,11 @@ def test_exp2_class_constants_are_one(s):
     rep = verify_x_class(exp2_weights(g, s), s, s, 2.0, 2.0, 2.0)
     assert abs(rep.C1 - 1.0) <= 1e-11
     assert abs(rep.C2 - 1.0) <= 1e-11
+
+
+def test_reciprocal_refuses_a_weight_whose_reciprocal_overflows():
+    g = grid1()
+    tk = {k: np.ones(g.shape) for k in g.levels}
+    tk[g.k_max][0] = 1e-309  # positive and finite, but 1/t is inf
+    with pytest.raises(PositivityError):
+        WeightSequence(g, tk).reciprocal()
