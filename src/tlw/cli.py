@@ -260,7 +260,7 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
         fs = {k: GridFunction(grid, rng.standard_normal(grid.shape)) for k in w.levels}
         ratios["fs_ratio"][grid.J] = fs_ratio(fs, w, 2.0, 2.0, cfg).ratio
         t0 = w.as_grid_function(grid.k_min)
-        ratios["scalar_ratio"][grid.J] = scalar_maximal_ratio(f, t0, 2.0, cfg)
+        ratios["scalar_ratio"][grid.J] = scalar_maximal_ratio(f, t0, 2.0, cfg, mf)
         for name, r in ratios.items():
             checks.append(_record(f"{name}[J={grid.J}]", [r[grid.J]], J=grid.J, reason=undefined))
     j0, j1 = (grid.J for grid in grids)
@@ -273,8 +273,9 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
     w = exp2_weights(grid, 0.3)
     cfg = MaximalConfig(grid)
     f = GridFunction(grid, rng.standard_normal(grid.shape))
+    mf = maximal(f, cfg)
     pairs = [[k, j] for k in w.levels for j in w.levels if j >= k]
-    consts = [shifted_maximal_constant(f, w, k, j, 2.0, cfg, alpha1=0.3) for k, j in pairs]
+    consts = [shifted_maximal_constant(f, w, k, j, 2.0, cfg, alpha1=0.3, mf=mf) for k, j in pairs]
     checks.append(_record("shifted_constant_max", consts, J=grid.J, labels=pairs))
     checks.append(_record("shifted_constant_bounded", [max(consts) / min(consts)], 25.0, "<",
                           J=grid.J, hard=False, value=[min(consts), max(consts)]))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import Grid, GridFunction
+from .dyadic import Grid, GridFunction, expand_level_array
 from .errors import ConfigError, LevelMismatchError
 from .seqspace import CoeffField
 from .weights import WeightMeta, WeightSequence, exp2_weights, power_profile, random_ap_weights
@@ -125,6 +125,21 @@ def _spec_number(spec: dict, key: str, default: float) -> float:
     return value
 
 
+def _on_run_grid(gf: GridFunction, grid: Grid, k: int) -> np.ndarray:
+    """A level file's values on `grid`; a file at a coarser J is refined piecewise-constantly.
+
+    The refinement is exact: each file cell is the union of 2^{n(J - J_file)}
+    cells of `grid`.  A file of another n or L, or of a finer J, raises
+    ConfigError.
+    """
+    g = gf.grid
+    if (g.n, g.L) != (grid.n, grid.L) or g.J > grid.J:
+        raise ConfigError(f"weights.file: level {k} is on the grid n={g.n}, L={g.L}, J={g.J}; "
+                          f"the run needs n={grid.n}, L={grid.L}, J <= {grid.J}")
+    values = gf.values.real
+    return values if g.J == grid.J else expand_level_array(grid, g.J, values)
+
+
 def weights_from_spec(grid: Grid, spec: dict,
                       rng: np.random.Generator | None = None) -> WeightSequence:
     """Build a weight sequence from {kind: exp2|power|random-ap|grid, ...}."""
@@ -156,7 +171,7 @@ def weights_from_spec(grid: Grid, spec: dict,
                 gf = load_grid_function(Path(file).with_name(f"{Path(file).name}_k{k}"))
             except (OSError, ValueError, KeyError) as exc:  # missing, malformed or truncated
                 raise ConfigError(f"weights.file: cannot read level {k}: {exc!r}") from None
-            tk[k] = gf.values.real
+            tk[k] = _on_run_grid(gf, grid, k)
         return WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
     raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")
 

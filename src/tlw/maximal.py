@@ -116,23 +116,29 @@ def weighted_lp_norm(f: GridFunction, t: GridFunction, p: float) -> float:
 
 
 def scalar_maximal_ratio(f: GridFunction, t: GridFunction, p: float,
-                         cfg: MaximalConfig) -> float:
-    """||M(f) t||_p / ||f t||_p; degenerate f == 0 raises UndefinedRatioError."""
+                         cfg: MaximalConfig, mf: GridFunction | None = None) -> float:
+    """||M(f) t||_p / ||f t||_p, with `mf` = M(f) if known; f == 0 raises UndefinedRatioError."""
     denom = weighted_lp_norm(f, t, p)
     if denom == 0.0:
         raise UndefinedRatioError("f vanishes identically; maximal ratio undefined")
-    return weighted_lp_norm(maximal(f, cfg), t, p) / denom
+    mf = maximal(f, cfg) if mf is None else mf
+    return weighted_lp_norm(mf, t, p) / denom
 
 
 def shifted_maximal_constant(f: GridFunction, w: WeightSequence, k: int, j: int,
-                             p: float, cfg: MaximalConfig, alpha1: float) -> float:
-    """Empirical constant in ||M(f_j) t_k||_p <= c 2^{a1(k-j)} ||f_j t_j||_p, j >= k."""
+                             p: float, cfg: MaximalConfig, alpha1: float,
+                             mf: GridFunction | None = None) -> float:
+    """Empirical constant in ||M(f_j) t_k||_p <= c 2^{a1(k-j)} ||f_j t_j||_p, j >= k.
+
+    `mf` is M(f) if known.
+    """
     if j < k:
         raise LevelRangeError("shifted bound is stated for j >= k")
     denom = weighted_lp_norm(f, w.as_grid_function(j), p)
     if denom == 0.0:
         raise UndefinedRatioError("f vanishes identically")
-    lhs = weighted_lp_norm(maximal(f, cfg), w.as_grid_function(k), p)
+    mf = maximal(f, cfg) if mf is None else mf
+    lhs = weighted_lp_norm(mf, w.as_grid_function(k), p)
     return lhs / (2.0 ** (alpha1 * (k - j)) * denom)
 
 

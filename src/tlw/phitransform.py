@@ -11,11 +11,18 @@ level-k annulus spans 2^{k+2} < 2*pi*2^k).
 Content at frequencies below the coarsest covered annulus is annihilated by
 design; `band_leakage` measures it rather than erroring.
 
-The level-k lattice has M = 2^{L+k} points per axis, step s = 2^{J-k}: `analyze`
-folds the filtered full-grid spectrum onto its M^n aliases (sum over the s
-copies) and inverts that small spectrum; `synthesize` tiles each level's small
-coefficient spectrum s times per axis (the comb's spectrum), filters by Psi_k
-and inverts the sum of all levels once.
+Phi_k and Psi_k vanish off |xi| < 2^{k+1}, i.e. off the centred index box
+|j| < M/pi < M/2 per axis with M = 2^{L+k}; `_box` gives that box's grid
+indices, in DFT order, so it is also the level-k lattice's M-point spectrum.
+The level-k lattice has M points per axis, step s = 2^{J-k}: `analyze` takes
+the filtered spectrum on the box (its s^n - 1 other aliases are exact zeros)
+and inverts that small spectrum; `synthesize` adds each level's small
+coefficient spectrum, filtered by Psi_k, onto the box and inverts the sum of
+all levels once.  A 2-D full-grid FFT whose spectrum is needed or nonzero
+only on a box skips the lines of one pass that miss it: the inverse
+transforms the box rows along axis 1 and then every column, the forward
+transform every row and then the box columns (`_ifftn_from_box`,
+`_fftn_on_box`).  1-D transforms are plain `np.fft` calls.
 """
 
 from __future__ import annotations
@@ -173,6 +180,33 @@ def _angular_frequencies(n: int, L: int, J: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _box(grid: Grid, k: int) -> np.ndarray:
+    """One axis of the level-k box: the centred min(2^{L+k}, N) frequencies, in DFT order."""
+    M = min(1 << (grid.L + k), grid.cells_per_axis)
+    out = np.fft.fftfreq(M, 1 / M).astype(int) % grid.cells_per_axis
+    out.flags.writeable = False
+    return out
+
+
+def _ifftn_from_box(spec: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """np.fft.ifftn(spec) for a spectrum that is 0 off `box` along axis 0."""
+    if spec.ndim == 1:
+        return np.fft.ifftn(spec)
+    rows = np.zeros(spec.shape, dtype=complex)
+    rows[box] = np.fft.ifft(spec[box], axis=1)
+    return np.fft.ifft(rows, axis=0)
+
+
+def _fftn_on_box(values: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """np.fft.fftn(values) on the columns `box` (axis 1); 0 on the other columns."""
+    if values.ndim == 1:
+        return np.fft.fftn(values)
+    out = np.zeros(values.shape, dtype=complex)
+    out[:, box] = np.fft.fft(np.fft.fft(values, axis=1)[:, box], axis=0)
+    return out
+
+
 def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
     """Construct the plateau/quotient pair on the grid's frequencies."""
     if not 0 < smoothing <= 1:
@@ -227,7 +261,7 @@ class BandSignal:
         spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
             int(mask.sum())
         )
-        return cls(grid, np.fft.ifftn(spec))
+        return cls(grid, _ifftn_from_box(spec, _box(grid, k_hi)))  # |xi| <= 2^{k_hi} lies in it
 
     def l2_norm(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.grid.cell_volume))
@@ -250,37 +284,38 @@ def _check_level_representable(grid: Grid, k: int):
 
 def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
             spec: np.ndarray | None = None) -> CoeffField:
-    """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m); `spec` = fftn(f.values) if known."""
+    """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m).
+
+    `spec` is fftn(f.values) if known; it is read only on the level-k_hi box.
+    """
     if fp.grid.shape != f.grid.shape or fp.grid.L != f.grid.L:
         raise LevelMismatchError("filter pair and signal live on different grids")
     k_lo, k_hi = levels
     grid = f.grid.with_levels(k_lo, k_hi)
-    spec = np.fft.fftn(f.values) if spec is None else spec
-    s_axes = tuple(range(0, 2 * grid.n, 2))  # of the (s, M) * n view
+    _check_level_representable(grid, k_hi)
+    spec = _fftn_on_box(f.values, _box(grid, k_hi)) if spec is None else spec
     entries = {}
     for k in range(k_lo, k_hi + 1):
-        _check_level_representable(grid, k)
-        shape = (grid.side_cells(k), grid.cubes_per_axis(k)) * grid.n
-        folded = (spec * fp.phi_multiplier(k)).reshape(shape).sum(axis=s_axes)  # Phi real
-        scale = 2.0 ** (-k * grid.n / 2.0) * (folded.size / spec.size)
-        entries[k] = scale * np.fft.ifftn(folded)
+        box = np.ix_(*[_box(grid, k)] * grid.n)
+        lattice = spec[box] * fp.phi_multiplier(k)[box]  # the lattice's spectrum; Phi real
+        scale = 2.0 ** (-k * grid.n / 2.0) * (lattice.size / spec.size)
+        entries[k] = scale * np.fft.ifftn(lattice)
     return CoeffField(grid, entries)
 
 
 def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
-    """sum_k sum_m lambda_{k,m} psi_{k,m}: tiled lattice spectra filtered by Psi_k, one ifftn."""
+    """sum_k sum_m lambda_{k,m} psi_{k,m}: lattice spectra times Psi_k on their boxes, one ifftn."""
     grid = lam.grid
     if fp.grid.shape != grid.shape or fp.grid.L != grid.L:
         raise LevelMismatchError("filter pair and coefficients live on different grids")
+    _check_level_representable(grid, grid.k_max)
     acc = np.zeros(grid.shape, dtype=complex)
-    s_axes = tuple(range(0, 2 * grid.n, 2))  # of the (s, M) * n view
     for k in lam.levels:
-        _check_level_representable(grid, k)
-        shape = (grid.side_cells(k), grid.cubes_per_axis(k)) * grid.n
-        tile = np.expand_dims(np.fft.fftn(lam.entries[k]), s_axes)  # the comb's spectrum
+        box = np.ix_(*[_box(grid, k)] * grid.n)
+        tile = np.fft.fftn(lam.entries[k])  # the comb's spectrum on the box
         tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
-        acc.reshape(shape)[...] += tile * fp.psi_multiplier(k).reshape(shape)
-    return BandSignal(grid, np.fft.ifftn(acc))
+        acc[box] += tile * fp.psi_multiplier(k)[box]
+    return BandSignal(grid, _ifftn_from_box(acc, _box(grid, grid.k_max)))
 
 
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
@@ -311,9 +346,15 @@ def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None
     """Yield (k, t_k |phi_k * f|) over `levels` (default w.levels); `spec` as in `analyze`."""
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
-    spec = np.fft.fftn(f.values) if spec is None else spec
-    for k in w.levels if levels is None else levels:
-        yield k, w.tk[k] * np.abs(np.fft.ifftn(spec * fp.phi_multiplier(k)))
+    grid = w.grid
+    levels = list(w.levels if levels is None else levels)
+    spec = _fftn_on_box(f.values, _box(grid, max(levels))) if spec is None else spec
+    filtered = np.zeros(grid.shape, dtype=complex)  # 0 off the current level's box
+    for k in levels:
+        box = np.ix_(*[_box(grid, k)] * grid.n)
+        filtered[box] = spec[box] * fp.phi_multiplier(k)[box]
+        yield k, w.tk[k] * np.abs(_ifftn_from_box(filtered, _box(grid, k)))
+        filtered[box] = 0.0
 
 
 def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
@@ -337,7 +378,7 @@ def F_inf_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, q: float) -> fl
 def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
                    q: float) -> tuple[float, float]:
     """(sequence norm of the analysis coefficients, function-space norm of f)."""
-    spec = np.fft.fftn(f.values)
+    spec = _fftn_on_box(f.values, _box(w.grid, w.grid.k_max))
     lam = analyze(f, fp, (w.grid.k_min, w.grid.k_max), spec)
     from .seqspace import f_pq_norm as _seq_norm
 

@@ -122,11 +122,20 @@ def _drop_header_n(base):
     base.with_suffix(".json").write_text(json.dumps(header))
 
 
+def _finer_level_file(base):
+    from tlw.dyadic import Grid, GridFunction
+    from tlw.io import save_grid_function
+
+    finer = Grid(n=1, L=1, J=6, k_min=0, k_max=3)  # the run grid has J = 5
+    save_grid_function(GridFunction.constant(finer, 1.0), base)
+
+
 BROKEN_LEVEL_FILE = {
     "header-not-json": lambda base: base.with_suffix(".json").write_text("{"),
     "header-without-n": _drop_header_n,
     "truncated-bin": lambda base: base.with_suffix(".bin").write_bytes(
         base.with_suffix(".bin").read_bytes()[:-8]),
+    "finer-grid": _finer_level_file,
 }
 
 
@@ -174,6 +183,7 @@ BROKEN_LEVEL_FILE = {
     ({"damaged": "header-not-json"}, "weights.file"),
     ({"damaged": "header-without-n"}, "weights.file"),
     ({"damaged": "truncated-bin"}, "weights.file"),
+    ({"damaged": "finer-grid"}, "weights.file"),
 ])
 def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
     bad = tmp_path / "bad.json"
@@ -398,6 +408,48 @@ def test_power_weights_pass_every_suite(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("grid", [
+    {"n": 1, "L": 2, "J": 6, "k_min": 0, "k_max": 3},
+    {"n": 2, "L": 2, "J": 3, "k_min": 0, "k_max": 2},
+], ids=["1d", "2d"])
+def test_grid_weights_from_a_fixture_pass_every_suite(tmp_path, grid):
+    # maximal and phitransform also run at J + 1, on the file's cells refined
+    base = tmp_path / "w"
+    assert main(["fixture", "random-ap", "--params", json.dumps({"grid": grid}),
+                 "-o", str(base)]) == 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(suite="all", grid=grid,
+                                               weights={"kind": "grid", "file": str(base)})))
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 0
+
+
+def test_formats_doc_example_config_parses():
+    from pathlib import Path
+
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    example = doc.split("## Experiment config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    assert ExperimentConfig.from_dict(json.loads(example)).suite == "all"
+
+
+def test_maximal_suite_computes_each_maximal_function_once(monkeypatch):
+    import hashlib
+
+    import tlw.cli as cli
+    import tlw.maximal as maximal_module
+
+    real = maximal_module.maximal
+    inputs = []
+
+    def counted(f, cfg):
+        inputs.append(hashlib.blake2b(f.values.tobytes()).digest())
+        return real(f, cfg)
+
+    monkeypatch.setattr(maximal_module, "maximal", counted)
+    monkeypatch.setattr(cli, "maximal", counted)
+    cli.suite_maximal(ExperimentConfig.from_dict(base_config(suite="maximal")))
+    assert inputs and len(inputs) == len(set(inputs))
 
 
 def test_lambda_star_deficit_fails_with_a_finite_value(tmp_path, monkeypatch):

@@ -110,3 +110,28 @@ def test_export_filter_csv(tmp_path):
     rows = (tmp_path / "filt.csv").read_text().strip().splitlines()
     assert rows[0] == "xi_abs,phi,psi"
     assert len(rows) == 1 + g.cells_per_axis // 2 + 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_weights_refine_a_coarser_file_piecewise_constantly(tmp_path, n):
+    coarse = Grid(n=n, L=1, J=2, k_min=0, k_max=1)
+    rng = np.random.default_rng(409)
+    w = WeightSequence(coarse, {k: rng.random(coarse.shape) + 0.5 for k in coarse.levels})
+    save_weight_sequence(w, tmp_path / "w")
+    fine = Grid(n=n, L=1, J=4, k_min=0, k_max=1)
+    got = weights_from_spec(fine, {"kind": "grid", "file": str(tmp_path / "w")})
+    block = np.ones((4,) * n)  # 2^{J - J_file} fine cells per axis in each file cell
+    for k in fine.levels:
+        assert np.array_equal(got.tk[k], np.kron(w.tk[k], block))
+    same = weights_from_spec(coarse, {"kind": "grid", "file": str(tmp_path / "w")})
+    assert all(np.array_equal(same.tk[k], w.tk[k]) for k in coarse.levels)
+
+
+@pytest.mark.parametrize("run_grid", [
+    Grid(1, 1, 1, 0, 1), Grid(1, 2, 3, 0, 1), Grid(2, 1, 3, 0, 1),
+], ids=["finer-file", "other-L", "other-n"])
+def test_grid_weights_on_another_grid_are_a_config_error(tmp_path, run_grid):
+    g = Grid(n=1, L=1, J=2, k_min=0, k_max=1)
+    save_weight_sequence(WeightSequence(g, {k: np.ones(g.shape) for k in g.levels}), tmp_path / "w")
+    with pytest.raises(ConfigError, match="weights.file"):
+        weights_from_spec(run_grid, {"kind": "grid", "file": str(tmp_path / "w")})

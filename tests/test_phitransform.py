@@ -11,6 +11,9 @@ from tlw.phitransform import (
     BandSignal,
     F_inf_norm,
     F_pq_norm,
+    _box,
+    _fftn_on_box,
+    _ifftn_from_box,
     analyze,
     band_leakage,
     build_filter_pair,
@@ -294,11 +297,21 @@ def test_grid_mismatch_rejected(fp1):
         analyze(f, fp1, (0, 2))
 
 
-class _RandomRealMultipliers:
-    """Filter-pair stand-in: random real multipliers per level on the whole grid.
+def box_mask(grid, k):
+    """The level-k box on the full grid: frequency index -M/2 <= j < M/2 per axis, M = 2^{L+k}."""
+    M = 2 ** (grid.L + k)
+    j = np.fft.fftfreq(grid.cells_per_axis, 1 / grid.cells_per_axis)
+    axis = (j >= -M / 2) & (j < M / 2)
+    return np.logical_and.reduce(np.meshgrid(*[axis] * grid.n, indexing="ij"))
 
-    Folding and tiling are exact for any real multiplier; unlike Phi_k, these
-    excite every lattice frequency, including the M = 1 lattice at k = -L.
+
+class _RandomRealMultipliers:
+    """Filter-pair stand-in: random real multipliers per level on the level's box, 0 off it.
+
+    Reading the lattice spectrum off the box, and adding onto it, is exact for
+    any real multiplier that vanishes off the level's box, as Phi_k and Psi_k
+    do; unlike them, these excite every lattice frequency, including the
+    M = 1 lattice at k = -L.
     """
 
     def __init__(self, grid, seed):
@@ -308,7 +321,9 @@ class _RandomRealMultipliers:
 
     def _draw(self, key):
         if key not in self._cache:
-            self._cache[key] = self._rng.standard_normal(self.grid.shape)
+            mask = box_mask(self.grid, key[1])
+            self._cache[key] = np.zeros(self.grid.shape)
+            self._cache[key][mask] = self._rng.standard_normal(int(mask.sum()))
         return self._cache[key]
 
     def phi_multiplier(self, k):
@@ -363,3 +378,68 @@ def test_frequency_mesh_is_built_once_per_grid_and_shared_read_only():
     a = BandSignal.random_band(g, np.random.default_rng(1), (0, 2))
     b = BandSignal.random_band(g.with_levels(0, 1), np.random.default_rng(1), (0, 2))
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n, L, J", [(1, 2, 6), (1, 3, 5), (2, 2, 4), (2, 3, 3)])
+@pytest.mark.parametrize("smoothing", [1.0, 0.5, 0.25])
+def test_level_multipliers_vanish_off_the_level_box(n, L, J, smoothing):
+    g = Grid(n=n, L=L, J=J, k_min=0, k_max=0)
+    fp = build_filter_pair(g, smoothing)
+    for k in range(-L, J + 1):
+        inside = np.zeros(g.shape, dtype=bool)
+        inside[np.ix_(*[_box(g, k)] * n)] = True
+        assert np.array_equal(inside, box_mask(g, k))
+        assert np.all(fp.phi_multiplier(k)[~inside] == 0.0)
+        assert np.all(fp.psi_multiplier(k)[~inside] == 0.0)
+
+
+@pytest.mark.parametrize("n, J", [(1, 5), (2, 3)])
+def test_box_ffts_equal_numpy_bit_for_bit(n, J):
+    g = Grid(n=n, L=2, J=J, k_min=0, k_max=0)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    for k in range(-g.L, g.J + 1):  # M = 1, 2, ..., N
+        box = _box(g, k)
+        rows = np.zeros(g.cells_per_axis, dtype=bool)
+        rows[box] = True
+        spec = x * rows.reshape((-1,) + (1,) * (n - 1))  # 0 off the box rows
+        assert _ifftn_from_box(spec, box).tobytes() == np.fft.ifftn(spec).tobytes()
+        cols = (slice(None),) * (n - 1) + (box,)
+        assert _fftn_on_box(x, box)[cols].tobytes() == np.fft.fftn(x)[cols].tobytes()
+
+
+@pytest.mark.parametrize("n, J", [(1, 5), (2, 3)])
+def test_random_band_accepts_levels_beyond_the_lattice_cap(n, J):
+    g = Grid(n=n, L=2, J=J, k_min=0, k_max=0)
+    got = BandSignal.random_band(g, np.random.default_rng(43), (1, J + 3)).values
+    rng = np.random.default_rng(43)
+    xi = np.sqrt(sum(m * m for m in np.meshgrid(
+        *[2.0 * np.pi * np.fft.fftfreq(g.cells_per_axis, d=g.h)] * n, indexing="ij")))
+    mask = (xi >= 2.0) & (xi <= 2.0 ** (J + 3))
+    spec = np.zeros(g.shape, dtype=complex)
+    spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
+    assert np.array_equal(got, np.fft.ifftn(spec))
+
+
+def test_transfer_check_2d_line_transform_points_within_budget(monkeypatch):
+    # A line transform of size N costs N points: n * size for an n-D *fftn
+    # call, size for a 1-D fft/ifft call.  Full-grid 2-D transforms with a
+    # pass on every line count 2 N^2 each (166,560 points on this grid).
+    g = Grid(n=2, L=2, J=5, k_min=0, k_max=3)
+    fp = build_filter_pair(g)
+    w = exp2_weights(g, 0.3)
+    f = BandSignal.random_band(g, np.random.default_rng(5), (0, 3))
+    points = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(a, *args, _real=getattr(np.fft, name), _lines=g.n if name.endswith("n") else 1,
+                    **kwargs):
+            points.append(_lines * np.size(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    transfer_check(f, fp, w, 2.0, 2.0)
+    N, boxes = g.cells_per_axis, [2 ** (g.L + k) for k in w.levels]
+    budget = ((N + boxes[-1]) * N  # the spectrum: every row, then the k_max box's columns
+              + sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
+              + sum((M + N) * N for M in boxes))  # the level inverses: box rows, then columns
+    assert sum(points) <= budget == 96_416
