@@ -223,12 +223,16 @@ def block_reduce(cells: np.ndarray, f: int, how: str = "sum", p: float = 1.0) ->
     return means if p == 1 else means ** (1.0 / p)
 
 
+def cube_major_view(cells: np.ndarray, f: int) -> np.ndarray:
+    """(cubes..., f, ..., f) view of cells whose writes reach cells; `cube_major` flattens it."""
+    n = cells.ndim
+    return _cube_blocks(cells, f).transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+
+
 def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
     """(cubes..., f**n) copy of cells, one row per level cube; for order-free per-cube work."""
-    blocks = _cube_blocks(cells, f)
-    n = cells.ndim
-    rows = blocks.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-    return rows.reshape(*blocks.shape[0::2], -1)
+    rows = cube_major_view(cells, f)
+    return rows.reshape(*rows.shape[:cells.ndim], -1)
 
 
 def localized_sup(grid: Grid, summands, cube_value=None, suffix: dict | None = None):

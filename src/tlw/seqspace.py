@@ -19,6 +19,7 @@ the domain cube dominates anything coarser).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .dyadic import (
     block_reduce,
     broadcast_cubes,
     cube_major,
+    cube_major_view,
     expand_level_array,
     first_max,
     localized_sup,
@@ -131,7 +133,7 @@ def _cubeavg_summands(lam: CoeffField, w: WeightSequence, q: float):
     """(k, 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_{k,m}|^q chi_{k,m}(x)), finest level first."""
     grid, buf = lam.grid, np.empty(lam.grid.shape)
     for k in reversed(lam.levels):
-        tq_int = block_reduce(w.power(k, q, buf), grid.side_cells(k)) * grid.cell_volume
+        tq_int = w.cube_integral(k, q)
         per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
         yield k, expand_level_array(grid, k, per_cube, buf)
 
@@ -194,11 +196,10 @@ def lambda_star(lam: CoeffField, r: float, d: float) -> CoeffField:
     out = {}
     for k in lam.levels:
         amp = np.abs(lam.entries[k])
-        kernel = _distance_kernel(grid.level_shape(k), d)
         if r == INF:
-            out[k] = _max_conv(amp, kernel)
+            out[k] = _max_conv(amp, _distance_kernel(grid.level_shape(k), d))
         else:
-            conv = _fft_full_conv(amp**r, kernel)
+            conv = _fft_full_conv(amp**r, _kernel_spectrum(grid.level_shape(k), d))
             out[k] = np.maximum(conv, amp**r) ** (1.0 / r)
     return CoeffField(grid, out)
 
@@ -210,13 +211,21 @@ def _distance_kernel(shape: tuple[int, ...], d: float) -> np.ndarray:
     return (1.0 + dist) ** (-d)
 
 
-def _fft_full_conv(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _kernel_spectrum(shape: tuple[int, ...], d: float) -> np.ndarray:
+    """rfftn of `_distance_kernel(shape, d)` at the full convolution size; read-only, shared."""
+    full = tuple(3 * s - 2 for s in shape)
+    out = np.fft.rfftn(_distance_kernel(shape, d), full, axes=tuple(range(len(shape))))
+    out.flags.writeable = False
+    return out
+
+
+def _fft_full_conv(a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """(a * kernel)[m] = sum_h a[h] kernel[m - h + off], off = shape-1 per axis."""
-    full = tuple(sa + sk - 1 for sa, sk in zip(a.shape, kernel.shape))
+    full = tuple(3 * s - 2 for s in a.shape)
     axes = tuple(range(a.ndim))
     fa = np.fft.rfftn(a, full, axes=axes)
-    fk = np.fft.rfftn(kernel, full, axes=axes)
-    conv = np.fft.irfftn(fa * fk, full, axes=axes)
+    conv = np.fft.irfftn(fa * spectrum, full, axes=axes)
     sl = tuple(slice(s - 1, 2 * s - 1) for s in a.shape)
     return np.maximum(conv[sl], 0.0)
 
@@ -355,19 +364,25 @@ class RestrictionSets:
     @classmethod
     def random(cls, grid: Grid, keep_fraction: float, rng: np.random.Generator,
                fraction: float = 0.5) -> "RestrictionSets":
-        """Keep floor(keep_fraction * N) + 1 random cells per cube (strictly above).
+        """Keep keep = min(floor(keep_fraction * N) + 1, N) random cells per N-cell cube.
 
-        One draw per level: each cube keeps the cells holding its `keep`
-        smallest uniform keys, a uniformly random subset.
+        One draw of uniform keys per level, a row of N per cube in `cube_major`
+        order; each cube keeps the cells whose key is at most its keep-th
+        smallest.  Only a tie at that threshold (probability about N / 2^53
+        per cube) keeps more than `keep` cells.
         """
+        if not 0 <= keep_fraction <= 1:
+            raise ValueError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
         masks = {}
-        cell_ids = np.arange(math.prod(grid.shape)).reshape(grid.shape)
         for k in grid.levels:
-            cells = cube_major(cell_ids, grid.side_cells(k))
-            keep = min(int(keep_fraction * cells.shape[-1]) + 1, cells.shape[-1])
-            chosen = np.argpartition(rng.random(cells.shape), keep - 1, axis=-1)[..., :keep]
-            masks[k] = np.zeros(grid.shape, dtype=bool)
-            masks[k].flat[np.take_along_axis(cells, chosen, axis=-1)] = True
+            f = grid.side_cells(k)
+            keep = min(int(keep_fraction * f**grid.n) + 1, f**grid.n)
+            keys = rng.random((*grid.level_shape(k), f**grid.n))
+            kth = np.partition(keys, keep - 1, axis=-1)[..., keep - 1]
+            masks[k] = np.empty(grid.shape, dtype=bool)
+            cells = cube_major_view(masks[k], f)  # writes reach masks[k]
+            np.less_equal(keys.reshape(cells.shape), kth.reshape(kth.shape + (1,) * grid.n),
+                          out=cells)
         return cls(grid, masks, fraction)
 
     @classmethod
@@ -396,7 +411,9 @@ class RestrictionSets:
             )
         suffix = {}
         m = m_fun(lam, w, q, 4, suffix).values
-        return cls(grid, {k: t ** (1.0 / q) <= m for k, t in suffix.items()}, fraction)
+        for t in suffix.values():
+            t **= 1.0 / q  # in place; like `**`, it takes numpy's sqrt path at q = 2
+        return cls(grid, {k: t <= m for k, t in suffix.items()}, fraction)
 
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels."""

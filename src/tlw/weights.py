@@ -54,11 +54,14 @@ class WeightSequence:
         for k in grid.levels:
             if k not in tk:
                 raise LevelMismatchError(f"missing weight for level {k}")
-            a = np.asarray(tk[k], dtype=float)
+            a = np.asarray(tk[k], dtype=float).view()
             if a.shape != grid.shape:
                 raise LevelMismatchError(f"t_{k} has shape {a.shape}, grid is {grid.shape}")
             _require_positive(a, f"t_{k}")
+            a.flags.writeable = False  # a memoised cube integral cannot go stale
             self.tk[k] = a
+        # int_Q t_k^r and int_Q t_k^{-r} per (k, r); the second serves `reciprocal()`
+        self._integrals, self._reciprocal_integrals = {}, {}
 
     @property
     def levels(self) -> range:
@@ -98,20 +101,30 @@ class WeightSequence:
         grid = self.grid.with_levels(levels.start, levels.stop - 1)
         return WeightSequence(grid, out, self.meta)
 
+    def cube_integral(self, k: int, r: float) -> np.ndarray:
+        """int_Q t_k^r per level-k cube Q, computed once per (k, r) and kept read-only."""
+        if (k, r) not in self._integrals:
+            t_r = self.power(k, r, np.empty(self.grid.shape))
+            out = block_reduce(t_r, self.grid.side_cells(k)) * self.grid.cell_volume
+            out.flags.writeable = False
+            self._integrals[k, r] = out
+        return self._integrals[k, r]
+
     def cube_norm(self, k: int, r: float) -> np.ndarray:
         """(int_Q t_k^r)^{1/r} per level-k cube Q (r may be negative)."""
-        sums = block_reduce(self.power(k, r, np.empty(self.grid.shape)), self.grid.side_cells(k))
-        return (sums * self.grid.cell_volume) ** (1.0 / r)
+        return self.cube_integral(k, r) ** (1.0 / r)
 
 
 class _Reciprocal(WeightSequence):
     """1/t_k of a base sequence, never stored: the kernels read it through `power` into
-    buffers they own, and `tk` computes every level anew on each access."""
+    buffers they own, and `tk` computes every level anew on each access.  Its cube
+    integrals are kept on the base, which holds no reference back to it (no cycle)."""
 
     def __init__(self, base: WeightSequence):
         if min(float(v.min()) for v in base.tk.values()) < 1.0 / np.finfo(float).max:
             raise PositivityError("a weight is so small that its reciprocal overflows")
         self.grid, self._base = base.grid, base
+        self._integrals, self._reciprocal_integrals = base._reciprocal_integrals, {}
         self.meta = WeightMeta(p=base.meta.p, kind=f"reciprocal({base.meta.kind})",
                                params=dict(base.meta.params))
 

@@ -250,6 +250,24 @@ def naive_restricted_norm(entries, tk, masks, grid, q):
     return best ** (1.0 / q)
 
 
+def naive_random_restriction(grid, keep_fraction, rng):
+    """Masks of `RestrictionSets.random` by a loop over cubes: the same per-level keys,
+    row j of a cube being its j-th cell in row-major order within the cube, and the
+    `keep` smallest keys of each row chosen by a full argsort."""
+    masks = {}
+    for k in grid.levels:
+        f = 2 ** (grid.J - k)
+        n_cells = f**grid.n
+        keep = min(math.floor(keep_fraction * n_cells) + 1, n_cells)
+        keys = rng.random(grid.level_shape(k) + (n_cells,))
+        offsets = list(itertools.product(range(f), repeat=grid.n))
+        masks[k] = np.zeros(grid.shape, dtype=bool)
+        for m in itertools.product(range(grid.cubes_per_axis(k)), repeat=grid.n):
+            for j in np.argsort(keys[m], kind="stable")[:keep]:
+                masks[k][tuple(mi * f + o for mi, o in zip(m, offsets[j]))] = True
+    return masks
+
+
 def naive_m_fun(entries, tk, grid, q, k_min, k_max, min_cells=4):
     """Pointwise sup of the quartile threshold over containing cubes."""
     out = np.zeros(grid.shape)

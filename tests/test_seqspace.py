@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlw.dyadic import DyadicCube, Grid, cubes_at_level
+from tlw.dyadic import DyadicCube, Grid, block_reduce, cubes_at_level
 from tlw.errors import (
     LevelMismatchError,
     LevelRangeError,
@@ -658,3 +658,23 @@ def test_random_restriction_keeps_exact_count_per_cube(case, keep_fraction):
             cells = [c for c in oracles.cell_iter(g)
                      if oracles.cell_in_cube(g, c, cube.level, cube.index)]
             assert sum(bool(E.masks[k][c]) for c in cells) == keep
+
+
+@pytest.mark.parametrize("keep_fraction", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("g", [Grid(1, 2, 6, 0, 4), Grid(2, 1, 4, 0, 3)], ids=["1d", "2d"])
+def test_random_restriction_equals_per_cube_argsort_oracle(g, keep_fraction):
+    rng, oracle_rng = np.random.default_rng(557), np.random.default_rng(557)
+    E = RestrictionSets.random(g, keep_fraction, rng, fraction=0.01)
+    want = oracles.naive_random_restriction(g, keep_fraction, oracle_rng)
+    for k in g.levels:
+        assert np.array_equal(E.masks[k], want[k]), k
+        f = g.side_cells(k)
+        keep = min(math.floor(keep_fraction * f**g.n) + 1, f**g.n)
+        assert np.all(block_reduce(E.masks[k], f) == keep), k
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("keep_fraction", [-0.5, 1.5, math.nan])
+def test_random_restriction_rejects_keep_fraction_outside_unit_interval(keep_fraction):
+    with pytest.raises(ValueError, match="keep_fraction"):
+        RestrictionSets.random(Grid(1, 2, 6, 0, 3), keep_fraction, np.random.default_rng(0))

@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlw.dyadic import DyadicCube, Grid, GridFunction, cubes_at_level
+from tlw.dyadic import DyadicCube, Grid, GridFunction, block_reduce, cubes_at_level
 from tlw.errors import LevelRangeError, PositivityError
 from tlw.weights import (
     WeightSequence,
@@ -370,3 +372,41 @@ def test_reciprocal_refuses_a_weight_whose_reciprocal_overflows():
     tk[g.k_max][0] = 1e-309  # positive and finite, but 1/t is inf
     with pytest.raises(PositivityError):
         WeightSequence(g, tk).reciprocal()
+
+
+def fresh_cube_integral(w, k, r):
+    g = w.grid
+    return block_reduce(w.power(k, r, np.empty(g.shape)), g.side_cells(k)) * g.cell_volume
+
+
+@pytest.mark.parametrize("g", [grid1(), Grid(2, 1, 3, 0, 2)], ids=["1d", "2d"])
+def test_cube_integrals_are_memoised_read_only_and_kept_apart_from_the_reciprocal(g):
+    w = random_ap_weights(g, 0.8, np.random.default_rng(41))
+    for k in w.levels:
+        inv = w.reciprocal().cube_integral(k, 2.0)  # first, so a shared cache would hand it back
+        got = w.cube_integral(k, 2.0)
+        assert got is w.cube_integral(k, 2.0)
+        assert inv is w.reciprocal().cube_integral(k, 2.0)
+        assert np.array_equal(got, fresh_cube_integral(w, k, 2.0))
+        assert np.array_equal(inv, fresh_cube_integral(w.reciprocal(), k, 2.0))
+        assert not np.array_equal(got, inv)
+        assert np.array_equal(w.cube_integral(k, -1.5), fresh_cube_integral(w, k, -1.5))
+        assert not (got.flags.writeable or inv.flags.writeable or w.tk[k].flags.writeable)
+        assert np.array_equal(w.cube_norm(k, 2.0), got ** 0.5)
+
+
+def test_weights_stay_free_of_reference_cycles_after_reciprocal_integrals():
+    g = grid1()
+    tk = {k: np.full(g.shape, 2.0) for k in g.levels}
+    enabled = gc.isenabled()
+    gc.disable()  # so only reference counting can free w
+    try:
+        w = WeightSequence(g, tk)
+        w.reciprocal().cube_norm(g.k_max, 2.0)
+        ref = weakref.ref(w)
+        del w
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert tk[g.k_min].flags.writeable  # the caller's arrays are left writable
