@@ -375,7 +375,7 @@ def suite_duality(config: ExperimentConfig) -> list[dict]:
     norm = f_inf_norm(lam, w, q)
     lower = localized_pairing(lam, s.scale(1.0 / c)) / max(norm, 1e-300)
     checks.append(_record("extremal_lower_constant", [lower], J=grid.J))
-    # `conjugate_norm(lam, w, q)` is this same pairing, so one value carries both names.
+    # The conjugate-norm lower bound over the plain norm is this same ratio: one value, two names.
     checks.append(_record("conjugate_norm_over_plain", [lower], J=grid.J))
     dp = []
     P = DyadicCube(-grid.L, (0,) * grid.n)
@@ -521,12 +521,18 @@ def fixture(kind: str, params: dict, seed: int, out_base: str | Path):
         save_grid_function(GridFunction(grid, sig.values), out_base)
 
 
-def _read_json(path: str, field: str):
-    """The parsed JSON file; an unreadable or malformed file raises ConfigError naming `field`."""
+def _read_json(path: str, field: str, parse_constant=None):
+    """The parsed JSON file; an unreadable or malformed file raises ConfigError naming `field`.
+
+    Reports are strict JSON, read with `_no_constant`; a config's NaN reaches its field check."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_constant=parse_constant)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{field}: cannot read {path}: {exc}") from None
+
+
+def _no_constant(token: str):  # json.loads calls it on NaN, Infinity and -Infinity
+    raise ValueError(f"{token} is not strict JSON")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -584,12 +590,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"fixture written to {args.output}")
             return 0
         if args.command == "report":
-            raw = _read_json(args.input, "input")
+            raw = _read_json(args.input, "input", parse_constant=_no_constant)
             for key in ("suite", "checks", "provenance"):
                 if not isinstance(raw, dict) or key not in raw:
                     raise ConfigError(f"{key}: missing from the report {args.input}")
-            report = ReportRecord(suite=raw["suite"], checks=raw["checks"],
-                                  provenance=raw["provenance"])
+            checks = raw["checks"]
+            if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
+                raise ConfigError(f"checks: not a list of objects in the report {args.input}")
+            report = ReportRecord(suite=raw["suite"], checks=checks, provenance=raw["provenance"])
             emit(report, args.format, args.output)
             print(f"report written to {args.output}")
             return 0

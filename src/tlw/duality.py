@@ -1,8 +1,8 @@
 """Pairings, Hoelder sandwiches, the explicit extremal sequence, and the D_P field.
 
-The dual-norm supremum is never optimized globally: it is lower-bounded by the
-constructed extremal sequence and upper-bounded by the Hoelder inequality, and
-both bounds are reported.
+The dual norm is bounded, not computed: `localized_pairing` with the extremal
+sequence scaled to unit `star_constraint_norm` bounds it from below, and the
+Hoelder checks bound it from above.
 On the truncated lattice the pairing matrix is the identity, so the
 "every functional arises this way" direction reduces to coordinate
 round-tripping.
@@ -156,15 +156,6 @@ def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
     summands = ((k, expand_level_array(grid, k, lam.entries[k] * s.entries[k], buf))
                 for k in reversed(lam.levels))
     return first_max(localized_sup(grid, summands, abs_mean))[0]
-
-
-def conjugate_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
-    """Lower bound of the conjugate norm: the pairing with the normalised extremal sequence."""
-    if lam.max_abs() == 0.0:
-        return 0.0
-    s = extremal_sequence(lam, w, q)
-    c = star_constraint_norm(s, w, q)
-    return localized_pairing(lam, s.scale(1.0 / c))
 
 
 def d_p_sequence(kappa: CoeffField, P: DyadicCube) -> CoeffField:

@@ -235,15 +235,16 @@ def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
     return rows.reshape(*rows.shape[:cells.ndim], -1)
 
 
-def localized_sup(grid: Grid, summands, cube_value=None, suffix: dict | None = None):
+def localized_sup(grid: Grid, summands, cube_value=None):
     """cube_value on the localized sum of every dyadic P (levels -L..top summand level).
 
     `summands` yields (k, u_k) finest level first and may refill one buffer.
     The localized sum of P is T_j = sum_{k >= j} u_k at j = max(k_P, lowest
-    summand level), accumulated in place.  cube_value(level, T) gives one value
-    per level cube (default: the mean of T over the cube), or None to leave the
-    level out.  Returns each level kept mapped to its cube values, so
-    `first_max` of it is the sup over P; a `suffix` dict receives a copy of T_j.
+    summand level), accumulated in place in one buffer.  cube_value(level, T)
+    may return any per-level array (default: the mean of T over each level
+    cube), or None to leave the level out; T is overwritten by the next
+    level, so it must not be kept.  Returns each level kept mapped to its
+    array; for one value per cube, `first_max` of it is the sup over P.
     """
     if cube_value is None:
         def cube_value(lev, tail):
@@ -253,8 +254,6 @@ def localized_sup(grid: Grid, summands, cube_value=None, suffix: dict | None = N
         acc = np.zeros_like(u) if acc is None else acc
         acc += u
         levels[k] = cube_value(k, acc)
-        if suffix is not None:
-            suffix[k] = acc.copy()
     for lev in range(-grid.L, k):  # coarser than every summand: T of the lowest level
         levels[lev] = cube_value(lev, acc)
     return {lev: levels[lev] for lev in sorted(levels) if levels[lev] is not None}

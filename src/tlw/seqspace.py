@@ -288,12 +288,12 @@ def m_p(lam: CoeffField, w: WeightSequence, q: float, P: DyadicCube) -> float:
     return float(kth)
 
 
-def m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4,
-               suffix: dict | None = None) -> dict[int, np.ndarray]:
+def m_p_levels(lam: CoeffField, w: WeightSequence, q: float,
+               min_cells: int = 4) -> dict[int, np.ndarray]:
     """m_P of every dyadic P (levels -L..k_max) with at least `min_cells` cells.
 
-    Returns each level kept mapped to its m_P values, equal to `m_p` cube by
-    cube up to the summation order of G_P; `suffix` as in `localized_sup`.
+    One `localized_sup` sweep; returns each level kept mapped to its m_P
+    values, equal to `m_p` cube by cube up to the summation order of G_P.
     """
     _check_pair(lam, w)
     grid = lam.grid
@@ -306,20 +306,18 @@ def m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4,
         return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
 
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-    return localized_sup(grid, summands, quartile, suffix)
+    return localized_sup(grid, summands, quartile)
 
 
-def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4,
-          suffix: dict | None = None) -> GridFunction:
+def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4) -> GridFunction:
     """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max).
 
     Cubes with fewer than `min_cells` cells are outside the m_P resolution and
     are skipped; pass min_cells=1 to extend the quartile rule down to single
-    cells (there it degenerates to the plain maximum over the cube).  `suffix`
-    is filled as in `m_p_levels`.
+    cells (there it degenerates to the plain maximum over the cube).
     """
     best = np.zeros(lam.grid.shape)
-    for vals in m_p_levels(lam, w, q, min_cells, suffix).values():
+    for vals in m_p_levels(lam, w, q, min_cells).values():
         blocks, m = broadcast_cubes(best, vals)
         np.maximum(blocks, m, out=blocks)
     return GridFunction(lam.grid, best)
@@ -341,6 +339,7 @@ class RestrictionSets:
         self.grid = grid
         self.fraction = fraction
         self.masks: dict[int, np.ndarray] = {}
+        self._min_fraction = 1.0
         for k in grid.levels:
             if k not in masks:
                 raise LevelMismatchError(f"missing restriction mask for level {k}")
@@ -356,6 +355,7 @@ class RestrictionSets:
                     f"{cells_per_cube} cells in some cube; need > {fraction:.3g} fraction"
                 )
             self.masks[k] = mask
+            self._min_fraction = min(self._min_fraction, float(counts.min()) / cells_per_cube)
 
     @classmethod
     def full(cls, grid: Grid, fraction: float = 0.5) -> "RestrictionSets":
@@ -402,27 +402,27 @@ class RestrictionSets:
     @classmethod
     def from_m_fun(cls, lam: CoeffField, w: WeightSequence, q: float,
                    fraction: float = 0.5) -> "RestrictionSets":
-        """E_Q = {x in Q : G_Q(x) <= m(x)} per cube; guarantees |E_Q| >= 3|Q|/4."""
+        """E_Q = {x in Q : G_Q(x) <= m(x)} per cube; guarantees |E_Q| >= 3|Q|/4.
+
+        m needs a whole `m_fun` sweep; a second sweep then tests each level's G_Q against it.
+        """
         grid = lam.grid
         if grid.side_cells(grid.k_max) ** grid.n < 4:
             raise ResolutionError(
                 "finest coefficient cubes have fewer than 4 cells; the quartile "
                 "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
             )
-        suffix = {}
-        m = m_fun(lam, w, q, 4, suffix).values
-        for t in suffix.values():
-            t **= 1.0 / q  # in place; like `**`, it takes numpy's sqrt path at q = 2
-        return cls(grid, {k: t <= m for k, t in suffix.items()}, fraction)
+        m = m_fun(lam, w, q).values
+
+        def below_m(lev, tail):  # m_P's own `** (1/q)`: the quartile cell compares equal to it
+            return tail ** (1.0 / q) <= m if lev >= grid.k_min else None
+
+        summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
+        return cls(grid, localized_sup(grid, summands, below_m), fraction)
 
     def min_fraction(self) -> float:
-        """Smallest |E_Q|/|Q| over all cubes and levels."""
-        worst = 1.0
-        for k, mask in self.masks.items():
-            cells_per_cube = self.grid.side_cells(k) ** self.grid.n
-            counts = block_reduce(mask, self.grid.side_cells(k))
-            worst = min(worst, float(counts.min()) / cells_per_cube)
-        return worst
+        """Smallest |E_Q|/|Q| over all cubes and levels, as counted at construction."""
+        return self._min_fraction
 
 
 def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,

@@ -91,18 +91,39 @@ def test_restricted_norms_equal_expand_then_sum(case):
         assert restricted_sup_norm(lam, w, q, E) == want
 
 
+def direct_and_reciprocal(w):
+    """(weights, their t_k) for w and for 1/w, the weights `hoelder_check_1q` builds E from."""
+    return (w, w.tk), (w.reciprocal(), {k: 1.0 / v for k, v in w.tk.items()})
+
+
 @pytest.mark.parametrize("min_cells", [1, 4])
-def test_m_p_levels_and_suffix_equal_expand_then_sum(case, min_cells):
+def test_m_p_levels_equal_expand_then_sum(case, min_cells):
     g, w, lam, _ = case
-    for weights_used, tk in ((w, w.tk), (w.reciprocal(), {k: 1.0 / v for k, v in w.tk.items()})):
-        want_levels, want_suffix = oracles.expanded_localized(
+    for weights_used, tk in direct_and_reciprocal(w):
+        want_levels, _ = oracles.expanded_localized(
             g, oracles.expanded_pointwise(lam, tk, 2.0), oracles.expanded_quartile(g, 2.0, min_cells))
-        suffix = {}
-        levels = m_p_levels(lam, weights_used, 2.0, min_cells, suffix)
+        levels = m_p_levels(lam, weights_used, 2.0, min_cells)
         assert list(levels) == list(want_levels)
         assert all(np.array_equal(levels[lev], want_levels[lev]) for lev in levels)
-        assert sorted(suffix) == sorted(want_suffix)
-        assert all(np.array_equal(suffix[k], want_suffix[k]) for k in suffix)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
+    # E_Q = {T_k^{1/q} <= m} with every suffix sum T_k and m from the expanded form
+    g, w, lam, _ = case
+    for weights_used, tk in direct_and_reciprocal(w):
+        m_levels, suffix = oracles.expanded_localized(
+            g, oracles.expanded_pointwise(lam, tk, q), oracles.expanded_quartile(g, q))
+        m = np.zeros(g.shape)
+        for lev, vals in m_levels.items():
+            np.maximum(m, expand_level_array(g, lev, vals), out=m)
+        E = RestrictionSets.from_m_fun(lam, weights_used, q)
+        assert sorted(E.masks) == sorted(suffix) == list(g.levels)
+        for k, t in suffix.items():
+            assert np.array_equal(E.masks[k], t ** (1.0 / q) <= m), k
+        recount = min(float(block_reduce(E.masks[k], g.side_cells(k)).min())
+                      / g.side_cells(k) ** g.n for k in g.levels)
+        assert E.min_fraction() == recount >= 0.75
 
 
 def test_localized_pairing_equals_expand_then_sum(case):
@@ -173,3 +194,14 @@ def test_sequence_norms_stay_within_four_full_grid_arrays(k_max):
     array_bytes = np.zeros(g.shape).nbytes
     peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
     assert all(peak <= BUDGET_ARRAYS for peak in peaks.values()), peaks
+
+
+def test_restriction_sets_from_m_fun_stay_within_seven_full_grid_arrays():
+    # m, the summand buffer, the suffix sum, one T_k^{1/q} and a bool mask per level
+    # (an eighth of an array each); a copy of every suffix sum would add one per level
+    g = Grid(1, 2, 13, 0, 9)
+    rng = np.random.default_rng(8)
+    w_inv = random_ap_weights(g, 0.5, rng).reciprocal()
+    lam = CoeffField.random(g, rng)
+    peak = traced_peak(RestrictionSets.from_m_fun, lam, w_inv, 2.0) / np.zeros(g.shape).nbytes
+    assert peak <= 7, peak

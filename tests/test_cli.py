@@ -184,15 +184,28 @@ BROKEN_LEVEL_FILE = {
     ({"damaged": "header-without-n"}, "weights.file"),
     ({"damaged": "truncated-bin"}, "weights.file"),
     ({"damaged": "finer-grid"}, "weights.file"),
+    # (tlw command line, the report BAD holds): checks that are not objects, and
+    # non-standard constants, which no strict JSON report holds
+    ((["report", "-i", "BAD", "--format", "csv"],
+      '{"suite": "all", "checks": [1], "provenance": {}}'), "checks"),
+    ((["report", "-i", "BAD", "--format", "csv"],
+      '{"suite": "all", "checks": {"name": "x"}, "provenance": {}}'), "checks"),
+    ((["report", "-i", "BAD", "--format", "json"],
+      '{"suite": "all", "checks": [{"value": NaN}], "provenance": {}}'), "input"),
+    ((["report", "-i", "BAD", "--format", "json"],
+      '{"suite": "all", "checks": [], "provenance": {"t": -Infinity}}'), "input"),
 ])
 def test_bad_config_exits_64_naming_the_field(tmp_path, capsys, over, field):
     bad = tmp_path / "bad.json"
+    report = json.dumps({"checks": [], "provenance": {}})  # a report without its `suite`
+    if isinstance(over, tuple):
+        over, report = over
     if isinstance(over, dict) and "damaged" in over:  # grid weights, level-0 file damaged
         fixture("random-ap", {"grid": base_config()["grid"]}, 0, tmp_path / "w")
         BROKEN_LEVEL_FILE[over["damaged"]](tmp_path / "w_k0")
         over = {"weights": {"kind": "grid", "file": str(tmp_path / "w")}}
     if isinstance(over, list):
-        bad.write_text(json.dumps({"checks": [], "provenance": {}}))
+        bad.write_text(report)
         argv = [str(bad) if a == "BAD" else a for a in over]
         argv += [] if "-o" in argv else ["-o", str(tmp_path / "w")]
     else:
