@@ -146,16 +146,16 @@ def localized_pairing(lam: CoeffField, s: CoeffField) -> float:
     """sup over dyadic P of |(1/|P|) int_P sum_{k >= k_P} sum_m lam s chi_{k,m}|."""
     if s.grid != lam.grid:
         raise LevelMismatchError("fields live on different lattices")
-    grid = lam.grid
+    lattice = lam.grid.lattice()  # the summands are constant on level-k_max cubes
 
     def abs_mean(lev, tail):  # parts summed apart: a complex block sum rounds differently
-        f = grid.side_cells(lev)
+        f = lattice.side_cells(lev)
         return np.abs(block_reduce(tail.real, f, "mean") + 1j * block_reduce(tail.imag, f, "mean"))
 
-    buf = np.empty(grid.shape, dtype=complex)
-    summands = ((k, expand_level_array(grid, k, lam.entries[k] * s.entries[k], buf))
+    buf = np.empty(lattice.shape, dtype=complex)
+    summands = ((k, expand_level_array(lattice, k, lam.entries[k] * s.entries[k], buf))
                 for k in reversed(lam.levels))
-    return first_max(localized_sup(grid, summands, abs_mean))[0]
+    return first_max(localized_sup(lattice, summands, abs_mean))[0]
 
 
 def d_p_sequence(kappa: CoeffField, P: DyadicCube) -> CoeffField:

@@ -108,6 +108,11 @@ class Grid:
     def with_levels(self, k_min: int, k_max: int) -> "Grid":
         return Grid(self.n, self.L, self.J, k_min, k_max)
 
+    def lattice(self) -> "Grid":
+        """The grid whose cells are the level-k_max cubes (same level range): it carries
+        any field constant on those cubes exactly, with 2^{(J-k_max)n} times fewer cells."""
+        return Grid(self.n, self.L, self.k_max, self.k_min, self.k_max)
+
     def contains_cube(self, cube: DyadicCube) -> bool:
         if cube.n != self.n:
             return False

@@ -15,6 +15,12 @@ Every sup over P sweeps all dyadic cubes with level in [-L, k_max], one array
 per level, and takes the largest value with `dyadic.first_max`; on the
 truncated model this is the exact supremum (larger cubes cannot appear, and
 the domain cube dominates anything coarser).
+
+Norms with pointwise weights (`f_pq_norm` with p != q, `f_inf_norm`, the
+restricted norms, `g_p`, `m_p_levels`, `m_fun`) sweep the finest cells, where
+t_k varies.  `f_pq_norm_star` and `f_inf_norm_cubeavg`, whose summands are
+constant on level cubes, sweep `Grid.lattice()` (the level-k_max cubes), and
+`f_pq_norm` with p = q reads only the cube integrals of t_k^p.
 """
 
 from __future__ import annotations
@@ -129,41 +135,43 @@ def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, ma
         yield k, buf
 
 
-def _cubeavg_summands(lam: CoeffField, w: WeightSequence, q: float):
-    """(k, 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_{k,m}|^q chi_{k,m}(x)), finest level first."""
-    grid, buf = lam.grid, np.empty(lam.grid.shape)
-    for k in reversed(lam.levels):
-        tq_int = w.cube_integral(k, q)
-        per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
-        yield k, expand_level_array(grid, k, per_cube, buf)
-
-
 def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
     """The mixed quasi-norm || (sum_k sum_m 2^{knq/2} t_k^q |l_km|^q chi)^{1/q} ||_{L_p}.
 
     q = inf takes the sup over levels of the summand (usual modification).
+    For p = q the norm is a weighted l_p sum, (sum_{k,m} 2^{knp/2} |l_km|^p
+    int_Q t_k^p)^{1/p}, read from the memoised cube integrals without
+    touching the cells; every other (p, q) sums t_k^q |l_km|^q cell by cell.
     """
     _check_pair(lam, w)
     if not 0 < p < INF:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
+    if p == q:
+        n = lam.grid.n
+        total = sum(float(((2.0 ** (k * n * p / 2.0)) * np.abs(lam.entries[k]) ** p
+                           * w.cube_integral(k, p)).sum()) for k in lam.levels)
+        return total ** (1.0 / p)
     terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels))
     return lp_lq_norm(lam.grid, terms, p, q)
 
 
 def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
                    delta: float = 1.0) -> float:
-    """Equivalent quasi-norm with cube-integrated weights t_{k,m,dp} in place of t_k."""
+    """Equivalent quasi-norm with cube-integrated weights t_{k,m,dp} in place of t_k.
+
+    The summands are constant on level cubes, so the norm runs on `Grid.lattice()`.
+    """
     _check_pair(lam, w)
     if not 0 < delta <= 1:
         raise LevelRangeError(f"delta must be in (0, 1], got {delta}")
     if not 0 < p < INF or not 0 < q < INF:
         raise LevelRangeError("star norm needs finite positive p and q")
-    grid = lam.grid
+    lattice = lam.grid.lattice()
     dp = delta * p
-    terms = (expand_level_array(grid, k, 2.0 ** (k * grid.n * q * (0.5 + 1.0 / dp))
+    terms = (expand_level_array(lattice, k, 2.0 ** (k * lattice.n * q * (0.5 + 1.0 / dp))
                                 * w.cube_norm(k, dp) ** q * np.abs(lam.entries[k]) ** q)
              for k in lam.levels)
-    return lp_lq_norm(grid, terms, p, q)
+    return lp_lq_norm(lattice, terms, p, q)
 
 
 def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -176,11 +184,20 @@ def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
 
 
 def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
-    """The cube-averaged rewriting; equals f_inf_norm exactly on the grid."""
+    """The cube-averaged rewriting; equals f_inf_norm exactly on the grid.
+
+    Its summands 2^{knq(1/2+1/q)} (int_Q t_k^q) |l_km|^q chi_{k,m} are constant
+    on level cubes, so the sweep runs on `Grid.lattice()`, not on the cells.
+    """
     _check_pair(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
-    return first_max(localized_sup(lam.grid, _cubeavg_summands(lam, w, q)))[0] ** (1.0 / q)
+    lattice = lam.grid.lattice()
+    buf = np.empty(lattice.shape)
+    per_cube = ((k, 2.0 ** (k * lattice.n * (q / 2.0 + 1.0)) * w.cube_integral(k, q)
+                 * np.abs(lam.entries[k]) ** q) for k in reversed(lam.levels))
+    summands = ((k, expand_level_array(lattice, k, a, buf)) for k, a in per_cube)
+    return first_max(localized_sup(lattice, summands))[0] ** (1.0 / q)
 
 
 def lambda_star(lam: CoeffField, r: float, d: float) -> CoeffField:

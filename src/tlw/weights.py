@@ -62,6 +62,7 @@ class WeightSequence:
             self.tk[k] = a
         # int_Q t_k^r and int_Q t_k^{-r} per (k, r); the second serves `reciprocal()`
         self._integrals, self._reciprocal_integrals = {}, {}
+        self._reciprocal_finite = False  # set once a scan finds every 1/t_k finite
 
     @property
     def levels(self) -> range:
@@ -81,7 +82,15 @@ class WeightSequence:
         return np.power(self.tk[k], r, out=out)
 
     def reciprocal(self) -> "WeightSequence":
-        """The weights 1/t_k, computed level by level when read (never stored)."""
+        """The weights 1/t_k, computed level by level when read (never stored).
+
+        Raises if some 1/t_k overflows.  The levels are read-only, so a scan
+        that finds none is kept and later calls skip it.
+        """
+        if not self._reciprocal_finite:
+            if min(float(v.min()) for v in self.tk.values()) < 1.0 / np.finfo(float).max:
+                raise PositivityError("a weight is so small that its reciprocal overflows")
+            self._reciprocal_finite = True
         return _Reciprocal(self)
 
     def shifted(self, gamma: int, levels: range | None = None) -> "WeightSequence":
@@ -121,10 +130,9 @@ class _Reciprocal(WeightSequence):
     integrals are kept on the base, which holds no reference back to it (no cycle)."""
 
     def __init__(self, base: WeightSequence):
-        if min(float(v.min()) for v in base.tk.values()) < 1.0 / np.finfo(float).max:
-            raise PositivityError("a weight is so small that its reciprocal overflows")
         self.grid, self._base = base.grid, base
         self._integrals, self._reciprocal_integrals = base._reciprocal_integrals, {}
+        self._reciprocal_finite = False
         self.meta = WeightMeta(p=base.meta.p, kind=f"reciprocal({base.meta.kind})",
                                params=dict(base.meta.params))
 

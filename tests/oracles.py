@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from tlw.dyadic import block_reduce, cube_major, expand_level_array
+from tlw.dyadic import DyadicCube, block_reduce, cube_major, expand_level_array
 from tlw.weights import per_cube_ap_value
 
 
@@ -106,6 +106,17 @@ def dyadic_cubes(grid, levels):
         top = 2 ** (grid.L + lev)
         for index in itertools.product(range(top), repeat=grid.n):
             yield lev, index
+
+
+def naive_f_pp_norm(entries, tk, grid, p):
+    """(sum_{k,m} 2^{knp/2} |lambda_km|^p int_Q t_k^p)^{1/p}: the p = q norm, cube by cube."""
+    total = 0.0
+    for k in sorted(entries):
+        tp = tk[k] ** p
+        for lev, index in dyadic_cubes(grid, [k]):
+            t_int = naive_integrate(tp, grid, DyadicCube(lev, index))
+            total += (2.0 ** (k * grid.n * p / 2.0)) * abs(entries[k][index]) ** p * t_int
+    return total ** (1.0 / p)
 
 
 def naive_localized_average(entries, tk, grid, q, p_level, p_index, k_min, k_max):
@@ -348,13 +359,18 @@ def expanded_pointwise(lam, tk, q, masks=None):
     return out
 
 
-def expanded_cubeavg(lam, tk, q):
-    """{k: 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_k|^q}, constant on each level-k cube."""
+def expanded_cubeavg(lam, tk, q, on=None):
+    """{k: 2^{knq(1/2+1/q)} (int_Q t_k^q) |lambda_k|^q}, constant on each level-k cube.
+
+    Expanded onto the cells of `on` (default: the grid itself; `grid.lattice()`
+    for the sweep the library runs on the level-k_max cubes).
+    """
     grid, out = lam.grid, {}
+    on = grid if on is None else on
     for k in lam.levels:
         tq_int = block_reduce(tk[k], grid.side_cells(k), "sum", q) * grid.cell_volume
         per_cube = (2.0 ** (k * grid.n * (q / 2.0 + 1.0))) * tq_int * np.abs(lam.entries[k]) ** q
-        out[k] = expand_level_array(grid, k, per_cube)
+        out[k] = expand_level_array(on, k, per_cube)
     return out
 
 

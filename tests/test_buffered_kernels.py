@@ -2,8 +2,13 @@
 
 The kernels fill one caller-owned buffer per level and accumulate the suffix
 sums in place.  They keep the floating-point operations of the form in
-`oracles` (one expanded full-grid array per level, a dict of suffix sums), so
-every value here must be equal with `==`, not approximately.
+`oracles` (one expanded array per level, a dict of suffix sums), so every
+value here must be equal with `==`, not approximately.
+
+The norms whose summands are constant on level cubes (the cube-averaged p =
+inf norm, the constraint norms, the localized pairing) sweep `Grid.lattice()`,
+the level-k_max cubes: they are `==` to the expanded form run on that lattice,
+and agree with the form run on the cells up to summation order (rel 1e-14).
 
 Values meant to move at roundoff: `kappa_constraint_norm` and
 `star_constraint_norm` scale the level-k coefficients by 2^{-nk} instead of
@@ -76,8 +81,12 @@ def test_f_inf_norms_equal_expand_then_sum(case, q):
     g, w, lam, _ = case
     levels, _ = oracles.expanded_localized(g, oracles.expanded_pointwise(lam, w.tk, q))
     assert f_inf_norm(lam, w, q) == oracles.level_sup(levels) ** (1.0 / q)
+    got = f_inf_norm_cubeavg(lam, w, q)
+    lat = g.lattice()
+    levels, _ = oracles.expanded_localized(lat, oracles.expanded_cubeavg(lam, w.tk, q, lat))
+    assert got == oracles.level_sup(levels) ** (1.0 / q)
     levels, _ = oracles.expanded_localized(g, oracles.expanded_cubeavg(lam, w.tk, q))
-    assert f_inf_norm_cubeavg(lam, w, q) == oracles.level_sup(levels) ** (1.0 / q)
+    assert got == pytest.approx(oracles.level_sup(levels) ** (1.0 / q), rel=1e-14)
 
 
 def test_restricted_norms_equal_expand_then_sum(case):
@@ -129,10 +138,15 @@ def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
 def test_localized_pairing_equals_expand_then_sum(case):
     g, _, lam, rng = case
     s = CoeffField.random(g, rng)
-    summands = {k: expand_level_array(g, k, lam.entries[k] * s.entries[k])
-                for k in lam.levels}
-    levels, _ = oracles.expanded_localized(g, summands, oracles.expanded_abs_mean(g))
-    assert localized_pairing(lam, s) == oracles.level_sup(levels)
+    want = {}
+    for on in (g.lattice(), g):
+        summands = {k: expand_level_array(on, k, lam.entries[k] * s.entries[k])
+                    for k in lam.levels}
+        levels, _ = oracles.expanded_localized(on, summands, oracles.expanded_abs_mean(on))
+        want[on] = oracles.level_sup(levels)
+    got = localized_pairing(lam, s)
+    assert got == want[g.lattice()]
+    assert got == pytest.approx(want[g], rel=1e-14)
 
 
 def test_F_inf_norm_equals_expand_then_sum(case):
@@ -144,23 +158,27 @@ def test_F_inf_norm_equals_expand_then_sum(case):
         assert F_inf_norm(f, fp, w, q) == oracles.level_sup(levels) ** (1.0 / q)
 
 
+def constraint_norms_expanded(g, w, lam, q, on):
+    """(kappa, star) constraint norms from the expanded form swept on the cells of `on`."""
+    factor = {k: 2.0 ** (-g.n * k) for k in w.levels}
+    tk = {k: w.tk[k] * factor[k] for k in w.levels}
+    levels, _ = oracles.expanded_localized(on, oracles.expanded_cubeavg(lam, tk, q, on))
+    kappa = oracles.level_sup(levels) ** (1.0 / q)
+    qq = q / (q - 1.0)
+    tk = {k: 1.0 / w.tk[k] * factor[k] for k in w.levels}
+    levels, _ = oracles.expanded_localized(on, oracles.expanded_cubeavg(lam, tk, qq, on))
+    return kappa, oracles.level_sup(levels) ** (1.0 / qq)
+
+
 def test_constraint_norms_move_the_level_factor_onto_the_coefficients(case):
     g, w, lam, _ = case
-    factor = {k: 2.0 ** (-g.n * k) for k in w.levels}
     for q in (2.0, 1.5, 3.0):
-        tk = {k: w.tk[k] * factor[k] for k in w.levels}
-        levels, _ = oracles.expanded_localized(g, oracles.expanded_cubeavg(lam, tk, q))
-        want_kappa = oracles.level_sup(levels) ** (1.0 / q)
-        qq = q / (q - 1.0)
-        tk = {k: 1.0 / w.tk[k] * factor[k] for k in w.levels}
-        levels, _ = oracles.expanded_localized(g, oracles.expanded_cubeavg(lam, tk, qq))
-        want_star = oracles.level_sup(levels) ** (1.0 / qq)
-        got_kappa, got_star = kappa_constraint_norm(lam, w, q), star_constraint_norm(lam, w, q)
+        got = kappa_constraint_norm(lam, w, q), star_constraint_norm(lam, w, q)
         if q == 2.0:
-            assert (got_kappa, got_star) == (want_kappa, want_star)
-        else:  # meant to move at roundoff (module docstring)
-            assert got_kappa == pytest.approx(want_kappa, rel=1e-14)
-            assert got_star == pytest.approx(want_star, rel=1e-14)
+            assert got == constraint_norms_expanded(g, w, lam, q, g.lattice())
+        for have, want in zip(got, constraint_norms_expanded(g, w, lam, q, g)):
+            # q != 2 and the cell sweep: meant to move at roundoff (module docstring)
+            assert have == pytest.approx(want, rel=1e-14)
 
 
 # ------------------------------------------------------- allocation budget
@@ -194,6 +212,27 @@ def test_sequence_norms_stay_within_four_full_grid_arrays(k_max):
     array_bytes = np.zeros(g.shape).nbytes
     peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
     assert all(peak <= BUDGET_ARRAYS for peak in peaks.values()), peaks
+
+
+def test_cube_constant_norms_stay_below_one_full_grid_array():
+    # once the cube integrals are memoised these norms read only level arrays and the
+    # level-k_max lattice, which has 2^{J-k_max} = 16 times fewer points than the cells
+    g = Grid(1, 2, 13, 0, 9)
+    rng = np.random.default_rng(8)
+    w = random_ap_weights(g, 0.5, rng)
+    lam, s = CoeffField.random(g, rng), CoeffField.random(g, rng)
+    calls = {
+        "f_pq_norm": (f_pq_norm, lam, w, 2.0, 2.0),
+        "f_inf_norm_cubeavg": (f_inf_norm_cubeavg, lam, w, 2.0),
+        "kappa_constraint_norm": (kappa_constraint_norm, lam, w, 2.0),
+        "star_constraint_norm": (star_constraint_norm, lam, w, 2.0),
+        "localized_pairing": (localized_pairing, lam, s),
+    }
+    for fn, *args in calls.values():
+        fn(*args)
+    array_bytes = np.zeros(g.shape).nbytes
+    peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
+    assert all(peak < 1 for peak in peaks.values()), peaks
 
 
 def test_restriction_sets_from_m_fun_stay_within_seven_full_grid_arrays():

@@ -646,6 +646,19 @@ def test_f_pq_matches_naive_oracle_including_q_inf(case, p, q):
     assert f_pq_norm(lam, w, p, q) == pytest.approx(want, rel=1e-12)
 
 
+@given(field_cases(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@settings(max_examples=40, deadline=None)
+def test_f_pp_norm_matches_cube_oracle_and_cell_form(case, p):
+    # p = q reads the cube integrals alone; the cell-grid sum must agree
+    g, w, lam, _ = case
+    inv = {k: 1.0 / v for k, v in w.tk.items()}
+    for weights_used, tk in ((w, w.tk), (w.reciprocal(), inv)):
+        got = f_pq_norm(lam, weights_used, p, p)
+        assert got == pytest.approx(oracles.naive_f_pp_norm(lam.entries, tk, g, p), rel=1e-13)
+        cells = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, tk, p), p, p)
+        assert got == pytest.approx(cells, rel=1e-13)
+
+
 @given(field_cases(), st.floats(0.0, 0.99))
 @settings(max_examples=40, deadline=None)
 def test_random_restriction_keeps_exact_count_per_cube(case, keep_fraction):

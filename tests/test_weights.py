@@ -374,6 +374,17 @@ def test_reciprocal_refuses_a_weight_whose_reciprocal_overflows():
         WeightSequence(g, tk).reciprocal()
 
 
+def test_reciprocal_scans_for_overflow_once_per_base():
+    # a level swapped in after the first scan (bypassing the constructor) is not rescanned
+    g = grid1()
+    w = WeightSequence(g, {k: np.ones(g.shape) for k in g.levels})
+    w.reciprocal()
+    w.tk[g.k_max] = np.full(g.shape, 1e-309)
+    w.reciprocal()
+    with pytest.raises(PositivityError):
+        WeightSequence(g, dict(w.tk)).reciprocal()
+
+
 def fresh_cube_integral(w, k, r):
     g = w.grid
     return block_reduce(w.power(k, r, np.empty(g.shape)), g.side_cells(k)) * g.cell_volume
