@@ -23,6 +23,13 @@ only on a box skips the lines of one pass that miss it: the inverse
 transforms the box rows along axis 1 and then every column, the forward
 transform every row and then the box columns (`_ifftn_from_box`,
 `_fftn_on_box`).  1-D transforms are plain `np.fft` calls.
+
+The weighted norm F_22 needs no full-grid transform per level: |phi_k * f|^2
+has its spectrum inside the centred box of 2M frequencies per axis, so its
+samples on the 2M-lattice are alias-free (2M <= N for k <= J-1; at k = J the
+lattice is the grid), and int t_k^2 |phi_k * f|^2 is a Parseval pairing on
+that box with fftn(t_k^2), which `WeightSequence.box_spectrum` builds once.
+Every other (p, q) reduces t_k |phi_k * f| cell by cell on the full grid.
 """
 
 from __future__ import annotations
@@ -357,11 +364,38 @@ def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None
         filtered[box] = 0.0
 
 
+def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None) -> float:
+    """sum_k int t_k^2 |phi_k * f|^2 by Parseval on each level's 2M-box (module docstring):
+    sum_x t_k^2 |g_k|^2 = (2M)^n / N^{2n} vdot(fftn(t_k^2)|box, fftn_2M(|u|^2)), where
+    u = ifftn_2M(level spectrum) = (N / 2M)^n g_k on the 2M-lattice; 2M is capped at N.
+    """
+    if w.grid.shape != f.grid.shape:
+        raise LevelMismatchError("weights and signal live on different grids")
+    grid = w.grid
+    spec = _fftn_on_box(f.values, _box(grid, grid.k_max)) if spec is None else spec
+    N, total = grid.cells_per_axis, 0.0
+    for k in w.levels:
+        box = _box(grid, k)
+        M2, ix = min(2 * box.size, N), np.ix_(*[box] * grid.n)
+        u = np.zeros((M2,) * grid.n, dtype=complex)
+        u[np.ix_(*[box % M2] * grid.n)] = spec[ix] * fp.phi_multiplier(k)[ix]
+        u = np.fft.ifftn(u)
+        pair = np.vdot(w.box_spectrum(k, 2, M2), np.fft.fftn(u.real**2 + u.imag**2))
+        total += pair.real * (M2 / N**2) ** grid.n
+    return max(total * grid.cell_volume, 0.0)
+
+
 def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
               q: float, spec: np.ndarray | None = None) -> float:
-    """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}; q = inf as sup over k."""
+    """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}; q = inf as sup over k.
+
+    p = q = 2 runs on each level's (2M)^n box (`_f22_squared`); every other
+    (p, q) reduces t_k |phi_k * f| on the full grid (`_weighted_levels`).
+    """
     if not 0 < p < INF:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
+    if p == q == 2:
+        return math.sqrt(_f22_squared(f, fp, w, spec))
     terms = (a if q == INF else a**q for _, a in _weighted_levels(f, fp, w, spec))
     return lp_lq_norm(w.grid, terms, p, q)
 

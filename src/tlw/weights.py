@@ -60,8 +60,9 @@ class WeightSequence:
             _require_positive(a, f"t_{k}")
             a.flags.writeable = False  # a memoised cube integral cannot go stale
             self.tk[k] = a
-        # int_Q t_k^r and int_Q t_k^{-r} per (k, r); the second serves `reciprocal()`
-        self._integrals, self._reciprocal_integrals = {}, {}
+        # int_Q t_k^r per (k, r) and box spectra of t_k^r per (k, r, M); the second
+        # dict holds those of t_k^{-r} and serves `reciprocal()`
+        self._arrays, self._reciprocal_arrays = {}, {}
         self._reciprocal_finite = False  # set once a scan finds every 1/t_k finite
 
     @property
@@ -112,12 +113,24 @@ class WeightSequence:
 
     def cube_integral(self, k: int, r: float) -> np.ndarray:
         """int_Q t_k^r per level-k cube Q, computed once per (k, r) and kept read-only."""
-        if (k, r) not in self._integrals:
+        if (k, r) not in self._arrays:
             t_r = self.power(k, r, np.empty(self.grid.shape))
             out = block_reduce(t_r, self.grid.side_cells(k)) * self.grid.cell_volume
             out.flags.writeable = False
-            self._integrals[k, r] = out
-        return self._integrals[k, r]
+            self._arrays[k, r] = out
+        return self._arrays[k, r]
+
+    def box_spectrum(self, k: int, r: float, M: int) -> np.ndarray:
+        """fftn(t_k^r) on the centred box of M frequencies per axis, in DFT order (an
+        M^n array), computed once per (k, r, M) and kept read-only."""
+        if (k, r, M) not in self._arrays:
+            box = np.fft.fftfreq(M, 1 / M).astype(int) % self.grid.cells_per_axis
+            out = self.power(k, r, np.empty(self.grid.shape))
+            for axis in range(self.grid.n):  # each axis's lines, then only the box's
+                out = np.fft.fft(out, axis=axis).take(box, axis=axis)
+            out.flags.writeable = False
+            self._arrays[k, r, M] = out
+        return self._arrays[k, r, M]
 
     def cube_norm(self, k: int, r: float) -> np.ndarray:
         """(int_Q t_k^r)^{1/r} per level-k cube Q (r may be negative)."""
@@ -127,11 +140,12 @@ class WeightSequence:
 class _Reciprocal(WeightSequence):
     """1/t_k of a base sequence, never stored: the kernels read it through `power` into
     buffers they own, and `tk` computes every level anew on each access.  Its cube
-    integrals are kept on the base, which holds no reference back to it (no cycle)."""
+    integrals and box spectra are kept on the base, which holds no reference back to
+    it (no cycle)."""
 
     def __init__(self, base: WeightSequence):
         self.grid, self._base = base.grid, base
-        self._integrals, self._reciprocal_integrals = base._reciprocal_integrals, {}
+        self._arrays, self._reciprocal_arrays = base._reciprocal_arrays, {}
         self._reciprocal_finite = False
         self.meta = WeightMeta(p=base.meta.p, kind=f"reciprocal({base.meta.kind})",
                                params=dict(base.meta.params))

@@ -323,6 +323,20 @@ def naive_synthesize(entries, grid, psi_k):
     return out
 
 
+def naive_F_pq_norm(values, tk, grid, p, q, phi_k):
+    """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}: a full-grid ifftn per level, then cells.
+
+    `phi_k(k)` gives the level-k analysis multiplier on the grid's frequencies.
+    """
+    spec = np.fft.fftn(values)
+    g = {k: np.fft.ifftn(spec * phi_k(k)) for k in sorted(tk)}
+    total = 0.0
+    for cell in cell_iter(grid):
+        s = sum(tk[k][cell] ** q * abs(g[k][cell]) ** q for k in g)
+        total += s ** (p / q)
+    return (total * grid.cell_volume) ** (1.0 / p)
+
+
 def per_level_psi(fp, k):
     """Psi_k with the scale sum recomputed at the level's own scaled frequencies."""
     return fp.psi_profile(fp.xi_abs * 2.0**-k)

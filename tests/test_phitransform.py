@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlw.dyadic import Grid
+from tlw.dyadic import Grid, lp_lq_norm
 from tlw.errors import LevelMismatchError, LevelRangeError, ResolutionError
 from tlw.phitransform import (
     BandSignal,
@@ -14,6 +15,7 @@ from tlw.phitransform import (
     _box,
     _fftn_on_box,
     _ifftn_from_box,
+    _weighted_levels,
     analyze,
     band_leakage,
     build_filter_pair,
@@ -21,8 +23,9 @@ from tlw.phitransform import (
     synthesize,
     transfer_check,
 )
+from tlw.io import weights_from_spec
 from tlw.seqspace import CoeffField, f_pq_norm
-from tlw.weights import exp2_weights
+from tlw.weights import exp2_weights, random_ap_weights
 
 from . import oracles
 
@@ -437,9 +440,89 @@ def test_transfer_check_2d_line_transform_points_within_budget(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    transfer_check(f, fp, w, 2.0, 2.0)  # also builds fftn(t_k^2) on each level's 2M-box
+    first = sum(points)
+    points.clear()
     transfer_check(f, fp, w, 2.0, 2.0)
     N, boxes = g.cells_per_axis, [2 ** (g.L + k) for k in w.levels]
     budget = ((N + boxes[-1]) * N  # the spectrum: every row, then the k_max box's columns
               + sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
-              + sum((M + N) * N for M in boxes))  # the level inverses: box rows, then columns
-    assert sum(points) <= budget == 96_416
+              + sum(2 * g.n * (2 * M) ** g.n for M in boxes))  # per level: ifftn, fftn on (2M)^n
+    assert sum(points) <= budget == 44_960
+    # the memo, once per level and not per call: every column of t_k^2, then the box rows
+    assert first - sum(points) == sum((N + 2 * M) * N for M in boxes)
+
+
+def f22_weights(kind, g, seed, reciprocal):
+    spec = {"exp2": {"kind": "exp2", "s": 0.3}, "power": {"kind": "power", "s": 0.3, "alpha": 0.4},
+            "random-ap": {"kind": "random-ap", "spread": 0.5}}[kind]
+    w = weights_from_spec(g, spec, np.random.default_rng(seed))
+    return w.reciprocal() if reciprocal else w
+
+
+def check_f22_against_full_grid(g, w, seed):
+    """F_pq_norm(., 2, 2) against the cell oracle and the general full-grid path, rel 1e-13."""
+    rng = np.random.default_rng(seed)
+    f = BandSignal(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    pairs = [_RandomRealMultipliers(g, seed)]  # excites every box, the M = 1 box at k = -L too
+    if g.L == 2:  # L = 1 leaves the base annulus empty
+        pairs.append(build_filter_pair(g))
+    for pair in pairs:
+        got = F_pq_norm(f, pair, w, 2.0, 2.0)
+        want = oracles.naive_F_pq_norm(f.values, w.tk, g, 2.0, 2.0, pair.phi_multiplier)
+        general = lp_lq_norm(g, (a**2 for _, a in _weighted_levels(f, pair, w)), 2.0, 2.0)
+        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(general, rel=1e-13)
+
+
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+       st.sampled_from(["exp2", "power", "random-ap"]), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_F22_box_pairing_matches_full_grid_oracle(n, L, kind, reciprocal, seed, data):
+    J = data.draw(st.integers(1, 5 if n == 1 else 3))
+    k_lo = data.draw(st.integers(-L, J - 1))
+    k_hi = data.draw(st.integers(k_lo, J))
+    g = Grid(n=n, L=L, J=J, k_min=k_lo, k_max=k_hi)
+    check_f22_against_full_grid(g, f22_weights(kind, g, seed, reciprocal), seed)
+
+
+@pytest.mark.parametrize("kind, reciprocal", [("exp2", False), ("power", False),
+                                              ("random-ap", False), ("random-ap", True)])
+@pytest.mark.parametrize("n, J", [(1, 5), (2, 3)])
+def test_F22_box_pairing_on_every_level_from_minus_L_to_J(n, J, kind, reciprocal):
+    # k = -L has the M = 1 box; at k = J-1 the (2M)^n lattice is the full grid,
+    # and at k = J, where 2M = 2N, it stays the full grid
+    g = Grid(n=n, L=2, J=J, k_min=-2, k_max=J)
+    check_f22_against_full_grid(g, f22_weights(kind, g, 53, reciprocal), 53)
+
+
+@pytest.mark.parametrize("g", [Grid(2, 2, 6, 0, 3), Grid(1, 2, 12, 0, 7)], ids=["2d", "1d"])
+def test_F22_peaks_below_one_full_grid_complex_array(g):
+    fp = build_filter_pair(g)
+    w = random_ap_weights(g, 0.5, np.random.default_rng(59))
+    f = BandSignal.random_band(g, np.random.default_rng(61), (0, g.k_max))
+    spec = _fftn_on_box(f.values, _box(g, g.k_max))
+    want = F_pq_norm(f, fp, w, 2.0, 2.0, spec)  # memoises the multipliers and box spectra
+    tracemalloc.start()
+    try:
+        got = F_pq_norm(f, fp, w, 2.0, 2.0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < np.empty(g.shape, dtype=complex).nbytes
+
+
+def test_second_transfer_check_builds_no_weight_power(monkeypatch):
+    g = Grid(1, 2, 8, 0, 5)
+    fp, w = build_filter_pair(g), random_ap_weights(g, 0.5, np.random.default_rng(67))
+    power, builds = w.power, []
+    monkeypatch.setattr(w, "power", lambda k, r, out: builds.append((k, r)) or power(k, r, out))
+    rng = np.random.default_rng(71)
+    transfer_check(BandSignal.random_band(g, rng, (0, 5)), fp, w, 2.0, 2.0)
+    # per level: int_Q t_k^2 for the sequence norm, fftn(t_k^2) on the 2M-box for F_22
+    assert sorted(builds) == sorted(2 * [(k, 2.0) for k in w.levels])
+    builds.clear()
+    transfer_check(BandSignal.random_band(g, rng, (0, 5)), fp, w, 2.0, 2.0)
+    assert builds == []
