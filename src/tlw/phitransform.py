@@ -17,12 +17,16 @@ indices, in DFT order, so it is also the level-k lattice's M-point spectrum.
 The level-k lattice has M points per axis, step s = 2^{J-k}: `analyze` takes
 the filtered spectrum on the box (its s^n - 1 other aliases are exact zeros)
 and inverts that small spectrum; `synthesize` adds each level's small
-coefficient spectrum, filtered by Psi_k, onto the box and inverts the sum of
-all levels once.  A 2-D full-grid FFT whose spectrum is needed or nonzero
-only on a box skips the lines of one pass that miss it: the inverse
-transforms the box rows along axis 1 and then every column, the forward
-transform every row and then the box columns (`_ifftn_from_box`,
-`_fftn_on_box`).  1-D transforms are plain `np.fft` calls.
+coefficient spectrum, filtered by Psi_k, onto the box.
+
+A `BandSignal` holds its samples or its fftn spectrum and computes the other
+once, on first read.  `random_band` draws a spectrum and `synthesize`
+returns one, so neither runs a full-grid transform; `analyze`, the weighted
+norms and `roundtrip_residual` (Parseval on the whole spectrum) read the
+spectrum.  Only reading `values` of such a signal runs one full-grid inverse
+FFT, which in 2-D skips the lines of its first pass that miss the top
+level's box: it transforms the box rows along axis 1 and then every column
+(`_ifftn_from_box`).  1-D transforms are plain `np.fft` calls.
 
 The weighted norm F_22 needs no full-grid transform per level: |phi_k * f|^2
 has its spectrum inside the centred box of 2M frequencies per axis, so its
@@ -196,6 +200,22 @@ def _box(grid: Grid, k: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _box_ix(grid: Grid, k: int, modulus: int = 0) -> tuple[np.ndarray, ...]:
+    """np.ix_ of the level-k box on every axis; its indices are taken mod `modulus` if nonzero."""
+    box = _box(grid, k)
+    return np.ix_(*[box % modulus if modulus else box] * grid.n)
+
+
+@functools.lru_cache(maxsize=4)  # the phitransform suite draws one band at J and one at J+1
+def _band_bins(n: int, L: int, J: int, k_lo: int, k_hi: int) -> np.ndarray:
+    """Flat indices, in C order, of the DFT bins with 2^{k_lo} <= |xi| <= 2^{k_hi}; read-only."""
+    xi_abs = _angular_frequencies(n, L, J)
+    out = np.flatnonzero((xi_abs >= 2.0**k_lo) & (xi_abs <= 2.0**k_hi))
+    out.flags.writeable = False
+    return out
+
+
 def _ifftn_from_box(spec: np.ndarray, box: np.ndarray) -> np.ndarray:
     """np.fft.ifftn(spec) for a spectrum that is 0 off `box` along axis 0."""
     if spec.ndim == 1:
@@ -203,15 +223,6 @@ def _ifftn_from_box(spec: np.ndarray, box: np.ndarray) -> np.ndarray:
     rows = np.zeros(spec.shape, dtype=complex)
     rows[box] = np.fft.ifft(spec[box], axis=1)
     return np.fft.ifft(rows, axis=0)
-
-
-def _fftn_on_box(values: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """np.fft.fftn(values) on the columns `box` (axis 1); 0 on the other columns."""
-    if values.ndim == 1:
-        return np.fft.fftn(values)
-    out = np.zeros(values.shape, dtype=complex)
-    out[:, box] = np.fft.fft(np.fft.fft(values, axis=1)[:, box], axis=0)
-    return out
 
 
 def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
@@ -237,19 +248,37 @@ def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
     return fp
 
 
-@dataclass
 class BandSignal:
-    """Complex samples at grid points i*h."""
+    """Complex samples at grid points i*h, held as the samples or as their fftn spectrum.
 
-    grid: Grid
-    values: np.ndarray
+    Either form is computed from the other once, on first read.  A signal made
+    from its spectrum keeps a top level k (default J, the whole grid): the
+    spectrum vanishes off the level-k box, so `values` is one pruned inverse
+    FFT (`_ifftn_from_box`).
+    """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.shape:
-            raise LevelMismatchError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
+    def __init__(self, grid: Grid, values=None, *, spectrum=None, top: int | None = None):
+        self.grid, self._top = grid, grid.J if top is None else top
+        self._values = None if values is None else np.asarray(values, dtype=complex)
+        self._spectrum = None if spectrum is None else np.asarray(spectrum, dtype=complex)
+        if (self._values is None) == (self._spectrum is None):
+            raise ValueError("a band signal needs exactly one of values and spectrum")
+        shape = (self._values if self._spectrum is None else self._spectrum).shape
+        if shape != grid.shape:
+            raise LevelMismatchError(f"values shape {shape} does not match grid {grid.shape}")
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _ifftn_from_box(self._spectrum, _box(self.grid, self._top))
+        return self._values
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """np.fft.fftn(values); exactly the given spectrum for a signal made from one."""
+        if self._spectrum is None:
+            self._spectrum = np.fft.fftn(self._values)
+        return self._spectrum
 
     @classmethod
     def zeros(cls, grid: Grid) -> "BandSignal":
@@ -260,15 +289,12 @@ class BandSignal:
                     levels: tuple[int, int]) -> "BandSignal":
         """Random spectrum on bins with 2^{k_lo} <= |xi| <= 2^{k_hi} (safely in-band)."""
         k_lo, k_hi = levels
-        xi_abs = _angular_frequencies(grid.n, grid.L, grid.J)
-        mask = (xi_abs >= 2.0**k_lo) & (xi_abs <= 2.0**k_hi)
-        if not mask.any():
+        bins = _band_bins(grid.n, grid.L, grid.J, k_lo, k_hi)
+        if bins.size == 0:
             raise ResolutionError(f"no represented frequencies in [2^{k_lo}, 2^{k_hi}]")
         spec = np.zeros(grid.shape, dtype=complex)
-        spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
-            int(mask.sum())
-        )
-        return cls(grid, _ifftn_from_box(spec, _box(grid, k_hi)))  # |xi| <= 2^{k_hi} lies in it
+        spec.flat[bins] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
+        return cls(grid, spectrum=spec, top=k_hi)  # |xi| <= 2^{k_hi} lies in the k_hi box
 
     def l2_norm(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.grid.cell_volume))
@@ -289,21 +315,17 @@ def _check_level_representable(grid: Grid, k: int):
         )
 
 
-def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
-            spec: np.ndarray | None = None) -> CoeffField:
-    """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m).
-
-    `spec` is fftn(f.values) if known; it is read only on the level-k_hi box.
-    """
+def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> CoeffField:
+    """Coefficients 2^{-kn/2} (filtered f)(2^{-k} m); reads f.spectrum on the level boxes."""
     if fp.grid.shape != f.grid.shape or fp.grid.L != f.grid.L:
         raise LevelMismatchError("filter pair and signal live on different grids")
     k_lo, k_hi = levels
     grid = f.grid.with_levels(k_lo, k_hi)
     _check_level_representable(grid, k_hi)
-    spec = _fftn_on_box(f.values, _box(grid, k_hi)) if spec is None else spec
+    spec = f.spectrum
     entries = {}
     for k in range(k_lo, k_hi + 1):
-        box = np.ix_(*[_box(grid, k)] * grid.n)
+        box = _box_ix(grid, k)
         lattice = spec[box] * fp.phi_multiplier(k)[box]  # the lattice's spectrum; Phi real
         scale = 2.0 ** (-k * grid.n / 2.0) * (lattice.size / spec.size)
         entries[k] = scale * np.fft.ifftn(lattice)
@@ -311,34 +333,35 @@ def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
 
 
 def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
-    """sum_k sum_m lambda_{k,m} psi_{k,m}: lattice spectra times Psi_k on their boxes, one ifftn."""
+    """sum_k sum_m lambda_{k,m} psi_{k,m}: lattice spectra times Psi_k on their boxes, summed."""
     grid = lam.grid
     if fp.grid.shape != grid.shape or fp.grid.L != grid.L:
         raise LevelMismatchError("filter pair and coefficients live on different grids")
     _check_level_representable(grid, grid.k_max)
     acc = np.zeros(grid.shape, dtype=complex)
     for k in lam.levels:
-        box = np.ix_(*[_box(grid, k)] * grid.n)
+        box = _box_ix(grid, k)
         tile = np.fft.fftn(lam.entries[k])  # the comb's spectrum on the box
         tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
         acc[box] += tile * fp.psi_multiplier(k)[box]
-    return BandSignal(grid, _ifftn_from_box(acc, _box(grid, grid.k_max)))
+    return BandSignal(grid, spectrum=acc, top=grid.k_max)
 
 
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
-    """Relative L2 error of synthesize(analyze(f)); 0 for the zero signal."""
-    denom = f.l2_norm()
+    """Relative L2 error of synthesize(analyze(f)), by Parseval on the whole spectrum; 0 for f = 0."""
+    spec = f.spectrum
+    denom = float(np.vdot(spec, spec).real)
     if denom == 0.0:
         return 0.0
-    recon = synthesize(analyze(f, fp, levels), fp)
-    diff = recon.values - f.values
-    return float(np.sqrt((np.abs(diff) ** 2).sum() * f.grid.cell_volume)) / denom
+    diff = synthesize(analyze(f, fp, levels), fp).spectrum
+    diff -= spec  # in place: no second full-grid array; the synthesized signal is not kept
+    return math.sqrt(float(np.vdot(diff, diff).real) / denom)
 
 
 def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
                  tol: float = 1e-9) -> float:
     """Spectral energy fraction outside the band reproduced by `levels`."""
-    spec = np.fft.fftn(f.values)
+    spec = f.spectrum
     total = float((np.abs(spec) ** 2).sum())
     if total == 0.0:
         return 0.0
@@ -349,44 +372,39 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
     return float((np.abs(spec[~reproduced]) ** 2).sum()) / total
 
 
-def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None, levels=None):
-    """Yield (k, t_k |phi_k * f|) over `levels` (default w.levels); `spec` as in `analyze`."""
+def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, levels=None):
+    """Yield (k, t_k |phi_k * f|) over `levels` (default w.levels)."""
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
-    grid = w.grid
-    levels = list(w.levels if levels is None else levels)
-    spec = _fftn_on_box(f.values, _box(grid, max(levels))) if spec is None else spec
+    grid, spec = w.grid, f.spectrum
     filtered = np.zeros(grid.shape, dtype=complex)  # 0 off the current level's box
-    for k in levels:
-        box = np.ix_(*[_box(grid, k)] * grid.n)
+    for k in (w.levels if levels is None else levels):
+        box = _box_ix(grid, k)
         filtered[box] = spec[box] * fp.phi_multiplier(k)[box]
         yield k, w.tk[k] * np.abs(_ifftn_from_box(filtered, _box(grid, k)))
         filtered[box] = 0.0
 
 
-def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence, spec=None) -> float:
+def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
     """sum_k int t_k^2 |phi_k * f|^2 by Parseval on each level's 2M-box (module docstring):
     sum_x t_k^2 |g_k|^2 = (2M)^n / N^{2n} vdot(fftn(t_k^2)|box, fftn_2M(|u|^2)), where
     u = ifftn_2M(level spectrum) = (N / 2M)^n g_k on the 2M-lattice; 2M is capped at N.
     """
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
-    grid = w.grid
-    spec = _fftn_on_box(f.values, _box(grid, grid.k_max)) if spec is None else spec
+    grid, spec = w.grid, f.spectrum
     N, total = grid.cells_per_axis, 0.0
     for k in w.levels:
-        box = _box(grid, k)
-        M2, ix = min(2 * box.size, N), np.ix_(*[box] * grid.n)
+        M2, ix = min(2 * _box(grid, k).size, N), _box_ix(grid, k)
         u = np.zeros((M2,) * grid.n, dtype=complex)
-        u[np.ix_(*[box % M2] * grid.n)] = spec[ix] * fp.phi_multiplier(k)[ix]
+        u[_box_ix(grid, k, M2)] = spec[ix] * fp.phi_multiplier(k)[ix]
         u = np.fft.ifftn(u)
         pair = np.vdot(w.box_spectrum(k, 2, M2), np.fft.fftn(u.real**2 + u.imag**2))
         total += pair.real * (M2 / N**2) ** grid.n
     return max(total * grid.cell_volume, 0.0)
 
 
-def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
-              q: float, spec: np.ndarray | None = None) -> float:
+def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float, q: float) -> float:
     """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}; q = inf as sup over k.
 
     p = q = 2 runs on each level's (2M)^n box (`_f22_squared`); every other
@@ -395,8 +413,8 @@ def F_pq_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
     if not 0 < p < INF:
         raise LevelRangeError(f"p must be in (0, inf), got {p}")
     if p == q == 2:
-        return math.sqrt(_f22_squared(f, fp, w, spec))
-    terms = (a if q == INF else a**q for _, a in _weighted_levels(f, fp, w, spec))
+        return math.sqrt(_f22_squared(f, fp, w))
+    terms = (a if q == INF else a**q for _, a in _weighted_levels(f, fp, w))
     return lp_lq_norm(w.grid, terms, p, q)
 
 
@@ -412,8 +430,7 @@ def F_inf_norm(f: BandSignal, fp: FilterPair, w: WeightSequence, q: float) -> fl
 def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
                    q: float) -> tuple[float, float]:
     """(sequence norm of the analysis coefficients, function-space norm of f)."""
-    spec = _fftn_on_box(f.values, _box(w.grid, w.grid.k_max))
-    lam = analyze(f, fp, (w.grid.k_min, w.grid.k_max), spec)
+    lam = analyze(f, fp, (w.grid.k_min, w.grid.k_max))
     from .seqspace import f_pq_norm as _seq_norm
 
-    return _seq_norm(lam, w, p, q), F_pq_norm(f, fp, w, p, q, spec)
+    return _seq_norm(lam, w, p, q), F_pq_norm(f, fp, w, p, q)

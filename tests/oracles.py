@@ -78,6 +78,16 @@ def naive_maximal(values, grid, side_levels):
     return out
 
 
+def naive_containing_max(anchors, w):
+    """Per-cell max over the anchors a in [i-w+1, i] on every axis, cell by cell."""
+    shape = tuple(a + w - 1 for a in anchors.shape)
+    out = np.empty(shape)
+    for cell in itertools.product(*[range(s) for s in shape]):
+        window = tuple(slice(max(0, i - w + 1), i + 1) for i in cell)
+        out[cell] = anchors[window].max()
+    return out
+
+
 def naive_weighted_lp(fvals, tvals, grid, p):
     prods = [abs(fvals[c] * tvals[c]) for c in cell_iter(grid)]
     if p == math.inf:
@@ -335,6 +345,17 @@ def naive_F_pq_norm(values, tk, grid, p, q, phi_k):
         s = sum(tk[k][cell] ** q * abs(g[k][cell]) ** q for k in g)
         total += s ** (p / q)
     return (total * grid.cell_volume) ** (1.0 / p)
+
+
+def drawn_band_spectrum(grid, rng, k_lo, k_hi):
+    """The spectrum `BandSignal.random_band` draws, built as it first was: a boolean band mask
+    from a fresh |xi| mesh, filled by one real and then one imaginary standard-normal draw."""
+    xi = np.sqrt(sum(m * m for m in np.meshgrid(
+        *[2.0 * np.pi * np.fft.fftfreq(grid.cells_per_axis, d=grid.h)] * grid.n, indexing="ij")))
+    mask = (xi >= 2.0**k_lo) & (xi <= 2.0**k_hi)
+    spec = np.zeros(grid.shape, dtype=complex)
+    spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
+    return spec
 
 
 def per_level_psi(fp, k):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from tlw.cli import ExperimentConfig, emit, fixture, main, run
+from tlw.dyadic import Grid, GridFunction
 from tlw.errors import ConfigError
+
+from . import oracles
 
 
 def base_config(suite="seqnorms", **over):
@@ -355,6 +358,21 @@ def test_fixture_power_cell_centers(tmp_path):
     h = 2.0 ** -6
     want = np.arange(2**7) * h + h / 2.0
     np.testing.assert_allclose(gf.values, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("grid", [{"n": 1, "L": 2, "J": 7, "k_min": 0, "k_max": 4},
+                                  {"n": 2, "L": 2, "J": 4, "k_min": 0, "k_max": 2}])
+def test_band_signal_fixture_is_the_box_inverse_of_the_drawn_spectrum(tmp_path, grid):
+    from tlw.io import save_grid_function
+    from tlw.phitransform import _box, _ifftn_from_box
+
+    fixture("band-signal", {"grid": grid, "k_lo": 0, "k_hi": 2}, seed=13, out_base=tmp_path / "sig")
+    g = Grid(**grid)
+    spec = oracles.drawn_band_spectrum(g, np.random.default_rng(13), 0, 2)
+    save_grid_function(GridFunction(g, _ifftn_from_box(spec, _box(g, 2))), tmp_path / "want")
+    for suffix in (".json", ".bin"):
+        got = (tmp_path / "sig").with_suffix(suffix).read_bytes()
+        assert got == (tmp_path / "want").with_suffix(suffix).read_bytes()
 
 
 def test_fixture_coeff_field_and_band_signal(tmp_path):

@@ -9,6 +9,8 @@ from tlw.dyadic import DyadicCube, Grid, GridFunction, indicator
 from tlw.errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from tlw.maximal import (
     MaximalConfig,
+    _containing_max,
+    _window_averages,
     fs_ratio,
     maximal,
     maximal_sigma,
@@ -18,7 +20,7 @@ from tlw.maximal import (
 )
 from tlw.weights import exp2_weights, random_ap_weights
 
-from .oracles import naive_maximal, naive_weighted_lp
+from .oracles import naive_containing_max, naive_maximal, naive_weighted_lp
 
 
 def grid1(J=5, L=1):
@@ -70,6 +72,18 @@ def test_maximal_matches_naive_oracle():
         want = naive_maximal(f.values, g, list(cfg.side_levels()))
         got = maximal(f, cfg).values
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n, J", [(1, 6), (2, 3)])
+def test_containing_max_matches_cell_oracle_at_every_width(n, J):
+    g = Grid(n=n, L=1, J=J, k_min=0, k_max=0)
+    cells = np.abs(np.random.default_rng(7).standard_normal(g.shape))
+    widths = []
+    for w, avg in _window_averages(cells, g.cells_per_axis):
+        assert np.array_equal(_containing_max(avg, w), naive_containing_max(avg, w))
+        widths.append(w)
+    assert widths == [1 << i for i in range(g.J + g.L + 1)]
+    assert _containing_max(cells, 1) is cells
 
 
 def test_maximal_restricted_side_lengths_oracle():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlw import phitransform
 from tlw.dyadic import Grid, lp_lq_norm
 from tlw.errors import LevelMismatchError, LevelRangeError, ResolutionError
 from tlw.phitransform import (
@@ -13,7 +14,6 @@ from tlw.phitransform import (
     F_inf_norm,
     F_pq_norm,
     _box,
-    _fftn_on_box,
     _ifftn_from_box,
     _weighted_levels,
     analyze,
@@ -407,21 +407,102 @@ def test_box_ffts_equal_numpy_bit_for_bit(n, J):
         rows[box] = True
         spec = x * rows.reshape((-1,) + (1,) * (n - 1))  # 0 off the box rows
         assert _ifftn_from_box(spec, box).tobytes() == np.fft.ifftn(spec).tobytes()
-        cols = (slice(None),) * (n - 1) + (box,)
-        assert _fftn_on_box(x, box)[cols].tobytes() == np.fft.fftn(x)[cols].tobytes()
 
 
 @pytest.mark.parametrize("n, J", [(1, 5), (2, 3)])
 def test_random_band_accepts_levels_beyond_the_lattice_cap(n, J):
     g = Grid(n=n, L=2, J=J, k_min=0, k_max=0)
     got = BandSignal.random_band(g, np.random.default_rng(43), (1, J + 3)).values
-    rng = np.random.default_rng(43)
-    xi = np.sqrt(sum(m * m for m in np.meshgrid(
-        *[2.0 * np.pi * np.fft.fftfreq(g.cells_per_axis, d=g.h)] * n, indexing="ij")))
-    mask = (xi >= 2.0) & (xi <= 2.0 ** (J + 3))
-    spec = np.zeros(g.shape, dtype=complex)
-    spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
+    spec = oracles.drawn_band_spectrum(g, np.random.default_rng(43), 1, J + 3)
     assert np.array_equal(got, np.fft.ifftn(spec))
+
+
+@pytest.mark.parametrize("g, band", [(Grid(1, 2, 8, 0, 5), (0, 5)), (Grid(2, 2, 4, 0, 2), (0, 2)),
+                                     (Grid(2, 3, 3, -1, 2), (-1, 1))])
+def test_random_band_draws_as_the_mask_construction(g, band):
+    rng, old = np.random.default_rng(47), np.random.default_rng(47)
+    f = BandSignal.random_band(g, rng, band)
+    spec = oracles.drawn_band_spectrum(g, old, *band)
+    assert rng.bit_generator.state == old.bit_generator.state
+    assert np.array_equal(f.spectrum, spec)
+    assert f.values.tobytes() == _ifftn_from_box(spec, _box(g, band[1])).tobytes()
+
+
+def test_spectrum_backed_signal_computes_values_once(monkeypatch):
+    g = fgrid(n=2, L=2, J=4, k_max=2)
+    f = BandSignal.random_band(g, np.random.default_rng(53), (0, 2))
+    calls = []
+    inverse = phitransform._ifftn_from_box
+    monkeypatch.setattr(phitransform, "_ifftn_from_box", lambda *a: calls.append(1) or inverse(*a))
+    first = f.values
+    assert f.values is first and len(calls) == 1
+    h = BandSignal(g, first)
+    assert h.values is first and np.allclose(h.spectrum, f.spectrum, atol=1e-12)
+    assert h.spectrum is h.spectrum and len(calls) == 1
+
+
+def test_band_signal_needs_exactly_one_form():
+    g = fgrid()
+    with pytest.raises(ValueError):
+        BandSignal(g)
+    with pytest.raises(ValueError):
+        BandSignal(g, np.zeros(g.shape), spectrum=np.zeros(g.shape), top=0)
+    with pytest.raises(LevelMismatchError):
+        BandSignal(fgrid(J=5), spectrum=np.zeros(g.shape), top=0)
+    rng = np.random.default_rng(57)
+    spec = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)  # on every bin
+    assert BandSignal(g, spectrum=spec).values.tobytes() == np.fft.ifftn(spec).tobytes()
+
+
+def cell_residual(f, fp, levels):
+    """The relative L2 error of synthesize(analyze(f)), taken cell by cell on the samples."""
+    diff = synthesize(analyze(f, fp, levels), fp).values - f.values
+    return float(np.sqrt((np.abs(diff) ** 2).sum() * f.grid.cell_volume)) / f.l2_norm()
+
+
+@pytest.mark.parametrize("g, band", [(Grid(1, 2, 8, 0, 5), (0, 5)), (Grid(2, 2, 5, 0, 3), (0, 3))])
+def test_spectral_roundtrip_residual_equals_the_cell_residual(g, band):
+    fp = build_filter_pair(g)
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        f = BandSignal.random_band(g, rng, band)
+        got = roundtrip_residual(f, fp, band)
+        assert got <= 1e-9
+        assert got == pytest.approx(cell_residual(f, fp, band), rel=0, abs=1e-15)
+    wide = BandSignal.random_band(g, rng, (band[0], band[1] + 2))
+    assert np.abs(wide.spectrum[~box_mask(g, band[1])]).max() > 0  # energy off the k_max box
+    got = roundtrip_residual(wide, fp, band)
+    assert got > 1e-3
+    assert got == pytest.approx(cell_residual(wide, fp, band), rel=1e-12)
+
+
+@pytest.mark.parametrize("g, band", [(Grid(1, 2, 8, 0, 5), (0, 5)), (Grid(2, 2, 5, 0, 3), (0, 3))])
+def test_roundtrip_residual_detects_a_perturbed_synthesis_level(g, band):
+    bad = build_filter_pair(g)
+    bad._mult_cache[("psi", 1)] = 1.25 * bad.psi_multiplier(1)  # Psi_1 off by a quarter
+    f = BandSignal.random_band(g, np.random.default_rng(61), band)
+    got = roundtrip_residual(f, bad, band)
+    assert got > 1e-2
+    assert got == pytest.approx(cell_residual(f, bad, band), rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [Grid(1, 2, 8, 0, 5), Grid(2, 2, 5, 0, 3)], ids=["1d", "2d"])
+def test_roundtrip_and_transfer_run_no_full_grid_transform(monkeypatch, g):
+    # k_max <= J - 2 keeps every F_22 lattice, (2M)^n, below the N^n grid
+    fp, w = build_filter_pair(g), exp2_weights(g, 0.3)
+    rng = np.random.default_rng(67)
+    transfer_check(BandSignal.random_band(g, rng, (0, g.k_max)), fp, w, 2.0, 2.0)  # memoises
+    sizes = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(a, *args, _real=getattr(np.fft, name), **kwargs):
+            sizes.append(np.size(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    for _ in range(3):
+        roundtrip_residual(BandSignal.random_band(g, rng, (0, g.k_max)), fp, (0, g.k_max))
+        transfer_check(BandSignal.random_band(g, rng, (0, g.k_max)), fp, w, 2.0, 2.0)
+    assert sizes and max(sizes) < g.cells_per_axis**g.n
 
 
 def test_transfer_check_2d_line_transform_points_within_budget(monkeypatch):
@@ -445,10 +526,9 @@ def test_transfer_check_2d_line_transform_points_within_budget(monkeypatch):
     points.clear()
     transfer_check(f, fp, w, 2.0, 2.0)
     N, boxes = g.cells_per_axis, [2 ** (g.L + k) for k in w.levels]
-    budget = ((N + boxes[-1]) * N  # the spectrum: every row, then the k_max box's columns
-              + sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
+    budget = (sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
               + sum(2 * g.n * (2 * M) ** g.n for M in boxes))  # per level: ifftn, fftn on (2M)^n
-    assert sum(points) <= budget == 44_960
+    assert sum(points) <= budget == 24_480
     # the memo, once per level and not per call: every column of t_k^2, then the box rows
     assert first - sum(points) == sum((N + 2 * M) * N for M in boxes)
 
@@ -501,12 +581,11 @@ def test_F22_box_pairing_on_every_level_from_minus_L_to_J(n, J, kind, reciprocal
 def test_F22_peaks_below_one_full_grid_complex_array(g):
     fp = build_filter_pair(g)
     w = random_ap_weights(g, 0.5, np.random.default_rng(59))
-    f = BandSignal.random_band(g, np.random.default_rng(61), (0, g.k_max))
-    spec = _fftn_on_box(f.values, _box(g, g.k_max))
-    want = F_pq_norm(f, fp, w, 2.0, 2.0, spec)  # memoises the multipliers and box spectra
+    f = BandSignal.random_band(g, np.random.default_rng(61), (0, g.k_max))  # holds its spectrum
+    want = F_pq_norm(f, fp, w, 2.0, 2.0)  # memoises the multipliers and box spectra
     tracemalloc.start()
     try:
-        got = F_pq_norm(f, fp, w, 2.0, 2.0, spec)
+        got = F_pq_norm(f, fp, w, 2.0, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
