@@ -69,10 +69,7 @@ def _containing_max(anchors: np.ndarray, w: int) -> np.ndarray:
     Cell i sees anchors a in [i-w+1, i]; padding with -inf handles the ends,
     so the output regains the full cell shape along every axis.  The sliding
     max of width w (a power of two) takes log2(w) rounds of maxima of two
-    shifted copies per axis.  At w = 1 each cell sees only its own anchor, so
-    `anchors` is returned as it is.  (`np.pad` stays: one `np.full` buffer
-    per axis in its place made 2.5 times the page faults per `maximal` call
-    at 256^2 and ran slower there.)
+    shifted copies per axis.
     """
     if w == 1:
         return anchors

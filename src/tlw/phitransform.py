@@ -24,9 +24,11 @@ once, on first read.  `random_band` draws a spectrum and `synthesize`
 returns one, so neither runs a full-grid transform; `analyze`, the weighted
 norms and `roundtrip_residual` (Parseval on the whole spectrum) read the
 spectrum.  Only reading `values` of such a signal runs one full-grid inverse
-FFT, which in 2-D skips the lines of its first pass that miss the top
-level's box: it transforms the box rows along axis 1 and then every column
-(`_ifftn_from_box`).  1-D transforms are plain `np.fft` calls.
+FFT.  `_weighted_levels` inverts each filtered level spectrum on the full
+grid; in 2-D it skips the lines of the first pass that miss the level's box:
+it transforms the box rows along axis 1 and then every column
+(`_ifftn_from_box`, bitwise equal to `np.fft.ifftn`).  1-D transforms are
+plain `np.fft` calls.
 
 The weighted norm F_22 needs no full-grid transform per level: |phi_k * f|^2
 has its spectrum inside the centred box of 2M frequencies per axis, so its
@@ -251,14 +253,11 @@ def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
 class BandSignal:
     """Complex samples at grid points i*h, held as the samples or as their fftn spectrum.
 
-    Either form is computed from the other once, on first read.  A signal made
-    from its spectrum keeps a top level k (default J, the whole grid): the
-    spectrum vanishes off the level-k box, so `values` is one pruned inverse
-    FFT (`_ifftn_from_box`).
+    Either form is computed from the other once, on first read.
     """
 
-    def __init__(self, grid: Grid, values=None, *, spectrum=None, top: int | None = None):
-        self.grid, self._top = grid, grid.J if top is None else top
+    def __init__(self, grid: Grid, values=None, *, spectrum=None):
+        self.grid = grid
         self._values = None if values is None else np.asarray(values, dtype=complex)
         self._spectrum = None if spectrum is None else np.asarray(spectrum, dtype=complex)
         if (self._values is None) == (self._spectrum is None):
@@ -270,7 +269,7 @@ class BandSignal:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _ifftn_from_box(self._spectrum, _box(self.grid, self._top))
+            self._values = np.fft.ifftn(self._spectrum)
         return self._values
 
     @property
@@ -294,7 +293,7 @@ class BandSignal:
             raise ResolutionError(f"no represented frequencies in [2^{k_lo}, 2^{k_hi}]")
         spec = np.zeros(grid.shape, dtype=complex)
         spec.flat[bins] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
-        return cls(grid, spectrum=spec, top=k_hi)  # |xi| <= 2^{k_hi} lies in the k_hi box
+        return cls(grid, spectrum=spec)
 
     def l2_norm(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.grid.cell_volume))
@@ -344,7 +343,7 @@ def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
         tile = np.fft.fftn(lam.entries[k])  # the comb's spectrum on the box
         tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
         acc[box] += tile * fp.psi_multiplier(k)[box]
-    return BandSignal(grid, spectrum=acc, top=grid.k_max)
+    return BandSignal(grid, spectrum=acc)
 
 
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
