@@ -191,7 +191,7 @@ def save_weight_sequence(w: WeightSequence, base: str | Path):
 
 def export_filter_csv(fp, path: str | Path):
     """CSV of (|xi|, Phi, Psi) over the represented radial magnitudes."""
-    r = np.unique(fp.xi_abs.ravel())
+    r = fp.radii
     phi = fp.phi_profile(r)
     psi = fp.psi_profile(r)
     rows = np.column_stack([r, phi, psi])

@@ -83,13 +83,11 @@ def _plateau_profile(r: np.ndarray, smoothing: float) -> np.ndarray:
 
 @dataclass
 class FilterPair:
-    """Spectra of the analysis/synthesis pair on the grid's DFT frequencies."""
+    """The analysis/synthesis pair: Phi_k and Psi_k on each level's box, checks on the radii."""
 
     grid: Grid
     smoothing: float
-    xi_abs: np.ndarray = field(repr=False)
-    spectrum_phi: np.ndarray = field(repr=False)
-    spectrum_psi: np.ndarray = field(repr=False)
+    radii: np.ndarray = field(repr=False)  # the grid's distinct |xi|, ascending from 0
     plateau_floor: float = 0.0
     _mult_cache: dict = field(default_factory=dict, repr=False)
 
@@ -122,22 +120,27 @@ class FilterPair:
             self._mult_cache[key] = make()
         return self._mult_cache[key]
 
-    def phi_multiplier(self, k: int) -> np.ndarray:
-        return self._cached(("phi", k), lambda: self.phi_profile(self.xi_abs * 2.0**-k))
+    def _box_radii(self, k: int) -> np.ndarray:
+        g = self.grid
+        return _angular_frequencies(g.n, g.L, g.J)[_box_ix(g, k)]
 
-    def scale_sum(self) -> np.ndarray:
-        """sum_j Phi(2^{-j} |xi|)^2 on the grid; dyadic-invariant, so it serves every level."""
-        return self._cached("den", lambda: self._denominator(self.xi_abs))
+    def phi_multiplier(self, k: int) -> np.ndarray:
+        """Phi_k on the level-k box, laid out as `spec[_box_ix(grid, k)]`; 0 off the box."""
+        return self._cached(("phi", k), lambda: self.phi_profile(self._box_radii(k) * 2.0**-k))
 
     def psi_multiplier(self, k: int) -> np.ndarray:
-        den = self.scale_sum()
-        return self._cached(("psi", k), lambda: np.divide(
-            self.phi_multiplier(k), den, out=np.zeros_like(den), where=den > 0))
+        """Psi_k on the level-k box: Phi_k over the scale sum sum_j Phi(2^{-j} |xi|)^2,
+        which is dyadic-invariant, so the box's own radii serve every level."""
+        def make():
+            den = self._denominator(self._box_radii(k))
+            return np.divide(self.phi_multiplier(k), den, out=np.zeros_like(den), where=den > 0)
+
+        return self._cached(("psi", k), make)
 
     def covered_levels(self) -> list[int]:
         """Levels whose open annulus (2^{k-1}, 2^{k+1}) contains a represented frequency."""
         out = []
-        pos = self.xi_abs[self.xi_abs > 0]
+        pos = self.radii[1:]
         for k in range(-self.grid.L, self.grid.J):
             mask = (pos > 2.0 ** (k - 1)) & (pos < 2.0 ** (k + 1))
             if mask.any():
@@ -145,14 +148,9 @@ class FilterPair:
         return out
 
     def support_leak(self) -> float:
-        """Max |Phi|, |Psi| outside the closed support annulus (should be 0)."""
-        outside = (self.xi_abs < SUPPORT_LO) | (self.xi_abs > SUPPORT_HI)
-        if not outside.any():
-            return 0.0
-        return float(
-            max(np.abs(self.spectrum_phi[outside]).max(),
-                np.abs(self.spectrum_psi[outside]).max())
-        )
+        """Max |Phi|, |Psi| outside the closed support annulus (should be 0); |xi| = 0 is outside."""
+        r = self.radii[(self.radii < SUPPORT_LO) | (self.radii > SUPPORT_HI)]
+        return float(max(np.abs(self.phi_profile(r)).max(), np.abs(self.psi_profile(r)).max()))
 
     def partition_deviation(self, levels: list[int] | None = None) -> float:
         """Max over represented xi != 0 of |sum_k conj(Phi_k) Psi_k - 1|.
@@ -160,11 +158,10 @@ class FilterPair:
         With `levels`, the sum is truncated to those levels and the check is
         restricted to frequencies fully covered by them.
         """
-        pos_mask = self.xi_abs > 0
-        r = self.xi_abs[pos_mask]
-        den = self.scale_sum()[pos_mask]  # > 0 wherever r > 0
+        r = self.radii[1:]
         if r.size == 0:
             return 0.0
+        den = self._denominator(r)  # > 0 wherever r > 0
         if levels is None:
             j_lo = math.floor(math.log2(r.min())) - 2
             j_hi = math.ceil(math.log2(r.max())) + 2
@@ -189,6 +186,16 @@ def _angular_frequencies(n: int, L: int, J: int) -> np.ndarray:
     ax = 2.0 * np.pi * np.fft.fftfreq(1 << (L + J), d=2.0 ** (-J))
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     out = np.sqrt(sum(m * m for m in mesh))
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=2)
+def _radii(n: int, L: int, J: int) -> np.ndarray:
+    """The distinct |xi| of (n, L, J), ascending from 0; read-only.  The nonnegative
+    frequencies of each axis give them all, and in 1-D they are already in order."""
+    half = _angular_frequencies(n, L, J)[(slice((1 << (L + J)) // 2 + 1),) * n]
+    out = half.copy() if n == 1 else np.unique(half)
     out.flags.writeable = False
     return out
 
@@ -233,20 +240,15 @@ def build_filter_pair(grid: Grid, smoothing: float = 1.0) -> FilterPair:
         raise ValueError(f"smoothing width must be in (0, 1], got {smoothing}")
     if grid.cells_per_axis < 4:
         raise ResolutionError("grid too coarse for any spectral annulus")
-    xi_abs = _angular_frequencies(grid.n, grid.L, grid.J)
-    fp = FilterPair(grid=grid, smoothing=smoothing, xi_abs=xi_abs,
-                    spectrum_phi=np.zeros_like(xi_abs),
-                    spectrum_psi=np.zeros_like(xi_abs))
-    base = (xi_abs >= SUPPORT_LO) & (xi_abs <= SUPPORT_HI)
-    if not base.any():
+    r = _radii(grid.n, grid.L, grid.J)
+    if not ((r >= SUPPORT_LO) & (r <= SUPPORT_HI)).any():
         raise ResolutionError(
             "base annulus {1/2 <= |xi| <= 2} contains no represented frequencies "
             f"(domain exponent L={grid.L} too small)"
         )
-    fp.spectrum_phi = fp.phi_multiplier(0)
-    fp.spectrum_psi = fp.psi_multiplier(0)
-    plateau = (xi_abs >= PLATEAU_LO) & (xi_abs <= PLATEAU_HI)
-    fp.plateau_floor = float(fp.spectrum_phi[plateau].min()) if plateau.any() else 0.0
+    fp = FilterPair(grid=grid, smoothing=smoothing, radii=r)
+    plateau = r[(r >= PLATEAU_LO) & (r <= PLATEAU_HI)]
+    fp.plateau_floor = float(fp.phi_profile(plateau).min()) if plateau.size else 0.0
     return fp
 
 
@@ -325,7 +327,7 @@ def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> CoeffFiel
     entries = {}
     for k in range(k_lo, k_hi + 1):
         box = _box_ix(grid, k)
-        lattice = spec[box] * fp.phi_multiplier(k)[box]  # the lattice's spectrum; Phi real
+        lattice = spec[box] * fp.phi_multiplier(k)  # the lattice's spectrum; Phi real
         scale = 2.0 ** (-k * grid.n / 2.0) * (lattice.size / spec.size)
         entries[k] = scale * np.fft.ifftn(lattice)
     return CoeffField(grid, entries)
@@ -342,7 +344,7 @@ def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
         box = _box_ix(grid, k)
         tile = np.fft.fftn(lam.entries[k])  # the comb's spectrum on the box
         tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
-        acc[box] += tile * fp.psi_multiplier(k)[box]
+        acc[box] += tile * fp.psi_multiplier(k)
     return BandSignal(grid, spectrum=acc)
 
 
@@ -364,11 +366,13 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
     total = float((np.abs(spec) ** 2).sum())
     if total == 0.0:
         return 0.0
-    acc = np.zeros_like(fp.xi_abs)
+    M = _box(fp.grid, levels[1]).size  # the widest box holds every level's box
+    acc = np.zeros((M,) * fp.grid.n)
     for k in range(levels[0], levels[1] + 1):
-        acc += fp.phi_multiplier(k) * fp.psi_multiplier(k)  # Phi real
-    reproduced = np.abs(acc - 1.0) <= tol
-    return float((np.abs(spec[~reproduced]) ** 2).sum()) / total
+        acc[_box_ix(fp.grid, k, M)] += fp.phi_multiplier(k) * fp.psi_multiplier(k)  # Phi real
+    outside = np.ones(spec.shape, dtype=bool)
+    outside[_box_ix(fp.grid, levels[1])] = np.abs(acc - 1.0) > tol
+    return float((np.abs(spec[outside]) ** 2).sum()) / total
 
 
 def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, levels=None):
@@ -379,7 +383,7 @@ def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, levels=No
     filtered = np.zeros(grid.shape, dtype=complex)  # 0 off the current level's box
     for k in (w.levels if levels is None else levels):
         box = _box_ix(grid, k)
-        filtered[box] = spec[box] * fp.phi_multiplier(k)[box]
+        filtered[box] = spec[box] * fp.phi_multiplier(k)
         yield k, w.tk[k] * np.abs(_ifftn_from_box(filtered, _box(grid, k)))
         filtered[box] = 0.0
 
@@ -396,7 +400,7 @@ def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
     for k in w.levels:
         M2, ix = min(2 * _box(grid, k).size, N), _box_ix(grid, k)
         u = np.zeros((M2,) * grid.n, dtype=complex)
-        u[_box_ix(grid, k, M2)] = spec[ix] * fp.phi_multiplier(k)[ix]
+        u[_box_ix(grid, k, M2)] = spec[ix] * fp.phi_multiplier(k)
         u = np.fft.ifftn(u)
         pair = np.vdot(w.box_spectrum(k, 2, M2), np.fft.fftn(u.real**2 + u.imag**2))
         total += pair.real * (M2 / N**2) ** grid.n

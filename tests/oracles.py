@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities from the raw definitions (cell loops,
 window enumerations, candidate scans) so the fast vectorised implementations
-have a genuinely independent check.  The one library call is the single-cube
-reference `per_cube_ap_value`, which the audit's lattice path does not use.
+have a genuinely independent check.  The library calls are the single-cube
+reference `per_cube_ap_value`, which the audit's lattice path does not use,
+and the radial profile `_plateau_profile` that defines the filter pair.
 Only usable at small sizes.
 
 The exception is the expand-then-sum section at the end: the sequence norms
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from tlw.dyadic import DyadicCube, block_reduce, cube_major, expand_level_array
+from tlw.phitransform import _plateau_profile
 from tlw.weights import per_cube_ap_value
 
 
@@ -347,25 +349,68 @@ def naive_F_pq_norm(values, tk, grid, p, q, phi_k):
     return (total * grid.cell_volume) ** (1.0 / p)
 
 
+def frequency_magnitudes(grid):
+    """|xi| on every DFT frequency of the grid, from a fresh mesh."""
+    return np.sqrt(sum(m * m for m in np.meshgrid(
+        *[2.0 * np.pi * np.fft.fftfreq(grid.cells_per_axis, d=grid.h)] * grid.n, indexing="ij")))
+
+
 def drawn_band_spectrum(grid, rng, k_lo, k_hi):
     """The spectrum `BandSignal.random_band` draws, built as it first was: a boolean band mask
     from a fresh |xi| mesh, filled by one real and then one imaginary standard-normal draw."""
-    xi = np.sqrt(sum(m * m for m in np.meshgrid(
-        *[2.0 * np.pi * np.fft.fftfreq(grid.cells_per_axis, d=grid.h)] * grid.n, indexing="ij")))
+    xi = frequency_magnitudes(grid)
     mask = (xi >= 2.0**k_lo) & (xi <= 2.0**k_hi)
     spec = np.zeros(grid.shape, dtype=complex)
     spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
     return spec
 
 
+def _scale_sum(xi, grid, smoothing):
+    """sum_j Phi(2^{-j} |xi|)^2 over every j whose annulus can hold a represented |xi|."""
+    den = np.zeros_like(xi)
+    for j in range(-grid.L - 4, grid.J + 6):
+        den += _plateau_profile(xi * 2.0**-j, smoothing) ** 2
+    return den
+
+
+def full_grid_filter(grid, smoothing, k):
+    """(Phi_k, Psi_k) on every DFT frequency of the grid: the profile at 2^{-k} |xi|, and
+    Psi_k = Phi_k / sum_j Phi(2^{-j} |xi|)^2 (0 at xi = 0)."""
+    xi = frequency_magnitudes(grid)
+    phi = _plateau_profile(xi * 2.0**-k, smoothing)
+    den = _scale_sum(xi, grid, smoothing)
+    return phi, np.divide(phi, den, out=np.zeros_like(den), where=den > 0)
+
+
+def full_grid_filter_checks(grid, smoothing):
+    """(support leak, plateau floor, partition deviation, covered levels) of the filter pair,
+    read off full-grid multipliers, every level's for the partition of unity."""
+    xi = frequency_magnitudes(grid)
+    phi, psi = full_grid_filter(grid, smoothing, 0)
+    outside = (xi < 0.5) | (xi > 2.0)
+    plateau = (xi >= 3.0 / 5.0) & (xi <= 5.0 / 3.0)
+    pos, den = xi > 0, _scale_sum(xi, grid, smoothing)
+    acc = np.zeros(int(pos.sum()))
+    for k in range(-grid.L - 4, grid.J + 6):
+        phi_k = _plateau_profile(xi[pos] * 2.0**-k, smoothing)
+        acc += phi_k * (phi_k / den[pos])
+    covered = [k for k in range(-grid.L, grid.J)
+               if ((xi > 2.0 ** (k - 1)) & (xi < 2.0 ** (k + 1))).any()]
+    return (float(max(np.abs(phi[outside]).max(), np.abs(psi[outside]).max())),
+            float(phi[plateau].min()) if plateau.any() else 0.0,
+            float(np.abs(acc - 1.0).max()), covered)
+
+
 def per_level_psi(fp, k):
-    """Psi_k with the scale sum recomputed at the level's own scaled frequencies."""
-    return fp.psi_profile(fp.xi_abs * 2.0**-k)
+    """Psi_k on every DFT frequency, with the scale sum recomputed at the level's own scaled
+    frequencies."""
+    return fp.psi_profile(frequency_magnitudes(fp.grid) * 2.0**-k)
 
 
 def per_level_partition_deviation(fp):
     """max |sum_k conj(Phi_k) Psi_k - 1| over xi != 0, one scale sum per level."""
-    r = fp.xi_abs[fp.xi_abs > 0]
+    xi = frequency_magnitudes(fp.grid)
+    r = xi[xi > 0]
     j_lo = math.floor(math.log2(r.min())) - 2
     j_hi = math.ceil(math.log2(r.max())) + 2
     acc = np.zeros_like(r)

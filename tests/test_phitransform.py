@@ -210,7 +210,7 @@ def test_F_22_parseval_consistency(fp1):
     spec = np.fft.fftn(f.values) / f.values.size
     want_sq = 0.0
     for k in w.levels:
-        mult = fp1.phi_multiplier(k)
+        mult = oracles.full_grid_filter(g, 1.0, k)[0]
         want_sq += float(np.sum(np.abs(mult * spec) ** 2)) * (2.0**g.L) ** g.n
     assert got == pytest.approx(math.sqrt(want_sq), rel=1e-12)
 
@@ -222,7 +222,7 @@ def test_spatial_spectral_agreement(fp1):
     rng = np.random.default_rng(313)
     f = BandSignal.random_band(g, rng, (0, 2))
     k = 1
-    kernel = np.fft.ifftn(fp1.phi_multiplier(k))
+    kernel = np.fft.ifftn(oracles.full_grid_filter(g, 1.0, k)[0])
     direct = np.array([
         np.sum(f.values * np.roll(kernel[::-1], i + 1)) for i in range(g.cells_per_axis)
     ])
@@ -242,7 +242,7 @@ def test_F_inf_norm_basics(fp1):
     body = np.zeros(g.shape)
     spec = np.fft.fftn(f.values)
     for k in w.levels:
-        body += (w.tk[k] * np.abs(np.fft.ifftn(spec * fp1.phi_multiplier(k)))) ** 2.0
+        body += (w.tk[k] * np.abs(np.fft.ifftn(spec * oracles.full_grid_filter(g, 1.0, k)[0]))) ** 2.0
     domain_avg = float(body.mean()) ** 0.5
     assert val >= domain_avg * (1 - 1e-12)
     with pytest.raises(LevelRangeError):
@@ -314,7 +314,7 @@ class _RandomRealMultipliers:
     Reading the lattice spectrum off the box, and adding onto it, is exact for
     any real multiplier that vanishes off the level's box, as Phi_k and Psi_k
     do; unlike them, these excite every lattice frequency, including the
-    M = 1 lattice at k = -L.
+    M = 1 lattice at k = -L.  `full_phi` and `full_psi` give them on the grid.
     """
 
     def __init__(self, grid, seed):
@@ -324,16 +324,26 @@ class _RandomRealMultipliers:
 
     def _draw(self, key):
         if key not in self._cache:
-            mask = box_mask(self.grid, key[1])
-            self._cache[key] = np.zeros(self.grid.shape)
-            self._cache[key][mask] = self._rng.standard_normal(int(mask.sum()))
+            M = _box(self.grid, key[1]).size
+            self._cache[key] = self._rng.standard_normal((M,) * self.grid.n)
         return self._cache[key]
+
+    def _on_grid(self, key):
+        out = np.zeros(self.grid.shape)
+        out[np.ix_(*[_box(self.grid, key[1])] * self.grid.n)] = self._draw(key)
+        return out
 
     def phi_multiplier(self, k):
         return self._draw(("phi", k))
 
     def psi_multiplier(self, k):
         return self._draw(("psi", k))
+
+    def full_phi(self, k):
+        return self._on_grid(("phi", k))
+
+    def full_psi(self, k):
+        return self._on_grid(("psi", k))
 
 
 @given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1), st.data())
@@ -345,10 +355,10 @@ def test_folded_kernels_match_full_grid_oracles(n, L, seed, data):
     g = Grid(n=n, L=L, J=J, k_min=k_lo, k_max=k_hi)
     rng = np.random.default_rng(seed)
     stub = _RandomRealMultipliers(g, seed)
-    cases = [(stub, stub.phi_multiplier, stub.psi_multiplier)]
+    cases = [(stub, stub.full_phi, stub.full_psi)]
     if L == 2:  # L = 1 leaves the base annulus empty
-        fp = build_filter_pair(g)
-        cases.append((fp, fp.phi_multiplier, lambda k: oracles.per_level_psi(fp, k)))
+        cases.append((build_filter_pair(g), lambda k: oracles.full_grid_filter(g, 1.0, k)[0],
+                      lambda k: oracles.full_grid_filter(g, 1.0, k)[1]))
     f = BandSignal(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     lam = CoeffField.random(g, rng)
     for pair, phi_k, psi_k in cases:
@@ -366,34 +376,59 @@ def test_folded_kernels_match_full_grid_oracles(n, L, seed, data):
     (1, 3, 6, 1.0), (1, 2, 11, 1.0), (1, 2, 6, 0.25), (2, 2, 4, 1.0), (2, 3, 5, 0.5),
 ])
 def test_scale_sum_once_is_bit_identical_to_per_level_formula(n, L, J, smoothing):
-    fp = build_filter_pair(Grid(n=n, L=L, J=J, k_min=0, k_max=0), smoothing)
+    g = Grid(n=n, L=L, J=J, k_min=0, k_max=0)
+    fp = build_filter_pair(g, smoothing)
     for k in range(-L, J):
-        assert np.array_equal(fp.psi_multiplier(k), oracles.per_level_psi(fp, k))
-    assert np.array_equal(fp.spectrum_psi, oracles.per_level_psi(fp, 0))
+        box = np.ix_(*[_box(g, k)] * n)
+        assert np.array_equal(fp.psi_multiplier(k), oracles.per_level_psi(fp, k)[box])
     assert fp.partition_deviation() == oracles.per_level_partition_deviation(fp)
 
 
 def test_frequency_mesh_is_built_once_per_grid_and_shared_read_only():
     g = fgrid(n=2, L=2, J=4, k_max=2)
     fp = build_filter_pair(g)
-    assert build_filter_pair(g.with_levels(0, 1)).xi_abs is fp.xi_abs
-    assert not fp.xi_abs.flags.writeable
+    assert build_filter_pair(g.with_levels(0, 1)).radii is fp.radii
+    assert not fp.radii.flags.writeable
+    for h in (g, fgrid(n=1, L=2, J=7)):  # the 1-D radii are read off the axis, unsorted
+        assert np.array_equal(build_filter_pair(h).radii, np.unique(oracles.frequency_magnitudes(h)))
     a = BandSignal.random_band(g, np.random.default_rng(1), (0, 2))
     b = BandSignal.random_band(g.with_levels(0, 1), np.random.default_rng(1), (0, 2))
     assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("n, L, J", [(1, 2, 6), (1, 3, 5), (2, 2, 4), (2, 3, 3)])
-@pytest.mark.parametrize("smoothing", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("smoothing", [1.0, 0.5, 0.25, 0.2])
 def test_level_multipliers_vanish_off_the_level_box(n, L, J, smoothing):
+    # the full-grid oracle vanishes off each level's box, and the pair's box arrays and
+    # its four checks on the distinct radii equal the oracle's bit for bit
     g = Grid(n=n, L=L, J=J, k_min=0, k_max=0)
     fp = build_filter_pair(g, smoothing)
     for k in range(-L, J + 1):
+        box = np.ix_(*[_box(g, k)] * n)
         inside = np.zeros(g.shape, dtype=bool)
-        inside[np.ix_(*[_box(g, k)] * n)] = True
+        inside[box] = True
         assert np.array_equal(inside, box_mask(g, k))
-        assert np.all(fp.phi_multiplier(k)[~inside] == 0.0)
-        assert np.all(fp.psi_multiplier(k)[~inside] == 0.0)
+        phi, psi = oracles.full_grid_filter(g, smoothing, k)
+        assert not (phi[~inside].any() or psi[~inside].any())
+        assert fp.phi_multiplier(k).tobytes() == phi[box].tobytes()
+        assert fp.psi_multiplier(k).tobytes() == psi[box].tobytes()
+    assert (fp.support_leak(), fp.plateau_floor, fp.partition_deviation(),
+            fp.covered_levels()) == oracles.full_grid_filter_checks(g, smoothing)
+
+
+def test_filter_pair_peaks_below_one_full_grid_float_array():
+    g = Grid(2, 2, 7, 0, 4)
+    phitransform._radii(g.n, g.L, g.J)  # warms the shared |xi| mesh and its distinct radii
+    tracemalloc.start()
+    try:
+        fp = build_filter_pair(g)
+        for k in range(g.k_min, g.k_max + 1):
+            fp.phi_multiplier(k), fp.psi_multiplier(k)
+        fp.support_leak(), fp.partition_deviation(), fp.covered_levels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty(g.shape).nbytes
 
 
 @pytest.mark.parametrize("n, J", [(1, 5), (2, 3)])
@@ -483,7 +518,11 @@ def test_roundtrip_residual_detects_a_perturbed_synthesis_level(g, band):
     f = BandSignal.random_band(g, np.random.default_rng(61), band)
     got = roundtrip_residual(f, bad, band)
     assert got > 1e-2
-    assert got == pytest.approx(cell_residual(f, bad, band), rel=1e-12)
+    filters = {k: oracles.full_grid_filter(g, 1.0, k) for k in range(band[0], band[1] + 1)}
+    lam = oracles.naive_analyze(f.values, g, band, lambda k: filters[k][0])
+    diff = oracles.naive_synthesize(lam, g, lambda k: filters[k][1] * (1.25 if k == 1 else 1.0))
+    diff -= f.values
+    assert got == pytest.approx(np.linalg.norm(diff) / np.linalg.norm(f.values), rel=1e-12)
 
 
 @pytest.mark.parametrize("g", [Grid(1, 2, 8, 0, 5), Grid(2, 2, 5, 0, 3)], ids=["1d", "2d"])
@@ -544,12 +583,13 @@ def check_f22_against_full_grid(g, w, seed):
     """F_pq_norm(., 2, 2) against the cell oracle and the general full-grid path, rel 1e-13."""
     rng = np.random.default_rng(seed)
     f = BandSignal(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    pairs = [_RandomRealMultipliers(g, seed)]  # excites every box, the M = 1 box at k = -L too
+    stub = _RandomRealMultipliers(g, seed)  # excites every box, the M = 1 box at k = -L too
+    pairs = [(stub, stub.full_phi)]
     if g.L == 2:  # L = 1 leaves the base annulus empty
-        pairs.append(build_filter_pair(g))
-    for pair in pairs:
+        pairs.append((build_filter_pair(g), lambda k: oracles.full_grid_filter(g, 1.0, k)[0]))
+    for pair, phi_k in pairs:
         got = F_pq_norm(f, pair, w, 2.0, 2.0)
-        want = oracles.naive_F_pq_norm(f.values, w.tk, g, 2.0, 2.0, pair.phi_multiplier)
+        want = oracles.naive_F_pq_norm(f.values, w.tk, g, 2.0, 2.0, phi_k)
         general = lp_lq_norm(g, (a**2 for _, a in _weighted_levels(f, pair, w)), 2.0, 2.0)
         assert got == pytest.approx(want, rel=1e-13)
         assert got == pytest.approx(general, rel=1e-13)
