@@ -14,10 +14,12 @@ design; `band_leakage` measures it rather than erroring.
 Phi_k and Psi_k vanish off |xi| < 2^{k+1}, i.e. off the centred index box
 |j| < M/pi < M/2 per axis with M = 2^{L+k}; `_box` gives that box's grid
 indices, in DFT order, so it is also the level-k lattice's M-point spectrum.
-The level-k lattice has M points per axis, step s = 2^{J-k}: `analyze` takes
-the filtered spectrum on the box (its s^n - 1 other aliases are exact zeros)
-and inverts that small spectrum; `synthesize` adds each level's small
-coefficient spectrum, filtered by Psi_k, onto the box.
+`FilterPair` keeps Phi_k and Psi_k only on that box, from the box's own |xi|
+(the scale sum too), and runs its checks on the grid's distinct radii: it
+holds no full-grid array.  The level-k lattice has M points per axis, step
+s = 2^{J-k}: `analyze` takes the filtered spectrum on the box (its s^n - 1
+other aliases are exact zeros) and inverts that small spectrum; `synthesize`
+adds each level's small coefficient spectrum, filtered by Psi_k, onto the box.
 
 A `BandSignal` holds its samples or its fftn spectrum and computes the other
 once, on first read.  `random_band` draws a spectrum and `synthesize`
@@ -32,10 +34,11 @@ plain `np.fft` calls.
 
 The weighted norm F_22 needs no full-grid transform per level: |phi_k * f|^2
 has its spectrum inside the centred box of 2M frequencies per axis, so its
-samples on the 2M-lattice are alias-free (2M <= N for k <= J-1; at k = J the
-lattice is the grid), and int t_k^2 |phi_k * f|^2 is a Parseval pairing on
-that box with fftn(t_k^2), which `WeightSequence.box_spectrum` builds once.
-Every other (p, q) reduces t_k |phi_k * f| cell by cell on the full grid.
+samples u on the 2M-lattice are alias-free (2M <= N for k <= J-1; at k = J the
+lattice is the grid), and int t_k^2 |phi_k * f|^2 is a real dot product of
+|u|^2 with the samples of t_k^2 cut to that box (`WeightSequence.box_samples`,
+built once).  Every other (p, q) reduces t_k |phi_k * f| cell by cell on the
+full grid.
 """
 
 from __future__ import annotations
@@ -129,23 +132,15 @@ class FilterPair:
         return self._cached(("phi", k), lambda: self.phi_profile(self._box_radii(k) * 2.0**-k))
 
     def psi_multiplier(self, k: int) -> np.ndarray:
-        """Psi_k on the level-k box: Phi_k over the scale sum sum_j Phi(2^{-j} |xi|)^2,
-        which is dyadic-invariant, so the box's own radii serve every level."""
-        def make():
-            den = self._denominator(self._box_radii(k))
-            return np.divide(self.phi_multiplier(k), den, out=np.zeros_like(den), where=den > 0)
-
-        return self._cached(("psi", k), make)
+        """Psi_k on the level-k box: Phi_k over the dyadic-invariant scale sum, which at
+        2^{-k} |xi| takes the same values as at |xi| (scaling by 2^{-k} is exact)."""
+        return self._cached(("psi", k), lambda: self.psi_profile(self._box_radii(k) * 2.0**-k))
 
     def covered_levels(self) -> list[int]:
         """Levels whose open annulus (2^{k-1}, 2^{k+1}) contains a represented frequency."""
-        out = []
         pos = self.radii[1:]
-        for k in range(-self.grid.L, self.grid.J):
-            mask = (pos > 2.0 ** (k - 1)) & (pos < 2.0 ** (k + 1))
-            if mask.any():
-                out.append(k)
-        return out
+        return [k for k in range(-self.grid.L, self.grid.J)
+                if ((pos > 2.0 ** (k - 1)) & (pos < 2.0 ** (k + 1))).any()]
 
     def support_leak(self) -> float:
         """Max |Phi|, |Psi| outside the closed support annulus (should be 0); |xi| = 0 is outside."""
@@ -158,9 +153,7 @@ class FilterPair:
         With `levels`, the sum is truncated to those levels and the check is
         restricted to frequencies fully covered by them.
         """
-        r = self.radii[1:]
-        if r.size == 0:
-            return 0.0
+        r = self.radii[1:]  # never empty: the grid has at least 4 cells per axis
         den = self._denominator(r)  # > 0 wherever r > 0
         if levels is None:
             j_lo = math.floor(math.log2(r.min())) - 2
@@ -389,9 +382,9 @@ def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, levels=No
 
 
 def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
-    """sum_k int t_k^2 |phi_k * f|^2 by Parseval on each level's 2M-box (module docstring):
-    sum_x t_k^2 |g_k|^2 = (2M)^n / N^{2n} vdot(fftn(t_k^2)|box, fftn_2M(|u|^2)), where
-    u = ifftn_2M(level spectrum) = (N / 2M)^n g_k on the 2M-lattice; 2M is capped at N.
+    """sum_k int t_k^2 |phi_k * f|^2 by Parseval on each level's 2M-lattice (module docstring):
+    sum_x t_k^2 |g_k|^2 = (2M)^n / N^{2n} sum_y T_y |u_y|^2, where u = ifftn_2M(level
+    spectrum) = (N / 2M)^n g_k and T = `w.box_samples(k, 2, 2M)`; 2M is capped at N.
     """
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
@@ -402,8 +395,8 @@ def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
         u = np.zeros((M2,) * grid.n, dtype=complex)
         u[_box_ix(grid, k, M2)] = spec[ix] * fp.phi_multiplier(k)
         u = np.fft.ifftn(u)
-        pair = np.vdot(w.box_spectrum(k, 2, M2), np.fft.fftn(u.real**2 + u.imag**2))
-        total += pair.real * (M2 / N**2) ** grid.n
+        pair = np.vdot(w.box_samples(k, 2, M2), u.real**2 + u.imag**2)
+        total += pair * (M2 / N**2) ** grid.n
     return max(total * grid.cell_volume, 0.0)
 
 

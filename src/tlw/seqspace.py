@@ -216,7 +216,7 @@ def lambda_star(lam: CoeffField, r: float, d: float) -> CoeffField:
         if r == INF:
             out[k] = _max_conv(amp, _distance_kernel(grid.level_shape(k), d))
         else:
-            conv = _fft_full_conv(amp**r, _kernel_spectrum(grid.level_shape(k), d))
+            conv = _fft_conv(amp**r, _kernel_spectrum(grid.level_shape(k), d))
             out[k] = np.maximum(conv, amp**r) ** (1.0 / r)
     return CoeffField(grid, out)
 
@@ -230,19 +230,20 @@ def _distance_kernel(shape: tuple[int, ...], d: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _kernel_spectrum(shape: tuple[int, ...], d: float) -> np.ndarray:
-    """rfftn of `_distance_kernel(shape, d)` at the full convolution size; read-only, shared."""
-    full = tuple(3 * s - 2 for s in shape)
-    out = np.fft.rfftn(_distance_kernel(shape, d), full, axes=tuple(range(len(shape))))
+    """rfftn of `_distance_kernel(shape, d)` at size 2s per axis; read-only, shared."""
+    size = tuple(2 * s for s in shape)
+    out = np.fft.rfftn(_distance_kernel(shape, d), size, axes=tuple(range(len(shape))))
     out.flags.writeable = False
     return out
 
 
-def _fft_full_conv(a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """(a * kernel)[m] = sum_h a[h] kernel[m - h + off], off = shape-1 per axis."""
-    full = tuple(3 * s - 2 for s in a.shape)
+def _fft_conv(a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """(a * kernel)[m] = sum_h a[h] kernel[m - h + off], off = shape-1 per axis; a circular
+    convolution of size 2s per axis, whose wrap misses the kept entries s-1..2s-2."""
+    size = tuple(2 * s for s in a.shape)
     axes = tuple(range(a.ndim))
-    fa = np.fft.rfftn(a, full, axes=axes)
-    conv = np.fft.irfftn(fa * spectrum, full, axes=axes)
+    fa = np.fft.rfftn(a, size, axes=axes)
+    conv = np.fft.irfftn(fa * spectrum, size, axes=axes)
     sl = tuple(slice(s - 1, 2 * s - 1) for s in a.shape)
     return np.maximum(conv[sl], 0.0)
 

@@ -120,14 +120,16 @@ class WeightSequence:
             self._arrays[k, r] = out
         return self._arrays[k, r]
 
-    def box_spectrum(self, k: int, r: float, M: int) -> np.ndarray:
-        """fftn(t_k^r) on the centred box of M frequencies per axis, in DFT order (an
-        M^n array), computed once per (k, r, M) and kept read-only."""
+    def box_samples(self, k: int, r: float, M: int) -> np.ndarray:
+        """M^n Re ifftn_M(fftn(t_k^r) on the centred box of M frequencies per axis): N^n t_k^r
+        cut to that box, on the M-lattice (an M^n real array); computed once per (k, r, M)
+        and kept read-only."""
         if (k, r, M) not in self._arrays:
             box = np.fft.fftfreq(M, 1 / M).astype(int) % self.grid.cells_per_axis
             out = self.power(k, r, np.empty(self.grid.shape))
             for axis in range(self.grid.n):  # each axis's lines, then only the box's
                 out = np.fft.fft(out, axis=axis).take(box, axis=axis)
+            out = M**self.grid.n * np.fft.ifftn(out).real
             out.flags.writeable = False
             self._arrays[k, r, M] = out
         return self._arrays[k, r, M]

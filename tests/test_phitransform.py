@@ -560,16 +560,17 @@ def test_transfer_check_2d_line_transform_points_within_budget(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    transfer_check(f, fp, w, 2.0, 2.0)  # also builds fftn(t_k^2) on each level's 2M-box
+    transfer_check(f, fp, w, 2.0, 2.0)  # also builds t_k^2 cut to each level's 2M-box
     first = sum(points)
     points.clear()
     transfer_check(f, fp, w, 2.0, 2.0)
     N, boxes = g.cells_per_axis, [2 ** (g.L + k) for k in w.levels]
     budget = (sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
-              + sum(2 * g.n * (2 * M) ** g.n for M in boxes))  # per level: ifftn, fftn on (2M)^n
-    assert sum(points) <= budget == 24_480
-    # the memo, once per level and not per call: every column of t_k^2, then the box rows
-    assert first - sum(points) == sum((N + 2 * M) * N for M in boxes)
+              + sum(g.n * (2 * M) ** g.n for M in boxes))  # per level: one ifftn on (2M)^n
+    assert sum(points) <= budget == 13_600
+    # the memo, once per level and not per call: every column of t_k^2, then the box rows,
+    # then the box's inverse onto the 2M-lattice
+    assert first - sum(points) == sum((N + 2 * M) * N + g.n * (2 * M) ** g.n for M in boxes)
 
 
 def f22_weights(kind, g, seed, reciprocal):

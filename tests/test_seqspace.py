@@ -15,6 +15,9 @@ from tlw.errors import (
 from tlw.seqspace import (
     CoeffField,
     RestrictionSets,
+    _distance_kernel,
+    _fft_conv,
+    _kernel_spectrum,
     f_inf_norm,
     f_inf_norm_cubeavg,
     f_pq_norm,
@@ -300,6 +303,18 @@ def test_lambda_star_matches_naive_oracle():
         star = lambda_star(lam, r, d)
         for k in lam.levels:
             np.testing.assert_allclose(star.amplitude(k), want[k], rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(64,), (1024,), (8, 8), (32, 32)])
+def test_lambda_star_circular_convolution_equals_the_direct_sum(shape):
+    # size 2s per axis, not the full 3s - 2: the wrap misses the entries kept
+    a = np.random.default_rng(151).random(shape)
+    kernel = _distance_kernel(shape, 3.0)  # (1 + |h - m|)^{-3} at kernel[m - h + s - 1]
+    want = np.array([np.sum(a * kernel[tuple(slice(s - 1 - i, 2 * s - 1 - i)
+                                              for s, i in zip(shape, m))])
+                     for m in np.ndindex(shape)]).reshape(shape)
+    got = _fft_conv(a, _kernel_spectrum(shape, 3.0))
+    assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 def test_lambda_star_rinf_modification():

@@ -423,9 +423,10 @@ def test_weights_stay_free_of_reference_cycles_after_reciprocal_integrals():
     assert tk[g.k_min].flags.writeable  # the caller's arrays are left writable
 
 
-def fresh_box_spectrum(w, k, r, M):
+def fresh_box_samples(w, k, r, M):
     box = np.fft.fftfreq(M, 1 / M).astype(int) % w.grid.cells_per_axis
-    return np.fft.fftn(w.power(k, r, np.empty(w.grid.shape)))[np.ix_(*[box] * w.grid.n)]
+    spec = np.fft.fftn(w.power(k, r, np.empty(w.grid.shape)))[np.ix_(*[box] * w.grid.n)]
+    return M**w.grid.n * np.fft.ifftn(spec).real
 
 
 @pytest.mark.parametrize("g", [grid1(), Grid(2, 1, 3, 0, 2)], ids=["1d", "2d"])
@@ -433,16 +434,16 @@ def test_box_spectra_are_memoised_read_only_and_kept_apart_from_the_reciprocal(g
     w = random_ap_weights(g, 0.8, np.random.default_rng(43))
     for k in w.levels:
         for M in (1, 2, 2 ** (g.L + k + 1), g.cells_per_axis):
-            inv = w.reciprocal().box_spectrum(k, 2.0, M)  # first, as in the integral test
-            got = w.box_spectrum(k, 2.0, M)
-            assert got.shape == (M,) * g.n
-            assert got is w.box_spectrum(k, 2.0, M)
-            assert inv is w.reciprocal().box_spectrum(k, 2.0, M)
+            inv = w.reciprocal().box_samples(k, 2.0, M)  # first, as in the integral test
+            got = w.box_samples(k, 2.0, M)
+            assert got.shape == (M,) * g.n and got.dtype == inv.dtype == float
+            assert got is w.box_samples(k, 2.0, M)
+            assert inv is w.reciprocal().box_samples(k, 2.0, M)
             assert not (got.flags.writeable or inv.flags.writeable)
-            scale = np.abs(fresh_box_spectrum(w, k, 2.0, g.cells_per_axis)).max()
-            assert np.abs(got - fresh_box_spectrum(w, k, 2.0, M)).max() <= 1e-14 * scale
-            scale = np.abs(fresh_box_spectrum(w.reciprocal(), k, 2.0, g.cells_per_axis)).max()
-            assert np.abs(inv - fresh_box_spectrum(w.reciprocal(), k, 2.0, M)).max() <= 1e-14 * scale
+            scale = np.abs(fresh_box_samples(w, k, 2.0, g.cells_per_axis)).max()
+            assert np.abs(got - fresh_box_samples(w, k, 2.0, M)).max() <= 1e-14 * scale
+            scale = np.abs(fresh_box_samples(w.reciprocal(), k, 2.0, g.cells_per_axis)).max()
+            assert np.abs(inv - fresh_box_samples(w.reciprocal(), k, 2.0, M)).max() <= 1e-14 * scale
             assert not np.array_equal(got, inv)
 
 
@@ -450,12 +451,12 @@ def test_shifted_weights_build_their_own_box_spectra():
     g = grid1()
     w = random_ap_weights(g, 0.8, np.random.default_rng(47))
     shifted = w.shifted(1, levels=range(1, 4))
-    built = {k: shifted.box_spectrum(k, 2.0, 8) for k in shifted.levels}
+    built = {k: shifted.box_samples(k, 2.0, 8) for k in shifted.levels}
     assert not w._arrays  # the shift keeps its spectra to itself
     for k, got in built.items():
-        assert got is shifted.box_spectrum(k, 2.0, 8)
-        assert np.array_equal(got, w.box_spectrum(k - 1, 2.0, 8))  # the same t_{k-1}^2
-        assert got is not w.box_spectrum(k - 1, 2.0, 8)
+        assert got is shifted.box_samples(k, 2.0, 8)
+        assert np.array_equal(got, w.box_samples(k - 1, 2.0, 8))  # the same t_{k-1}^2
+        assert got is not w.box_samples(k - 1, 2.0, 8)
 
 
 def test_weights_stay_free_of_reference_cycles_after_box_spectra():
@@ -465,8 +466,8 @@ def test_weights_stay_free_of_reference_cycles_after_box_spectra():
     gc.disable()  # so only reference counting can free w
     try:
         w = WeightSequence(g, tk)
-        w.box_spectrum(g.k_max, 2.0, 8)
-        w.reciprocal().box_spectrum(g.k_max, 2.0, 8)
+        w.box_samples(g.k_max, 2.0, 8)
+        w.reciprocal().box_samples(g.k_max, 2.0, 8)
         ref = weakref.ref(w)
         del w
         assert ref() is None
