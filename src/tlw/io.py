@@ -191,8 +191,5 @@ def save_weight_sequence(w: WeightSequence, base: str | Path):
 
 def export_filter_csv(fp, path: str | Path):
     """CSV of (|xi|, Phi, Psi) over the represented radial magnitudes."""
-    r = fp.radii
-    phi = fp.phi_profile(r)
-    psi = fp.psi_profile(r)
-    rows = np.column_stack([r, phi, psi])
+    rows = np.column_stack([fp.radii, *fp.radial_profiles()])
     np.savetxt(Path(path), rows, delimiter=",", header="xi_abs,phi,psi", comments="")

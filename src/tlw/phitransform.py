@@ -97,27 +97,6 @@ class FilterPair:
     def phi_profile(self, r: np.ndarray) -> np.ndarray:
         return _plateau_profile(r, self.smoothing)
 
-    def _denominator(self, r: np.ndarray) -> np.ndarray:
-        """sum_j Phi(2^{-j} r)^2, >= 1 wherever r > 0 (plateaus overlap)."""
-        r = np.asarray(r, dtype=float)
-        pos = r[r > 0]
-        out = np.zeros_like(r)
-        if pos.size == 0:
-            return out
-        j_lo = math.floor(math.log2(pos.min())) - 2
-        j_hi = math.ceil(math.log2(pos.max())) + 2
-        acc = np.zeros_like(r)
-        for j in range(j_lo, j_hi + 1):
-            acc += self.phi_profile(np.where(r > 0, r * 2.0**-j, 1.0)) ** 2 * (r > 0)
-        return acc
-
-    def psi_profile(self, r: np.ndarray) -> np.ndarray:
-        den = self._denominator(r)
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        phi = self.phi_profile(r)
-        np.divide(phi, den, out=out, where=den > 0)
-        return out
-
     def _cached(self, key, make) -> np.ndarray:
         if key not in self._mult_cache:
             self._mult_cache[key] = make()
@@ -131,10 +110,30 @@ class FilterPair:
         """Phi_k on the level-k box, laid out as `spec[_box_ix(grid, k)]`; 0 off the box."""
         return self._cached(("phi", k), lambda: self.phi_profile(self._box_radii(k) * 2.0**-k))
 
+    def _scale_sum(self) -> np.ndarray:
+        """sum_j Phi(2^{-j} r)^2 at the distinct radii r, >= 1 wherever r > 0 (plateaus
+        overlap); dyadic-invariant, so it serves every level."""
+        def make():
+            r, pos = self.radii, self.radii > 0
+            acc = np.zeros_like(r)
+            for j in range(math.floor(math.log2(r[1])) - 2, math.ceil(math.log2(r[-1])) + 3):
+                acc += self.phi_profile(np.where(pos, r * 2.0**-j, 1.0)) ** 2 * pos
+            return acc
+
+        return self._cached("den", make)
+
+    def radial_profiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi, Psi) at the distinct radii."""
+        phi, den = self.phi_profile(self.radii), self._scale_sum()
+        return phi, np.divide(phi, den, out=np.zeros_like(den), where=den > 0)
+
     def psi_multiplier(self, k: int) -> np.ndarray:
-        """Psi_k on the level-k box: Phi_k over the dyadic-invariant scale sum, which at
-        2^{-k} |xi| takes the same values as at |xi| (scaling by 2^{-k} is exact)."""
-        return self._cached(("psi", k), lambda: self.psi_profile(self._box_radii(k) * 2.0**-k))
+        """Psi_k on the level-k box: Phi_k over the scale sum, looked up at the box's radii."""
+        def make():
+            den = self._scale_sum()[np.searchsorted(self.radii, self._box_radii(k))]
+            return np.divide(self.phi_multiplier(k), den, out=np.zeros_like(den), where=den > 0)
+
+        return self._cached(("psi", k), make)
 
     def covered_levels(self) -> list[int]:
         """Levels whose open annulus (2^{k-1}, 2^{k+1}) contains a represented frequency."""
@@ -144,8 +143,9 @@ class FilterPair:
 
     def support_leak(self) -> float:
         """Max |Phi|, |Psi| outside the closed support annulus (should be 0); |xi| = 0 is outside."""
-        r = self.radii[(self.radii < SUPPORT_LO) | (self.radii > SUPPORT_HI)]
-        return float(max(np.abs(self.phi_profile(r)).max(), np.abs(self.psi_profile(r)).max()))
+        phi, psi = self.radial_profiles()
+        outside = (self.radii < SUPPORT_LO) | (self.radii > SUPPORT_HI)
+        return float(max(np.abs(phi[outside]).max(), np.abs(psi[outside]).max()))
 
     def partition_deviation(self, levels: list[int] | None = None) -> float:
         """Max over represented xi != 0 of |sum_k conj(Phi_k) Psi_k - 1|.
@@ -154,7 +154,7 @@ class FilterPair:
         restricted to frequencies fully covered by them.
         """
         r = self.radii[1:]  # never empty: the grid has at least 4 cells per axis
-        den = self._denominator(r)  # > 0 wherever r > 0
+        den = self._scale_sum()[1:]  # > 0 wherever r > 0
         if levels is None:
             j_lo = math.floor(math.log2(r.min())) - 2
             j_hi = math.ceil(math.log2(r.max())) + 2
@@ -186,9 +186,12 @@ def _angular_frequencies(n: int, L: int, J: int) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _radii(n: int, L: int, J: int) -> np.ndarray:
     """The distinct |xi| of (n, L, J), ascending from 0; read-only.  The nonnegative
-    frequencies of each axis give them all, and in 1-D they are already in order."""
-    half = _angular_frequencies(n, L, J)[(slice((1 << (L + J)) // 2 + 1),) * n]
-    out = half.copy() if n == 1 else np.unique(half)
+    frequencies of each axis give them all, and in 1-D they are already in order.
+    (Not `np.unique`, which imports `numpy.ma` on its first call.)"""
+    half = _angular_frequencies(n, L, J)[(slice((1 << (L + J)) // 2 + 1),) * n].ravel()
+    if n > 1:
+        half = np.sort(half)
+    out = half[np.append(True, half[1:] != half[:-1])]
     out.flags.writeable = False
     return out
 

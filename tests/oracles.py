@@ -365,12 +365,19 @@ def drawn_band_spectrum(grid, rng, k_lo, k_hi):
     return spec
 
 
-def _scale_sum(xi, grid, smoothing):
-    """sum_j Phi(2^{-j} |xi|)^2 over every j whose annulus can hold a represented |xi|."""
-    den = np.zeros_like(xi)
-    for j in range(-grid.L - 4, grid.J + 6):
-        den += _plateau_profile(xi * 2.0**-j, smoothing) ** 2
+def _scale_sum(r, grid, smoothing):
+    """sum_j Phi(2^{-j} r)^2 over every j whose annulus can hold 2^{-k} |xi| for a
+    represented xi and a level k in [-L, J]."""
+    den = np.zeros_like(r)
+    for j in range(-grid.L - grid.J - 2, grid.L + grid.J + 5):
+        den += _plateau_profile(r * 2.0**-j, smoothing) ** 2
     return den
+
+
+def _quotient(r, grid, smoothing):
+    """Phi(r) / sum_j Phi(2^{-j} r)^2, 0 where the sum is."""
+    den = _scale_sum(r, grid, smoothing)
+    return np.divide(_plateau_profile(r, smoothing), den, out=np.zeros_like(den), where=den > 0)
 
 
 def full_grid_filter(grid, smoothing, k):
@@ -404,18 +411,17 @@ def full_grid_filter_checks(grid, smoothing):
 def per_level_psi(fp, k):
     """Psi_k on every DFT frequency, with the scale sum recomputed at the level's own scaled
     frequencies."""
-    return fp.psi_profile(frequency_magnitudes(fp.grid) * 2.0**-k)
+    return _quotient(frequency_magnitudes(fp.grid) * 2.0**-k, fp.grid, fp.smoothing)
 
 
 def per_level_partition_deviation(fp):
     """max |sum_k conj(Phi_k) Psi_k - 1| over xi != 0, one scale sum per level."""
     xi = frequency_magnitudes(fp.grid)
     r = xi[xi > 0]
-    j_lo = math.floor(math.log2(r.min())) - 2
-    j_hi = math.ceil(math.log2(r.max())) + 2
     acc = np.zeros_like(r)
-    for k in range(j_lo, j_hi + 1):
-        acc += np.conj(fp.phi_profile(r * 2.0**-k)) * fp.psi_profile(r * 2.0**-k)
+    for k in range(-fp.grid.L - 4, fp.grid.J + 6):
+        phi_k = _plateau_profile(r * 2.0**-k, fp.smoothing)
+        acc += np.conj(phi_k) * _quotient(r * 2.0**-k, fp.grid, fp.smoothing)
     return float(np.abs(acc - 1.0).max())
 
 

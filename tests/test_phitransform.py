@@ -128,7 +128,7 @@ def test_synthesize_single_coefficient_matches_direct_formula(fp1):
     got = synthesize(lam, fp).values
     N = g.cells_per_axis
     xi = 2.0 * np.pi * np.fft.fftfreq(N, d=g.h)
-    psi_hat = fp.psi_profile(np.abs(xi) * 2.0**-k)
+    psi_hat = oracles.full_grid_filter(g, 1.0, k)[1]
     x0 = m * 2.0**-k
     want = np.zeros(N, dtype=complex)
     for i in range(N):
