@@ -60,7 +60,7 @@ class WeightSequence:
             _require_positive(a, f"t_{k}")
             a.flags.writeable = False  # a memoised cube integral cannot go stale
             self.tk[k] = a
-        # int_Q t_k^r per (k, r) and box spectra of t_k^r per (k, r, M); the second
+        # int_Q t_k^r per (k, r) and box samples of t_k^r per (k, r, M); the second
         # dict holds those of t_k^{-r} and serves `reciprocal()`
         self._arrays, self._reciprocal_arrays = {}, {}
         self._reciprocal_finite = False  # set once a scan finds every 1/t_k finite
@@ -142,7 +142,7 @@ class WeightSequence:
 class _Reciprocal(WeightSequence):
     """1/t_k of a base sequence, never stored: the kernels read it through `power` into
     buffers they own, and `tk` computes every level anew on each access.  Its cube
-    integrals and box spectra are kept on the base, which holds no reference back to
+    integrals and box samples are kept on the base, which holds no reference back to
     it (no cycle)."""
 
     def __init__(self, base: WeightSequence):
