@@ -254,13 +254,17 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
         mg = maximal(g, cfg)
         checks.append(_record(f"maximal_monotone[J={grid.J}]", mg.values - mf.values,
                               -1e-14, ">=", J=grid.J))
+        del g, mg
         mcf = maximal(GridFunction(grid, -2.5 * f.values), cfg)
         checks.append(_record(f"maximal_scaling[J={grid.J}]",
                               np.abs(mcf.values - 2.5 * mf.values), 1e-12 * 2.5, J=grid.J))
-        fs = {k: GridFunction(grid, rng.standard_normal(grid.shape)) for k in w.levels}
-        ratios["fs_ratio"][grid.J] = fs_ratio(fs, w, 2.0, 2.0, cfg).ratio
+        del mcf
         t0 = w.as_grid_function(grid.k_min)
         ratios["scalar_ratio"][grid.J] = scalar_maximal_ratio(f, t0, 2.0, cfg, mf)
+        del f, mf
+        fs = {k: GridFunction(grid, rng.standard_normal(grid.shape)) for k in w.levels}
+        ratios["fs_ratio"][grid.J] = fs_ratio(fs, w, 2.0, 2.0, cfg).ratio
+        del fs
         for name, r in ratios.items():
             checks.append(_record(f"{name}[J={grid.J}]", [r[grid.J]], J=grid.J, reason=undefined))
     j0, j1 = (grid.J for grid in grids)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LevelRangeError
+from .errors import DomainError, LevelRangeError, TlwError
 
 INF = math.inf
 
@@ -162,9 +162,13 @@ def first_max(levels: dict[int, np.ndarray]) -> tuple[float, DyadicCube]:
     """Largest value of per-level cube arrays (one entry per level-k cube) and its cube.
 
     Cubes are taken coarsest level first and row-major within a level, the
-    order of `cubes_at_level`; on a tie the first maximum wins.
+    order of `cubes_at_level`; on a tie the first maximum wins.  A NaN value
+    raises TlwError naming its level.
     """
     tops = {lev: vals.max() for lev, vals in levels.items()}
+    for lev, top in tops.items():
+        if math.isnan(top):
+            raise TlwError(f"level {lev}: cube values include NaN")
     best = max(tops.values())  # raises ValueError on no levels
     lev = min(lev for lev, top in tops.items() if top == best)
     i = int(np.argmax(levels[lev]))

@@ -108,9 +108,6 @@ class CoeffField:
     def amplitude(self, k: int) -> np.ndarray:
         return np.abs(self.entries[k])
 
-    def max_abs(self) -> float:
-        return max((float(np.abs(v).max()) if v.size else 0.0) for v in self.entries.values())
-
 
 def _check_pair(lam: CoeffField, w: WeightSequence):
     if lam.grid != w.grid:

@@ -90,6 +90,44 @@ def naive_containing_max(anchors, w):
     return out
 
 
+def padded_containing_max(anchors, w):
+    """Per-cell max over the anchors a in [i-w+1, i]: pad each axis with -inf by w-1 on
+    both sides, then log2(w) rounds of maxima of two shifted copies, a new array each."""
+    out = anchors
+    for ax in range(anchors.ndim):
+        pad = [(w - 1, w - 1) if i == ax else (0, 0) for i in range(out.ndim)]
+        out = np.pad(out, pad, constant_values=-np.inf)
+        width = 1
+        while width < w:
+            out = np.maximum(out[_along(ax, slice(None, -width))],
+                             out[_along(ax, slice(width, None))])
+            width *= 2
+    return out
+
+
+def padded_doubling_maximal(values, window_cells):
+    """The maximal operator by dyadic doubling with a fresh array per round.
+
+    Window averages of |f| double their width by averaging two shifted copies
+    per axis, and each width's containing max is `padded_containing_max`.
+    The library takes the same maxima in another order and layout, so the two
+    agree bit for bit.
+    """
+    avg, w, best = np.abs(values).astype(float), 1, np.full(values.shape, -np.inf)
+    while True:
+        if w in window_cells:
+            np.maximum(best, padded_containing_max(avg, w), out=best)
+        if w >= max(window_cells):
+            return best
+        for ax in range(avg.ndim):
+            avg = 0.5 * (avg[_along(ax, slice(None, -w))] + avg[_along(ax, slice(w, None))])
+        w *= 2
+
+
+def _along(ax, sl):
+    return (slice(None),) * ax + (sl,)
+
+
 def naive_weighted_lp(fvals, tvals, grid, p):
     prods = [abs(fvals[c] * tvals[c]) for c in cell_iter(grid)]
     if p == math.inf:

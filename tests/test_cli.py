@@ -9,6 +9,7 @@ from tlw.dyadic import Grid, GridFunction
 from tlw.errors import ConfigError
 
 from . import oracles
+from .test_buffered_kernels import traced_peak
 
 
 def base_config(suite="seqnorms", **over):
@@ -255,6 +256,29 @@ def test_undefined_fs_ratio_makes_stability_a_skip(monkeypatch):
     assert checks["fs_ratio_stable"]["status"] == "skip"
     assert "undefined" in checks["fs_ratio_stable"]["reason"]
     assert checks["scalar_ratio_stable"]["status"] in ("pass", "fail")
+
+
+def test_maximal_suite_frees_what_its_checks_have_read():
+    # in units of one J+1 grid array; keeping every input and output until its grid's last
+    # check peaked near 22 arrays
+    import tlw.cli as cli
+
+    cfg = ExperimentConfig.from_dict(base_config(
+        suite="maximal", grid={"n": 2, "L": 2, "J": 5, "k_min": 0, "k_max": 3}))
+    peak = traced_peak(cli.suite_maximal, cfg)
+    assert peak / np.zeros(cfg.make_grid(bump_j=1).shape).nbytes < 18.0
+
+
+@pytest.mark.parametrize("suite", ["xclass", "seqnorms"])
+def test_overflowing_weights_exit_65_naming_the_level(tmp_path, capsys, suite):
+    # 2^{300 k} squared overflows to inf at the finer levels, and sums of inf give NaN
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(
+        suite=suite, grid={"n": 1, "L": 2, "J": 6, "k_min": 0, "k_max": 3},
+        weights={"kind": "exp2", "s": 300})))
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 65
+    assert "cube values include NaN" in capsys.readouterr().err
 
 
 def test_seqnorms_chebyshev_check_is_the_worst_cube_of_the_worst_trial():

@@ -17,7 +17,7 @@ from tlw.dyadic import (
     indicator,
     integrate,
 )
-from tlw.errors import DomainError, LevelRangeError
+from tlw.errors import DomainError, LevelRangeError, TlwError
 
 from .oracles import naive_cube_mean_p, naive_integrate
 
@@ -196,3 +196,9 @@ def test_first_max_is_the_first_maximum_in_cube_order(case):
 def test_first_max_needs_a_level():
     with pytest.raises(ValueError):
         first_max({})
+
+
+def test_first_max_names_a_nan_level():
+    levels = {0: np.ones(2), 1: np.array([1.0, math.nan, 5.0, 0.0])}
+    with pytest.raises(TlwError, match="level 1"):
+        first_max(levels)

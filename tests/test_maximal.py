@@ -9,7 +9,7 @@ from tlw.dyadic import DyadicCube, Grid, GridFunction, indicator
 from tlw.errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from tlw.maximal import (
     MaximalConfig,
-    _containing_max,
+    _fold_containing_max,
     _window_averages,
     fs_ratio,
     maximal,
@@ -20,7 +20,13 @@ from tlw.maximal import (
 )
 from tlw.weights import exp2_weights, random_ap_weights
 
-from .oracles import naive_containing_max, naive_maximal, naive_weighted_lp
+from .oracles import (
+    naive_containing_max,
+    naive_maximal,
+    naive_weighted_lp,
+    padded_doubling_maximal,
+)
+from .test_buffered_kernels import traced_peak
 
 
 def grid1(J=5, L=1):
@@ -75,15 +81,47 @@ def test_maximal_matches_naive_oracle():
 
 
 @pytest.mark.parametrize("n, J", [(1, 6), (2, 3)])
-def test_containing_max_matches_cell_oracle_at_every_width(n, J):
+def test_fold_containing_max_matches_cell_oracle_at_every_width(n, J):
     g = Grid(n=n, L=1, J=J, k_min=0, k_max=0)
-    cells = np.abs(np.random.default_rng(7).standard_normal(g.shape))
+    N = g.cells_per_axis
+    rng = np.random.default_rng(7)
+    cells = np.abs(rng.standard_normal(g.shape))
+    prior = rng.standard_normal(g.shape)
+    work = np.empty((2, cells.size))
     widths = []
-    for w, avg in _window_averages(cells, g.cells_per_axis):
-        assert np.array_equal(_containing_max(avg, w), naive_containing_max(avg, w))
+    for w, avg in _window_averages(cells.copy(), N, np.empty(cells.size)):
+        want = naive_containing_max(avg, w)
+        best = np.full(g.shape, -np.inf)
+        _fold_containing_max(avg, w, best, work)
+        assert np.array_equal(best, want)
+        best = prior.copy()
+        _fold_containing_max(avg, w, best, work)
+        assert np.array_equal(best, np.maximum(prior, want))
         widths.append(w)
     assert widths == [1 << i for i in range(g.J + g.L + 1)]
-    assert _containing_max(cells, 1) is cells
+    assert any(w - 1 > N - w + 1 for w in widths)  # running max held past the last anchor
+
+
+@given(st.sampled_from([1, 2]), st.integers(0, 2), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_maximal_equals_padded_doubling_bitwise(n, L, seed, data):
+    J = data.draw(st.integers(-L, 5 if n == 1 else 3))
+    lo = data.draw(st.integers(-L, J))
+    hi = data.draw(st.integers(lo, J))
+    g = Grid(n=n, L=L, J=J, k_min=-L, k_max=J)
+    values = np.random.default_rng(seed).standard_normal(g.shape)
+    cfg = MaximalConfig(g, side_level_min=lo, side_level_max=hi)
+    f = GridFunction(g, values.copy())
+    got = maximal(f, cfg).values
+    assert np.array_equal(got, padded_doubling_maximal(values, cfg.window_cells()))
+    assert np.array_equal(f.values, values)
+
+
+def test_maximal_peaks_within_five_grid_arrays_and_iteration_buffers():
+    # best, two average buffers and two work buffers; the padded doubling peaked at 6.25
+    g = Grid(2, 2, 6, 0, 3)
+    f = GridFunction(g, np.random.default_rng(9).standard_normal(g.shape))
+    assert traced_peak(maximal, f, MaximalConfig(g)) / f.values.nbytes <= 6.25
 
 
 def test_maximal_restricted_side_lengths_oracle():
