@@ -438,6 +438,7 @@ def suite_phitransform(config: ExperimentConfig) -> list[dict]:
         checks.append(_record(f"transfer_ratio_range[J={grid.J}]", ratios, J=grid.J,
                               value=ratio_ranges[grid.J],
                               reason="every transfer ratio is undefined (zero function norm)"))
+        del fp, w, f  # with their caches, before the J+1 grid builds its own
     if len(ratio_ranges) == 2:
         (j0, (a0, b0)), (j1, (a1, b1)) = sorted(ratio_ranges.items())
         checks.append(_record("transfer_ratio_stable", [_rel_change(a0, a1), _rel_change(b0, b1)],

@@ -294,6 +294,7 @@ def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0) -> float:
             np.maximum(body, u, out=body)
         else:
             body += u
+        del u  # else it stays alive while the generator builds the next summand
     if q != INF:
         body **= 1.0 / q
     if p == INF:

@@ -21,6 +21,10 @@ class PositivityError(TlwError, ValueError):
     """A weight has a zero or negative cell, or a subset is too thin."""
 
 
+class NonFiniteError(TlwError, ValueError):
+    """A value that must be finite is NaN or infinite."""
+
+
 class ResolutionError(TlwError, ValueError):
     """Grid too coarse for the requested operation."""
 

@@ -16,10 +16,13 @@ Phi_k and Psi_k vanish off |xi| < 2^{k+1}, i.e. off the centred index box
 indices, in DFT order, so it is also the level-k lattice's M-point spectrum.
 `FilterPair` keeps Phi_k and Psi_k only on that box, from the box's own |xi|
 (the scale sum too), and runs its checks on the grid's distinct radii: it
-holds no full-grid array.  The level-k lattice has M points per axis, step
-s = 2^{J-k}: `analyze` takes the filtered spectrum on the box (its s^n - 1
-other aliases are exact zeros) and inverts that small spectrum; `synthesize`
-adds each level's small coefficient spectrum, filtered by Psi_k, onto the box.
+holds no full-grid array.  Every |xi| comes from one axis's frequency vector,
+broadcast over the box or the quadrant (`_xi_abs`); only the band mask of
+`random_band` forms it on the full grid, and keeps just the selected bins.
+The level-k lattice has M points per axis, step s = 2^{J-k}: `analyze` takes
+the filtered spectrum on the box (its s^n - 1 other aliases are exact zeros)
+and inverts that small spectrum; `synthesize` adds each level's small
+coefficient spectrum, filtered by Psi_k, onto the box.
 
 A `BandSignal` holds its samples or its fftn spectrum and computes the other
 once, on first read.  `random_band` draws a spectrum and `synthesize`
@@ -104,7 +107,7 @@ class FilterPair:
 
     def _box_radii(self, k: int) -> np.ndarray:
         g = self.grid
-        return _angular_frequencies(g.n, g.L, g.J)[_box_ix(g, k)]
+        return _xi_abs(_axis_frequencies(g.L, g.J)[_box(g, k)], g.n)
 
     def phi_multiplier(self, k: int) -> np.ndarray:
         """Phi_k on the level-k box, laid out as `spec[_box_ix(grid, k)]`; 0 off the box."""
@@ -173,22 +176,24 @@ class FilterPair:
         return float(np.abs(acc - 1.0).max())
 
 
+def _axis_frequencies(L: int, J: int) -> np.ndarray:
+    """The angular frequencies xi_j of one axis of the (L, J) grid, in DFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(1 << (L + J), d=2.0 ** (-J))
+
+
+def _xi_abs(axis: np.ndarray, n: int) -> np.ndarray:
+    """|xi| on the n-fold product of the frequencies `axis`, broadcast from the per-axis
+    squares; summed as sqrt(0 + a_0^2 + a_1^2), the order of a full meshgrid's sum, so
+    every radius is bitwise the same as the mesh's."""
+    return np.sqrt(sum(np.ix_(*[axis * axis] * n)))
+
+
 @functools.lru_cache(maxsize=2)  # the phitransform suite runs at J and J+1
-def _angular_frequencies(n: int, L: int, J: int) -> np.ndarray:
-    """|xi| on the full DFT grid of (n, L, J); read-only, as every caller shares it."""
-    ax = 2.0 * np.pi * np.fft.fftfreq(1 << (L + J), d=2.0 ** (-J))
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    out = np.sqrt(sum(m * m for m in mesh))
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=2)
 def _radii(n: int, L: int, J: int) -> np.ndarray:
     """The distinct |xi| of (n, L, J), ascending from 0; read-only.  The nonnegative
     frequencies of each axis give them all, and in 1-D they are already in order.
     (Not `np.unique`, which imports `numpy.ma` on its first call.)"""
-    half = _angular_frequencies(n, L, J)[(slice((1 << (L + J)) // 2 + 1),) * n].ravel()
+    half = _xi_abs(_axis_frequencies(L, J)[:(1 << (L + J)) // 2 + 1], n).ravel()
     if n > 1:
         half = np.sort(half)
     out = half[np.append(True, half[1:] != half[:-1])]
@@ -215,7 +220,7 @@ def _box_ix(grid: Grid, k: int, modulus: int = 0) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=4)  # the phitransform suite draws one band at J and one at J+1
 def _band_bins(n: int, L: int, J: int, k_lo: int, k_hi: int) -> np.ndarray:
     """Flat indices, in C order, of the DFT bins with 2^{k_lo} <= |xi| <= 2^{k_hi}; read-only."""
-    xi_abs = _angular_frequencies(n, L, J)
+    xi_abs = _xi_abs(_axis_frequencies(L, J), n)
     out = np.flatnonzero((xi_abs >= 2.0**k_lo) & (xi_abs <= 2.0**k_hi))
     out.flags.writeable = False
     return out

@@ -48,6 +48,7 @@ from .dyadic import (
 from .errors import (
     LevelMismatchError,
     LevelRangeError,
+    NonFiniteError,
     PositivityError,
     ResolutionError,
 )
@@ -69,7 +70,7 @@ class CoeffField:
                     f"level {k} has shape {a.shape}, lattice is {grid.level_shape(k)}"
                 )
             if not np.all(np.isfinite(a)):
-                raise ValueError(f"level {k} contains non-finite amplitudes")
+                raise NonFiniteError(f"level {k} contains non-finite amplitudes")
             self.entries[k] = a
 
     @property

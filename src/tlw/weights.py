@@ -1,8 +1,11 @@
 """Weight sequences, cube means, Muckenhoupt constants, and inter-level class audits.
 
 A weight sequence is one strictly positive grid function per level k in the
-grid's level range.  The audits compute, over every dyadic cube of the grid,
-the sharpest constants for
+grid's level range, held read-only.  A level that is constant in space (every
+level of `exp2_weights` without a profile) is a broadcast view of its one value
+with stride 0, not a grid array: the kernels only read levels and write their
+results into buffers they own.  The audits compute, over every dyadic cube of
+the grid, the sharpest constants for
 
     M_{Q,p}(t_k) * M_{Q,s1}(t_j^{-1})   <= C1 * 2^{a1 (k-j)}     (k <= j)
     M_{Q,s2}(t_j) / M_{Q,p}(t_k)        <= C2 * 2^{a2 (j-k)}     (k <= j)
@@ -162,9 +165,16 @@ class _Reciprocal(WeightSequence):
 
 def exp2_weights(grid: Grid, s: float, omega: np.ndarray | None = None,
                  p: float = 2.0) -> WeightSequence:
-    """t_k = 2^{ks} * omega with a fixed positive profile omega (default 1)."""
-    base = np.ones(grid.shape) if omega is None else np.asarray(omega, dtype=float)
-    tk = {k: (2.0 ** (k * s)) * base for k in grid.levels}
+    """t_k = 2^{ks} * omega with a fixed positive profile omega; without one, each level
+    is a read-only stride-0 broadcast view of 2^{ks} and holds no grid array."""
+    tk = {}
+    for k in grid.levels:
+        try:
+            c = 2.0 ** (k * s)
+        except OverflowError:
+            raise PositivityError(f"t_{k} = 2^({k} * {s}) is not finite") from None
+        tk[k] = (np.broadcast_to(np.float64(c), grid.shape) if omega is None
+                 else c * np.asarray(omega, dtype=float))
     meta = WeightMeta(p=p, alpha1=s, alpha2=s, kind="exp2", params={"s": s})
     return WeightSequence(grid, tk, meta)
 

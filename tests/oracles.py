@@ -387,10 +387,17 @@ def naive_F_pq_norm(values, tk, grid, p, q, phi_k):
     return (total * grid.cell_volume) ** (1.0 / p)
 
 
+def angular_mesh(n, L, J):
+    """|xi| on the full DFT grid of (n, L, J), from a full meshgrid: the mesh the filter
+    pair and the band mask once read, now the reference their per-axis radii must equal."""
+    ax = 2.0 * np.pi * np.fft.fftfreq(1 << (L + J), d=2.0 ** (-J))
+    mesh = np.meshgrid(*([ax] * n), indexing="ij")
+    return np.sqrt(sum(m * m for m in mesh))
+
+
 def frequency_magnitudes(grid):
     """|xi| on every DFT frequency of the grid, from a fresh mesh."""
-    return np.sqrt(sum(m * m for m in np.meshgrid(
-        *[2.0 * np.pi * np.fft.fftfreq(grid.cells_per_axis, d=grid.h)] * grid.n, indexing="ij")))
+    return angular_mesh(grid.n, grid.L, grid.J)
 
 
 def drawn_band_spectrum(grid, rng, k_lo, k_hi):

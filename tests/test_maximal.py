@@ -124,6 +124,17 @@ def test_maximal_peaks_within_five_grid_arrays_and_iteration_buffers():
     assert traced_peak(maximal, f, MaximalConfig(g)) / f.values.nbytes <= 6.25
 
 
+def test_fs_ratio_releases_each_summand_once_it_is_added():
+    # one M(f_k) at a time (5 buffers and its result) plus the norm's body; holding the
+    # previous summand while the next was built peaked at 7.38
+    g = Grid(2, 2, 6, 0, 3)
+    w = exp2_weights(g, 0.3)
+    rng = np.random.default_rng(11)
+    fs = {k: GridFunction(g, rng.standard_normal(g.shape)) for k in w.levels}
+    peak = traced_peak(fs_ratio, fs, w, 2.0, 2.0, MaximalConfig(g))
+    assert peak / np.empty(g.shape).nbytes <= 6.5
+
+
 def test_maximal_restricted_side_lengths_oracle():
     rng = np.random.default_rng(53)
     g = grid1(J=4)

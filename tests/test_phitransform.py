@@ -418,9 +418,25 @@ def test_level_multipliers_vanish_off_the_level_box(n, L, J, smoothing):
             fp.covered_levels()) == oracles.full_grid_filter_checks(g, smoothing)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_per_axis_radii_equal_the_full_mesh_bit_for_bit(n, L):
+    J = 5 if n == 1 else 3
+    g = Grid(n, L, J, 0, 0)
+    mesh = oracles.angular_mesh(n, L, J)
+    half = mesh[(slice(g.cells_per_axis // 2 + 1),) * n]
+    assert phitransform._radii(n, L, J).tobytes() == np.unique(half).tobytes()
+    fp = phitransform.FilterPair(grid=g, smoothing=1.0, radii=phitransform._radii(n, L, J))
+    for k in range(-L, J + 1):
+        assert fp._box_radii(k).tobytes() == mesh[np.ix_(*[_box(g, k)] * n)].tobytes()
+    for k_lo, k_hi in [(-L, J), (0, 1), (1, J + 2), (J + 3, J + 4)]:
+        want = np.flatnonzero((mesh >= 2.0**k_lo) & (mesh <= 2.0**k_hi))
+        assert np.array_equal(phitransform._band_bins(n, L, J, k_lo, k_hi), want)
+
+
 def test_filter_pair_peaks_below_one_full_grid_float_array():
     g = Grid(2, 2, 7, 0, 4)
-    phitransform._radii(g.n, g.L, g.J)  # warms the shared |xi| mesh and its distinct radii
+    phitransform._radii.cache_clear()  # a cold build: the distinct radii are traced too
     tracemalloc.start()
     try:
         fp = build_filter_pair(g)

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -116,6 +118,20 @@ def test_ap_positivity_rejects_nan_and_inf(bad):
         per_cube_ap_value(gamma, 2.0, DyadicCube(0, (0,)))
     with pytest.raises(PositivityError):
         ap_constant(gamma, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_broadcast_levels_with_a_bad_stored_value_are_refused(bad, axis):
+    # one bad value in the stored line of a view broadcast along the other axis
+    g = Grid(n=2, L=1, J=2, k_min=0, k_max=0)
+    line = np.ones(g.cells_per_axis)
+    line[3] = bad
+    view = np.broadcast_to(line.reshape((-1, 1) if axis == 0 else (1, -1)), g.shape)
+    with pytest.raises(PositivityError):
+        WeightSequence(g, {0: view})
+    with pytest.raises(PositivityError):
+        ap_constant(GridFunction(g, view), 2.0)
 
 
 def _audit_family(g):
@@ -364,6 +380,79 @@ def test_exp2_class_constants_are_one(s):
     rep = verify_x_class(exp2_weights(g, s), s, s, 2.0, 2.0, 2.0)
     assert abs(rep.C1 - 1.0) <= 1e-11
     assert abs(rep.C2 - 1.0) <= 1e-11
+
+
+def test_exp2_levels_are_broadcast_views_holding_no_grid_array():
+    g = Grid(2, 2, 7, 0, 4)
+    tracemalloc.start()
+    try:
+        w = exp2_weights(g, 0.3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one = np.empty(g.shape).nbytes
+    assert peak < one and kept < one / 16
+    for k in g.levels:
+        assert w.tk[k].strides == (0, 0) and not w.tk[k].flags.writeable
+        assert w.tk[k][0, 0] == 2.0 ** (k * 0.3)
+
+
+@pytest.mark.parametrize("s, level", [(1000.0, 2), (-1000.0, 2), (5000.0, 1)])
+def test_exp2_weights_refuse_a_level_that_is_not_finite_or_positive(s, level):
+    # 2^{1000 k} overflows from k = 2 on; 2^{-1000 k} underflows to 0 there
+    with pytest.raises(PositivityError, match=f"t_{level}"):
+        exp2_weights(Grid(1, 1, 4, 0, 3), s)
+
+
+def _canonical(x):
+    """x with every array and float as (dtype, shape, bytes), so == compares bit for bit."""
+    if isinstance(x, dict):
+        return tuple((k, _canonical(v)) for k, v in x.items())
+    if dataclasses.is_dataclass(x):
+        return _canonical(vars(x))
+    if isinstance(x, (np.ndarray, float)):
+        a = np.asarray(x)
+        return a.dtype.str, a.shape, a.tobytes()
+    return x
+
+
+@given(st.sampled_from([1, 2]), st.integers(2, 3), st.floats(-1.0, 1.0), st.data())
+@settings(max_examples=20, deadline=None)
+def test_broadcast_exp2_levels_compute_as_materialised_levels(n, L, s, data):
+    from tlw.maximal import MaximalConfig, fs_ratio, scalar_maximal_ratio
+    from tlw.phitransform import BandSignal, F_pq_norm, build_filter_pair
+    from tlw.seqspace import CoeffField, f_inf_norm, f_pq_norm, m_p_levels
+
+    J = data.draw(st.integers(0, 4 if n == 1 else 2))
+    k_min = data.draw(st.integers(-L, J))
+    g = Grid(n, L, J, k_min, data.draw(st.integers(k_min, J)))
+    broadcast = exp2_weights(g, s)
+    copy = WeightSequence(g, {k: np.array(broadcast.tk[k]) for k in g.levels}, broadcast.meta)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cfg, N = MaximalConfig(g), g.cells_per_axis
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    fs = {k: GridFunction(g, rng.standard_normal(g.shape)) for k in g.levels}
+    lam = CoeffField.random(g, rng)
+    band = BandSignal(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    fp = build_filter_pair(g)
+
+    def results(w):
+        out = []
+        for k in g.levels:
+            for r in (1.0, 0.5, -2.0):
+                out += [w.power(k, r, np.empty(g.shape)),
+                        w.reciprocal().power(k, r, np.empty(g.shape)), w.cube_integral(k, r)]
+            out += [w.box_samples(k, 2.0, min(2 << (L + k), N))]
+            out += [ap_constant(w.as_grid_function(k), p) for p in (1.0, 2.0, 3.0)]
+        return out + [
+            verify_x_class(w, s, s, 2.0, 2.0, 2.0),
+            scalar_maximal_ratio(f, w.as_grid_function(g.k_min), 2.0, cfg),
+            fs_ratio(fs, w, 2.0, 3.0, cfg),
+            f_pq_norm(lam, w, 1.5, 3.0), f_inf_norm(lam, w, 2.0), m_p_levels(lam, w, 2.0),
+            F_pq_norm(band, fp, w, 1.5, 3.0), F_pq_norm(band, fp, w, 3.0, INF),
+        ]
+
+    assert [_canonical(x) for x in results(broadcast)] == [_canonical(x) for x in results(copy)]
 
 
 def test_reciprocal_refuses_a_weight_whose_reciprocal_overflows():
