@@ -101,8 +101,8 @@ class Grid:
     def level_shape(self, k: int) -> tuple[int, ...]:
         return (self.cubes_per_axis(k),) * self.n
 
-    def cell_centers(self, axis: int = 0) -> np.ndarray:
-        del axis  # uniform in every axis
+    def cell_centers(self) -> np.ndarray:
+        """The cell centres along one axis (the same on every axis)."""
         return (np.arange(self.cells_per_axis) + 0.5) * self.h
 
     def with_levels(self, k_min: int, k_max: int) -> "Grid":

@@ -57,13 +57,22 @@ def save_grid_function(gf: GridFunction, base: str | Path, fmt: str = "bin"):
 
 def load_grid_function(base: str | Path, k_min: int | None = None,
                        k_max: int | None = None) -> GridFunction:
+    """Read <base>.json and its payload; a malformed header raises ConfigError."""
     base = Path(base)
     header = _read_header(base)
+    if not isinstance(header, dict):
+        raise ConfigError(f"header: expected a JSON object, got {type(header).__name__}")
     if header.get("kind") != "grid-function":
         raise ConfigError(f"kind: expected grid-function header, got {header.get('kind')}")
-    n, L, J = header["n"], header["L"], header["J"]
+    n, L, J = (header.get(key) for key in ("n", "L", "J"))
+    for key, value in (("n", n), ("L", L), ("J", J)):
+        if type(value) is not int:  # JSON true/false load as bool, a subclass of int
+            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    fmt = header.get("format")
+    if fmt not in ("bin", "csv"):
+        raise ConfigError(f"format: expected 'bin' or 'csv', got {fmt!r}")
     grid = Grid(n, L, J, -L if k_min is None else k_min, J if k_max is None else k_max)
-    if header["format"] == "bin":
+    if fmt == "bin":
         payload = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
     else:
         payload = np.loadtxt(base.with_suffix(".csv"), delimiter=",").ravel()
@@ -140,9 +149,8 @@ def _on_run_grid(gf: GridFunction, grid: Grid, k: int) -> np.ndarray:
     return values if g.J == grid.J else expand_level_array(grid, g.J, values)
 
 
-def weights_from_spec(grid: Grid, spec: dict,
-                      rng: np.random.Generator | None = None) -> WeightSequence:
-    """Build a weight sequence from {kind: exp2|power|random-ap|grid, ...}."""
+def weights_from_spec(grid: Grid, spec: dict, rng: np.random.Generator) -> WeightSequence:
+    """A weight sequence from {kind: exp2|power|random-ap|grid, ...}; random-ap draws from `rng`."""
     kind = spec.get("kind")
     p = _spec_number(spec, "p", 2.0)
     if not p > 0:
@@ -155,8 +163,6 @@ def weights_from_spec(grid: Grid, spec: dict,
         w.meta = replace(w.meta, kind="power", params={"s": s, "alpha": alpha})  # alpha1 = alpha2 = s
         return w
     if kind == "random-ap":
-        if rng is None:
-            rng = np.random.default_rng(int(spec.get("seed", 0)))
         spread = _spec_number(spec, "spread", 0.5)
         if not spread >= 0:
             raise ConfigError(f"weights.spread: must be nonnegative, got {spread!r}")

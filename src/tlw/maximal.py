@@ -1,11 +1,11 @@
 """Hardy-Littlewood maximal operator over dyadic-length windows, and ratio reports.
 
 The window family consists of axis-aligned cubes with dyadic side lengths
-2^{-j}, j in the configured range, at every finest-cell offset, restricted to
-windows that lie inside the domain box.  This undershoots the full uncentered
-cube maximal by at most a factor 2^n (side lengths are dense up to factor 2);
-every two-sided test in the suite compares the same operator on both sides, so
-the gap cancels.
+2^{-j}, -L <= j <= J (one cell up to the whole domain), at every finest-cell
+offset, restricted to windows that lie inside the domain box.  This undershoots
+the full uncentered cube maximal by at most a factor 2^n (side lengths are
+dense up to factor 2); every two-sided test in the suite compares the same
+operator on both sides, so the gap cancels.
 """
 
 from __future__ import annotations
@@ -22,21 +22,13 @@ from .weights import WeightSequence
 
 @dataclass(frozen=True)
 class MaximalConfig:
-    """Window family: side lengths 2^{-j} for j in [side_level_min, side_level_max]."""
+    """Window family of `grid`: every dyadic side from one cell to the domain;
+    `window_cells()` lists the sides in cells (the benchmark's tracer counts with it)."""
 
     grid: Grid
-    side_level_min: int | None = None  # default -L (side 2^L, the whole domain)
-    side_level_max: int | None = None  # default J (side 2^{-J}, one cell)
-
-    def side_levels(self) -> range:
-        lo = -self.grid.L if self.side_level_min is None else self.side_level_min
-        hi = self.grid.J if self.side_level_max is None else self.side_level_max
-        if not (-self.grid.L <= lo <= hi <= self.grid.J):
-            raise LevelRangeError(f"side levels [{lo}, {hi}] outside [{-self.grid.L}, {self.grid.J}]")
-        return range(lo, hi + 1)
 
     def window_cells(self) -> list[int]:
-        return [1 << (self.grid.J - j) for j in self.side_levels()]
+        return [1 << i for i in range(self.grid.L + self.grid.J + 1)]
 
 
 def _axis_slice(ax: int, sl: slice) -> tuple[slice, ...]:
@@ -128,7 +120,7 @@ def _axis_containing_max(src: np.ndarray, ax: int, w: int, work, best=None):
 
 
 def maximal(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
-    """Sup over configured windows containing each cell of the window average of |f|.
+    """Sup over the windows containing each cell of the window average of |f|.
 
     Both the window averages and the containing maxima are built by dyadic
     doubling, so the full window family costs O(cells * log^2 cells).  They
@@ -137,13 +129,11 @@ def maximal(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
     if cfg.grid != f.grid:
         raise LevelMismatchError("config grid does not match the function grid")
     grid = f.grid
-    widths = cfg.window_cells()
     avg, work = np.empty((2, f.values.size)), np.empty((2, f.values.size))
     cells = np.abs(f.values, out=avg[0].reshape(grid.shape))
     best = np.full(grid.shape, -np.inf)
-    for w, anchors in _window_averages(cells, max(widths), avg[1]):
-        if w in widths:
-            _fold_containing_max(anchors, w, best, work)
+    for w, anchors in _window_averages(cells, grid.cells_per_axis, avg[1]):
+        _fold_containing_max(anchors, w, best, work)
     return GridFunction(grid, best)
 
 

@@ -150,27 +150,12 @@ class FilterPair:
         outside = (self.radii < SUPPORT_LO) | (self.radii > SUPPORT_HI)
         return float(max(np.abs(phi[outside]).max(), np.abs(psi[outside]).max()))
 
-    def partition_deviation(self, levels: list[int] | None = None) -> float:
-        """Max over represented xi != 0 of |sum_k conj(Phi_k) Psi_k - 1|.
-
-        With `levels`, the sum is truncated to those levels and the check is
-        restricted to frequencies fully covered by them.
-        """
+    def partition_deviation(self) -> float:
+        """Max over represented xi != 0 of |sum_k conj(Phi_k) Psi_k - 1|."""
         r = self.radii[1:]  # never empty: the grid has at least 4 cells per axis
         den = self._scale_sum()[1:]  # > 0 wherever r > 0
-        if levels is None:
-            j_lo = math.floor(math.log2(r.min())) - 2
-            j_hi = math.ceil(math.log2(r.max())) + 2
-            levels = list(range(j_lo, j_hi + 1))
-        else:
-            levels = list(levels)
-            lo, hi = 2.0 ** min(levels), 2.0 ** max(levels)
-            keep = (r >= lo) & (r <= hi)
-            r, den = r[keep], den[keep]
-            if r.size == 0:
-                return 0.0
         acc = np.zeros_like(r)
-        for k in levels:
+        for k in range(math.floor(math.log2(r.min())) - 2, math.ceil(math.log2(r.max())) + 3):
             phi = self.phi_profile(r * 2.0**-k)
             acc += np.conj(phi) * (phi / den)
         return float(np.abs(acc - 1.0).max())
@@ -188,7 +173,6 @@ def _xi_abs(axis: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(sum(np.ix_(*[axis * axis] * n)))
 
 
-@functools.lru_cache(maxsize=2)  # the phitransform suite runs at J and J+1
 def _radii(n: int, L: int, J: int) -> np.ndarray:
     """The distinct |xi| of (n, L, J), ascending from 0; read-only.  The nonnegative
     frequencies of each axis give them all, and in 1-D they are already in order.
@@ -360,8 +344,7 @@ def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -
     return math.sqrt(float(np.vdot(diff, diff).real) / denom)
 
 
-def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
-                 tol: float = 1e-9) -> float:
+def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
     """Spectral energy fraction outside the band reproduced by `levels`."""
     spec = f.spectrum
     total = float((np.abs(spec) ** 2).sum())
@@ -372,7 +355,7 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int],
     for k in range(levels[0], levels[1] + 1):
         acc[_box_ix(fp.grid, k, M)] += fp.phi_multiplier(k) * fp.psi_multiplier(k)  # Phi real
     outside = np.ones(spec.shape, dtype=bool)
-    outside[_box_ix(fp.grid, levels[1])] = np.abs(acc - 1.0) > tol
+    outside[_box_ix(fp.grid, levels[1])] = np.abs(acc - 1.0) > 1e-9
     return float((np.abs(spec[outside]) ** 2).sum()) / total
 
 

@@ -416,8 +416,7 @@ class RestrictionSets:
         return cls(grid, masks, fraction)
 
     @classmethod
-    def from_m_fun(cls, lam: CoeffField, w: WeightSequence, q: float,
-                   fraction: float = 0.5) -> "RestrictionSets":
+    def from_m_fun(cls, lam: CoeffField, w: WeightSequence, q: float) -> "RestrictionSets":
         """E_Q = {x in Q : G_Q(x) <= m(x)} per cube; guarantees |E_Q| >= 3|Q|/4.
 
         m needs a whole `m_fun` sweep; a second sweep then tests each level's G_Q against it.
@@ -434,7 +433,7 @@ class RestrictionSets:
             return tail ** (1.0 / q) <= m if lev >= grid.k_min else None
 
         summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-        return cls(grid, localized_sup(grid, summands, below_m), fraction)
+        return cls(grid, localized_sup(grid, summands, below_m))
 
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels, as counted at construction."""

@@ -31,7 +31,9 @@ from .errors import (
 
 
 def _require_positive(values: np.ndarray, what: str):
-    """Raise unless every cell is finite and strictly positive (NaN and inf fail)."""
+    """Raise unless every cell is finite and strictly positive (NaN and inf fail); a stride-0
+    axis repeats one stored value, so it is read at length 1."""
+    values = values[tuple(slice(None) if st else slice(0, 1) for st in values.strides)]
     if not np.all(np.isfinite(values) & (values > 0)):
         raise PositivityError(f"{what} has a nonpositive or non-finite cell")
 
@@ -309,10 +311,10 @@ class XClassReport:
         y = np.log2([prof[g] for g in lags])
         return float(np.polyfit(x, y, 1)[0])
 
-    def validates(self, bound: float = np.inf, growth_tol: float = 0.05) -> bool:
+    def validates(self, growth_tol: float = 0.05) -> bool:
+        """Neither constant is NaN and both lag profiles grow by at most `growth_tol`."""
         return (
-            self.C1 <= bound
-            and self.C2 <= bound
+            not np.isnan([self.C1, self.C2]).any()
             and abs(self.growth_rate(1)) <= growth_tol
             and abs(self.growth_rate(2)) <= growth_tol
         )
@@ -364,8 +366,7 @@ class _SupTracker:
 
 
 def alpha_consistency(report: XClassReport, alpha1: float, alpha2: float,
-                      sigma1: float, sigma2: float, p: float,
-                      growth_tol: float = 0.05) -> bool:
+                      sigma1: float, sigma2: float, p: float) -> bool:
     """Check alpha2 >= alpha1 under the remark's hypotheses on (sigma1, sigma2).
 
     sigma1 = theta*(p/theta)' is solvable for theta = (1/sigma1 + 1/p)^{-1}
@@ -376,7 +377,7 @@ def alpha_consistency(report: XClassReport, alpha1: float, alpha2: float,
         raise LevelRangeError("sigma1 must be positive")
     if not sigma2 >= p:
         raise LevelRangeError(f"hypothesis sigma2 >= p violated ({sigma2} < {p})")
-    if not report.validates(growth_tol=growth_tol):
+    if not report.validates():
         raise LevelRangeError("report does not validate both conditions; remark not applicable")
     return alpha2 >= alpha1
 

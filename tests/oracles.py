@@ -63,14 +63,14 @@ def naive_ap_constant(gamma, p, family):
     return values[best], family[best], values
 
 
-def naive_maximal(values, grid, side_levels):
-    """Max window average of |f| over in-domain dyadic-length windows, per cell."""
+def naive_maximal(values, grid):
+    """Max window average of |f| over in-domain windows of every dyadic side, per cell."""
     size = grid.cells_per_axis
     absv = np.abs(values)
     out = np.zeros(grid.shape)
     for cell in cell_iter(grid):
         best = -math.inf
-        for j in side_levels:
+        for j in range(-grid.L, grid.J + 1):
             w = 2 ** (grid.J - j)
             anchor_ranges = [range(max(0, c - w + 1), min(c, size - w) + 1) for c in cell]
             for anchor in itertools.product(*anchor_ranges):
@@ -105,19 +105,19 @@ def padded_containing_max(anchors, w):
     return out
 
 
-def padded_doubling_maximal(values, window_cells):
+def padded_doubling_maximal(values):
     """The maximal operator by dyadic doubling with a fresh array per round.
 
-    Window averages of |f| double their width by averaging two shifted copies
-    per axis, and each width's containing max is `padded_containing_max`.
+    Window averages of |f| double their width, from one cell to the whole
+    domain, by averaging two shifted copies per axis, and each width's
+    containing max is `padded_containing_max`.
     The library takes the same maxima in another order and layout, so the two
     agree bit for bit.
     """
     avg, w, best = np.abs(values).astype(float), 1, np.full(values.shape, -np.inf)
     while True:
-        if w in window_cells:
-            np.maximum(best, padded_containing_max(avg, w), out=best)
-        if w >= max(window_cells):
+        np.maximum(best, padded_containing_max(avg, w), out=best)
+        if w >= values.shape[0]:
             return best
         for ax in range(avg.ndim):
             avg = 0.5 * (avg[_along(ax, slice(None, -w))] + avg[_along(ax, slice(w, None))])

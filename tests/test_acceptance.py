@@ -339,9 +339,8 @@ def test_criterion_10_oracle_equivalence():
         want = oracles.naive_weighted_lp(f.values, t.values, grid, 2.0)
         ok &= abs(got - want) <= tol * want
 
-        cfg = MaximalConfig(grid)
-        got_m = maximal(f, cfg).values
-        want_m = oracles.naive_maximal(f.values, grid, list(cfg.side_levels()))
+        got_m = maximal(f, MaximalConfig(grid)).values
+        want_m = oracles.naive_maximal(f.values, grid)
         ok &= bool(np.allclose(got_m, want_m, rtol=tol, atol=1e-15))
 
         star = lambda_star(lam, 2.0, 2.0 * n + 1.0)

@@ -226,6 +226,26 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda header: [],
+    lambda header: {**header, "L": 1.5},
+    lambda header: {**header, "J": "4"},
+    lambda header: {**header, "L": None},
+    lambda header: {**header, "format": "xml"},
+    lambda header: {**header, "n": True},
+], ids=["list", "L-fraction", "J-string", "L-null", "format-xml", "n-bool"])
+def test_malformed_level_header_exits_64_naming_the_level(tmp_path, capsys, edit):
+    fixture("random-ap", {"grid": base_config()["grid"]}, 0, tmp_path / "w")
+    header = tmp_path / "w_k1.json"
+    header.write_text(json.dumps(edit(json.loads(header.read_text()))))
+    cfg_path = tmp_path / "config.json"
+    weights = {"kind": "grid", "file": str(tmp_path / "w")}
+    cfg_path.write_text(json.dumps(base_config(weights=weights)))
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 64
+    err = capsys.readouterr().err
+    assert "config error: weights.file: cannot read level 1: ConfigError(" in err
+
+
 @pytest.mark.parametrize("suite, skipped", [
     ("seqnorms", "chebyshev_quartile_bound"),  # no cube has the 4 cells m_P needs
     ("duality", "hoelder_slack_1q"),  # the default sets E need 4-cell cubes
@@ -314,7 +334,7 @@ def test_seqnorms_chebyshev_check_is_the_worst_cube_of_the_worst_trial():
     cfg = ExperimentConfig.from_dict(base_config(
         grid={"n": 2, "L": 1, "J": 3, "k_min": 0, "k_max": 2}, trials=3))
     grid = cfg.make_grid()
-    w = weights_from_spec(grid, cfg.weights)
+    w = weights_from_spec(grid, cfg.weights, np.random.default_rng(0))
     cubes = [c for lev in range(-grid.L, grid.k_max + 1) for c in cubes_at_level(grid, lev)]
     rng = cli._rng_for(cfg, "seqnorms", "tests")
     worst, at = -math.inf, None
@@ -403,7 +423,8 @@ def test_fixture_exp2_round_trips_through_grid_weights(tmp_path):
     params = json.dumps({"grid": grid, "s": 0.7})
     assert main(["fixture", "exp2", "--params", params, "-o", str(tmp_path / "w")]) == 0
     g = Grid(**grid)
-    got = weights_from_spec(g, {"kind": "grid", "file": str(tmp_path / "w")})
+    got = weights_from_spec(g, {"kind": "grid", "file": str(tmp_path / "w")},
+                            np.random.default_rng(0))
     want = exp2_weights(g, 0.7)
     for k in g.levels:
         assert got.tk[k].tobytes() == np.array(want.tk[k]).tobytes()
@@ -519,9 +540,19 @@ def test_grid_weights_from_a_fixture_pass_every_suite(tmp_path, grid):
 def test_formats_doc_example_config_parses():
     from pathlib import Path
 
+    from tlw.io import weights_from_spec
+
     doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
-    example = doc.split("## Experiment config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-    assert ExperimentConfig.from_dict(json.loads(example)).suite == "all"
+
+    def example(section):
+        return doc.split(f"## {section}", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+
+    config = ExperimentConfig.from_dict(json.loads(example("Experiment config")))
+    assert config.suite == "all"
+    specs = [json.loads(line) for line in example("Weight family specs").strip().splitlines()]
+    built = [weights_from_spec(config.make_grid(), spec, np.random.default_rng(0)).meta.kind
+             for spec in specs if spec["kind"] != "grid"]
+    assert built == ["exp2", "power", "random-ap"]
 
 
 def test_maximal_suite_computes_each_maximal_function_once(monkeypatch):

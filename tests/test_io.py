@@ -21,6 +21,11 @@ def grid1(J=4):
     return Grid(n=1, L=1, J=J, k_min=0, k_max=2)
 
 
+def spec_weights(grid, spec):
+    """weights_from_spec for a kind that draws nothing from its generator."""
+    return weights_from_spec(grid, spec, np.random.default_rng(0))
+
+
 def test_grid_function_roundtrip_bin(tmp_path):
     g = grid1()
     rng = np.random.default_rng(401)
@@ -67,26 +72,26 @@ def test_coeff_field_roundtrip(tmp_path):
 
 def test_weights_from_spec_kinds():
     g = grid1()
-    w = weights_from_spec(g, {"kind": "exp2", "s": 0.5})
+    w = spec_weights(g, {"kind": "exp2", "s": 0.5})
     assert w.meta.kind == "exp2"
     assert w.level_values(2)[0] == pytest.approx(2.0)
-    wp = weights_from_spec(g, {"kind": "power", "alpha": 0.5})
+    wp = spec_weights(g, {"kind": "power", "alpha": 0.5})
     assert wp.level_values(0)[0] == pytest.approx((0.5 * g.h) ** 0.5)
-    wr1 = weights_from_spec(g, {"kind": "random-ap", "spread": 0.4, "seed": 9})
-    wr2 = weights_from_spec(g, {"kind": "random-ap", "spread": 0.4, "seed": 9})
+    wr1 = weights_from_spec(g, {"kind": "random-ap", "spread": 0.4}, np.random.default_rng(9))
+    wr2 = weights_from_spec(g, {"kind": "random-ap", "spread": 0.4}, np.random.default_rng(9))
     for k in wr1.levels:
         np.testing.assert_array_equal(wr1.level_values(k), wr2.level_values(k))
     with pytest.raises(ConfigError):
-        weights_from_spec(g, {"kind": "nope"})
+        spec_weights(g, {"kind": "nope"})
     with pytest.raises(ConfigError):
-        weights_from_spec(g, {"kind": "grid"})
+        spec_weights(g, {"kind": "grid"})
 
 
 def test_weight_sequence_files_roundtrip(tmp_path):
     g = grid1()
-    w = weights_from_spec(g, {"kind": "exp2", "s": 0.3})
+    w = spec_weights(g, {"kind": "exp2", "s": 0.3})
     save_weight_sequence(w, tmp_path / "w")
-    back = weights_from_spec(g, {"kind": "grid", "file": str(tmp_path / "w")})
+    back = spec_weights(g, {"kind": "grid", "file": str(tmp_path / "w")})
     for k in w.levels:
         np.testing.assert_allclose(back.level_values(k), w.level_values(k), rtol=1e-15)
 
@@ -98,7 +103,7 @@ def test_grid_weights_positivity_enforced(tmp_path):
     for k in g.levels:
         save_grid_function(GridFunction(g, vals), tmp_path / f"bad_k{k}")
     with pytest.raises(PositivityError):
-        weights_from_spec(g, {"kind": "grid", "file": str(tmp_path / "bad")})
+        spec_weights(g, {"kind": "grid", "file": str(tmp_path / "bad")})
 
 
 def test_export_filter_csv(tmp_path):
@@ -119,11 +124,11 @@ def test_grid_weights_refine_a_coarser_file_piecewise_constantly(tmp_path, n):
     w = WeightSequence(coarse, {k: rng.random(coarse.shape) + 0.5 for k in coarse.levels})
     save_weight_sequence(w, tmp_path / "w")
     fine = Grid(n=n, L=1, J=4, k_min=0, k_max=1)
-    got = weights_from_spec(fine, {"kind": "grid", "file": str(tmp_path / "w")})
+    got = spec_weights(fine, {"kind": "grid", "file": str(tmp_path / "w")})
     block = np.ones((4,) * n)  # 2^{J - J_file} fine cells per axis in each file cell
     for k in fine.levels:
         assert np.array_equal(got.tk[k], np.kron(w.tk[k], block))
-    same = weights_from_spec(coarse, {"kind": "grid", "file": str(tmp_path / "w")})
+    same = spec_weights(coarse, {"kind": "grid", "file": str(tmp_path / "w")})
     assert all(np.array_equal(same.tk[k], w.tk[k]) for k in coarse.levels)
 
 
@@ -134,4 +139,4 @@ def test_grid_weights_on_another_grid_are_a_config_error(tmp_path, run_grid):
     g = Grid(n=1, L=1, J=2, k_min=0, k_max=1)
     save_weight_sequence(WeightSequence(g, {k: np.ones(g.shape) for k in g.levels}), tmp_path / "w")
     with pytest.raises(ConfigError, match="weights.file"):
-        weights_from_spec(run_grid, {"kind": "grid", "file": str(tmp_path / "w")})
+        spec_weights(run_grid, {"kind": "grid", "file": str(tmp_path / "w")})

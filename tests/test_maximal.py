@@ -75,7 +75,7 @@ def test_maximal_matches_naive_oracle():
         g = Grid(n=n, L=1, J=J, k_min=0, k_max=min(2, J))
         f = GridFunction(g, rng.standard_normal(g.shape))
         cfg = MaximalConfig(g)
-        want = naive_maximal(f.values, g, list(cfg.side_levels()))
+        want = naive_maximal(f.values, g)
         got = maximal(f, cfg).values
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -106,14 +106,11 @@ def test_fold_containing_max_matches_cell_oracle_at_every_width(n, J):
 @settings(max_examples=40, deadline=None)
 def test_maximal_equals_padded_doubling_bitwise(n, L, seed, data):
     J = data.draw(st.integers(-L, 5 if n == 1 else 3))
-    lo = data.draw(st.integers(-L, J))
-    hi = data.draw(st.integers(lo, J))
     g = Grid(n=n, L=L, J=J, k_min=-L, k_max=J)
     values = np.random.default_rng(seed).standard_normal(g.shape)
-    cfg = MaximalConfig(g, side_level_min=lo, side_level_max=hi)
     f = GridFunction(g, values.copy())
-    got = maximal(f, cfg).values
-    assert np.array_equal(got, padded_doubling_maximal(values, cfg.window_cells()))
+    got = maximal(f, MaximalConfig(g)).values
+    assert np.array_equal(got, padded_doubling_maximal(values))
     assert np.array_equal(f.values, values)
 
 
@@ -135,28 +132,6 @@ def test_fs_ratio_releases_each_summand_once_it_is_added():
     assert peak / np.empty(g.shape).nbytes <= 6.5
 
 
-def test_maximal_restricted_side_lengths_oracle():
-    rng = np.random.default_rng(53)
-    g = grid1(J=4)
-    cfg = MaximalConfig(g, side_level_min=2, side_level_max=4)
-    f = GridFunction(g, rng.standard_normal(g.shape))
-    want = naive_maximal(f.values, g, [2, 3, 4])
-    np.testing.assert_allclose(maximal(f, cfg).values, want, rtol=1e-13)
-
-
-@given(st.sampled_from([1, 2]), st.integers(0, 1), st.integers(0, 2**32 - 1), st.data())
-@settings(max_examples=30, deadline=None)
-def test_maximal_matches_oracle_random_side_levels(n, L, seed, data):
-    J = data.draw(st.integers(max(0, 1 - L), 4 if n == 1 else 2))
-    lo = data.draw(st.integers(-L, J))
-    hi = data.draw(st.integers(lo, J))
-    g = Grid(n=n, L=L, J=J, k_min=0, k_max=0)
-    f = GridFunction(g, np.random.default_rng(seed).standard_normal(g.shape))
-    cfg = MaximalConfig(g, side_level_min=lo, side_level_max=hi)
-    want = naive_maximal(f.values, g, list(range(lo, hi + 1)))
-    np.testing.assert_allclose(maximal(f, cfg).values, want, rtol=1e-13, atol=1e-15)
-
-
 def test_maximal_scaling_roundoff_fine_grid():
     # 2^15 cells: window averages must not pick up roundoff that grows with the
     # cell count; the CLI's maximal_scaling check allows 1e-12 times |c|
@@ -169,8 +144,6 @@ def test_maximal_scaling_roundoff_fine_grid():
 
 def test_maximal_config_validation():
     g = grid1()
-    with pytest.raises(LevelRangeError):
-        MaximalConfig(g, side_level_min=-5).side_levels()
     f = GridFunction.zeros(grid1(J=4))
     with pytest.raises(LevelMismatchError):
         maximal(f, MaximalConfig(g))

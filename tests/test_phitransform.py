@@ -385,11 +385,9 @@ def test_scale_sum_once_is_bit_identical_to_per_level_formula(n, L, J, smoothing
     assert fp.partition_deviation() == oracles.per_level_partition_deviation(fp)
 
 
-def test_frequency_mesh_is_built_once_per_grid_and_shared_read_only():
+def test_radii_match_the_mesh_read_only_and_band_draws_ignore_level_range():
     g = fgrid(n=2, L=2, J=4, k_max=2)
-    fp = build_filter_pair(g)
-    assert build_filter_pair(g.with_levels(0, 1)).radii is fp.radii
-    assert not fp.radii.flags.writeable
+    assert not build_filter_pair(g).radii.flags.writeable
     for h in (g, fgrid(n=1, L=2, J=7)):  # the 1-D radii are read off the axis, unsorted
         want = np.unique(oracles.frequency_magnitudes(h))
         assert np.array_equal(build_filter_pair(h).radii, want)
@@ -436,7 +434,6 @@ def test_per_axis_radii_equal_the_full_mesh_bit_for_bit(n, L):
 
 def test_filter_pair_peaks_below_one_full_grid_float_array():
     g = Grid(2, 2, 7, 0, 4)
-    phitransform._radii.cache_clear()  # a cold build: the distinct radii are traced too
     tracemalloc.start()
     try:
         fp = build_filter_pair(g)

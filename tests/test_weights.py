@@ -121,13 +121,15 @@ def test_ap_positivity_rejects_nan_and_inf(bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("axis", [0, 1, None])
 def test_broadcast_levels_with_a_bad_stored_value_are_refused(bad, axis):
-    # one bad value in the stored line of a view broadcast along the other axis
+    # one bad value in the stored line of a view broadcast along the other axis, or
+    # (axis None) a constant level that is one bad value broadcast along both
     g = Grid(n=2, L=1, J=2, k_min=0, k_max=0)
     line = np.ones(g.cells_per_axis)
     line[3] = bad
-    view = np.broadcast_to(line.reshape((-1, 1) if axis == 0 else (1, -1)), g.shape)
+    view = np.broadcast_to(np.float64(bad) if axis is None else
+                           line.reshape((-1, 1) if axis == 0 else (1, -1)), g.shape)
     with pytest.raises(PositivityError):
         WeightSequence(g, {0: view})
     with pytest.raises(PositivityError):
@@ -391,7 +393,7 @@ def test_exp2_levels_are_broadcast_views_holding_no_grid_array():
     finally:
         tracemalloc.stop()
     one = np.empty(g.shape).nbytes
-    assert peak < one and kept < one / 16
+    assert peak < one / 16 and kept < one / 16  # the positivity scan reads each value once
     for k in g.levels:
         assert w.tk[k].strides == (0, 0) and not w.tk[k].flags.writeable
         assert w.tk[k][0, 0] == 2.0 ** (k * 0.3)
