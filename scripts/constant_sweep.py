@@ -32,7 +32,7 @@ def one_row(s: float, J: int, seed: int) -> dict:
     rep = verify_x_class(w, s, s, 2.0, 2.0, 2.0)
     lam = CoeffField.random(grid, rng)
     fs = {k: GridFunction(grid, rng.standard_normal(grid.shape)) for k in w.levels}
-    fsr = fs_ratio(fs, w, 2.0, 2.0, MaximalConfig(grid))
+    fsr = fs_ratio(fs.items(), w, 2.0, 2.0, MaximalConfig(grid))
     mq_over_f = m_fun_p_norm(lam, w, 2.0, 2.0) / f_pq_norm(lam, w, 2.0, 2.0)
     se = extremal_sequence(lam, w, 2.0)
     c = star_constraint_norm(se, w, 2.0)

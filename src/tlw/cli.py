@@ -29,7 +29,6 @@ from .io import (
     save_weight_sequence,
     weights_from_spec,
 )
-from .maximal import MaximalConfig, fs_ratio, maximal, scalar_maximal_ratio, shifted_maximal_constant
 from .seqspace import (
     CoeffField,
     RestrictionSets,
@@ -238,6 +237,14 @@ def suite_xclass(config: ExperimentConfig) -> list[dict]:
 
 
 def suite_maximal(config: ExperimentConfig) -> list[dict]:
+    from .maximal import (
+        MaximalConfig,
+        fs_ratio,
+        maximal,
+        scalar_maximal_ratio,
+        shifted_maximal_constant,
+    )
+
     rng = _rng_for(config, "maximal", "tests")
     checks = []
     grids = [config.make_grid(), config.make_grid(bump_j=1)]
@@ -262,9 +269,8 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
         t0 = w.as_grid_function(grid.k_min)
         ratios["scalar_ratio"][grid.J] = scalar_maximal_ratio(f, t0, 2.0, cfg, mf)
         del f, mf
-        fs = {k: GridFunction(grid, rng.standard_normal(grid.shape)) for k in w.levels}
-        ratios["fs_ratio"][grid.J] = fs_ratio(fs, w, 2.0, 2.0, cfg).ratio
-        del fs
+        fs = ((k, GridFunction(grid, rng.standard_normal(grid.shape))) for k in w.levels)
+        ratios["fs_ratio"][grid.J] = fs_ratio(fs, w, 2.0, 2.0, cfg).ratio  # draws f_k when due
         for name, r in ratios.items():
             checks.append(_record(f"{name}[J={grid.J}]", [r[grid.J]], J=grid.J, reason=undefined))
     j0, j1 = (grid.J for grid in grids)

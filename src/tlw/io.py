@@ -24,12 +24,23 @@ def _write_header(base: Path, header: dict):
     base.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
-def _read_header(base: Path) -> dict:
-    return json.loads(base.with_suffix(".json").read_text())
+def _read_header(base: Path, kind: str, int_keys: tuple[str, ...]) -> dict:
+    """<base>.json, checked: a JSON object of `kind` whose `int_keys` hold integers."""
+    header = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(header, dict):
+        raise ConfigError(f"header: expected a JSON object, got {type(header).__name__}")
+    if header.get("kind") != kind:
+        raise ConfigError(f"kind: expected {kind} header, got {header.get('kind')}")
+    for key in int_keys:
+        if type(header.get(key)) is not int:  # JSON true/false load as bool, a subclass of int
+            raise ConfigError(f"{key}: expected an integer, got {header.get(key)!r}")
+    return header
 
 
 def save_grid_function(gf: GridFunction, base: str | Path, fmt: str = "bin"):
     """Write <base>.json + <base>.bin (LE float64) or <base>.csv (row-major rows)."""
+    if fmt not in ("bin", "csv"):
+        raise ConfigError(f"format: unknown grid-function format {fmt!r}")
     base = Path(base)
     g = gf.grid
     complex_data = np.iscomplexobj(gf.values)
@@ -48,29 +59,20 @@ def save_grid_function(gf: GridFunction, base: str | Path, fmt: str = "bin"):
         payload[0::2], payload[1::2] = flat.real, flat.imag
     if fmt == "bin":
         base.with_suffix(".bin").write_bytes(payload.astype("<f8").tobytes())
-    elif fmt == "csv":
+    else:
         cols = gf.values.shape[-1] * (2 if complex_data else 1)
         np.savetxt(base.with_suffix(".csv"), payload.reshape(-1, cols), delimiter=",")
-    else:
-        raise ConfigError(f"format: unknown grid-function format {fmt!r}")
 
 
 def load_grid_function(base: str | Path, k_min: int | None = None,
                        k_max: int | None = None) -> GridFunction:
     """Read <base>.json and its payload; a malformed header raises ConfigError."""
     base = Path(base)
-    header = _read_header(base)
-    if not isinstance(header, dict):
-        raise ConfigError(f"header: expected a JSON object, got {type(header).__name__}")
-    if header.get("kind") != "grid-function":
-        raise ConfigError(f"kind: expected grid-function header, got {header.get('kind')}")
-    n, L, J = (header.get(key) for key in ("n", "L", "J"))
-    for key, value in (("n", n), ("L", L), ("J", J)):
-        if type(value) is not int:  # JSON true/false load as bool, a subclass of int
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    header = _read_header(base, "grid-function", ("n", "L", "J"))
     fmt = header.get("format")
     if fmt not in ("bin", "csv"):
         raise ConfigError(f"format: expected 'bin' or 'csv', got {fmt!r}")
+    n, L, J = header["n"], header["L"], header["J"]
     grid = Grid(n, L, J, -L if k_min is None else k_min, J if k_max is None else k_max)
     if fmt == "bin":
         payload = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
@@ -106,11 +108,11 @@ def save_coeff_field(cf: CoeffField, base: str | Path):
 
 
 def load_coeff_field(base: str | Path) -> CoeffField:
+    """Read <base>.json and <base>.bin; a malformed header raises ConfigError."""
     base = Path(base)
-    header = _read_header(base)
-    if header.get("kind") != "coeff-field":
-        raise ConfigError(f"kind: expected coeff-field header, got {header.get('kind')}")
-    grid = Grid(header["n"], header["L"], header["J"], header["k_min"], header["k_max"])
+    keys = ("n", "L", "J", "k_min", "k_max")
+    header = _read_header(base, "coeff-field", keys)
+    grid = Grid(*(header[key] for key in keys))
     payload = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
     entries = {}
     pos = 0

@@ -11,11 +11,12 @@ operator on both sides, so the gap cancels.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import Grid, GridFunction, lp_lq_norm
+from .dyadic import INF, Grid, GridFunction, lp_lq_norm
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from .weights import WeightSequence
 
@@ -195,18 +196,32 @@ class FSRatioReport:
     ratio: float | None
 
 
-def fs_ratio(fs: dict[int, GridFunction], w: WeightSequence, p: float, q: float,
+def fs_ratio(fs: Iterable[tuple[int, GridFunction]], w: WeightSequence, p: float, q: float,
              cfg: MaximalConfig) -> FSRatioReport:
-    """Both sides of the vector-valued maximal inequality as exact grid norms."""
-    if p <= 1 or q <= 1:
-        raise LevelRangeError("vector-valued ratio needs p > 1 and q > 1")
-    if set(fs.keys()) != set(w.levels):
-        raise LevelMismatchError(
-            f"function levels {sorted(fs)} do not match weight levels {list(w.levels)}"
-        )
-    lhs = lp_lq_norm(w.grid, ((w.tk[k] * np.abs(maximal(fs[k], cfg).values)) ** q
-                              for k in w.levels), p, q)
-    rhs = lp_lq_norm(w.grid, (_weighted_power(np.abs(fs[k].values), w.tk[k], q)
-                              for k in w.levels), p, q)
+    """Both sides of the vector-valued maximal inequality as exact grid norms, 1 < p, q < inf.
+
+    `fs` yields the pairs (k, f_k) in the order of `w.levels` (`dict.items()` will do)
+    and is read once, one level at a time: the right-hand sum takes each f_k as the
+    left-hand norm reads its M(f_k), so a lazy `fs` keeps one f_k alive.  Other keys,
+    or keys in another order, raise LevelMismatchError.
+    """
+    if p <= 1 or not 1 < q < INF:
+        raise LevelRangeError(f"vector-valued ratio needs p > 1 and 1 < q < inf, got {p}, {q}")
+    pairs, rhs = iter(fs), np.zeros(w.grid.shape)
+
+    def lhs_summand(k: int) -> np.ndarray:
+        """(t_k M(f_k))^q of the next pair, after adding (t_k |f_k|)^q into `rhs`."""
+        key, f = next(pairs, (None, None))
+        if key != k:
+            raise LevelMismatchError(f"function level {key} where weight level {k} is due; "
+                                     f"weight levels are {list(w.levels)}")
+        np.add(rhs, _weighted_power(np.abs(f.values), w.tk[k], q), out=rhs)
+        return _weighted_power(maximal(f, cfg).values, w.tk[k], q)
+
+    lhs = lp_lq_norm(w.grid, (lhs_summand(k) for k in w.levels), p, q)
+    extra = next(pairs, None)
+    if extra is not None:
+        raise LevelMismatchError(f"function level {extra[0]} beyond weight levels {list(w.levels)}")
+    rhs = lp_lq_norm(w.grid, [rhs], p, q)
     ratio = None if rhs == 0.0 else lhs / rhs
     return FSRatioReport(lhs=lhs, rhs=rhs, ratio=ratio)

@@ -40,8 +40,8 @@ has its spectrum inside the centred box of 2M frequencies per axis, so its
 samples u on the 2M-lattice are alias-free (2M <= N for k <= J-1; at k = J the
 lattice is the grid), and int t_k^2 |phi_k * f|^2 is a real dot product of
 |u|^2 with the samples of t_k^2 cut to that box (`WeightSequence.box_samples`,
-built once).  Every other (p, q) reduces t_k |phi_k * f| cell by cell on the
-full grid.
+built once; a constant level's are one value, found without a transform).
+Every other (p, q) reduces t_k |phi_k * f| cell by cell on the full grid.
 """
 
 from __future__ import annotations
@@ -386,7 +386,8 @@ def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
         u = np.zeros((M2,) * grid.n, dtype=complex)
         u[_box_ix(grid, k, M2)] = spec[ix] * fp.phi_multiplier(k)
         u = np.fft.ifftn(u)
-        pair = np.vdot(w.box_samples(k, 2, M2), u.real**2 + u.imag**2)
+        # a constant level's samples are a stride-0 view, which vdot sums in another order
+        pair = np.vdot(np.ascontiguousarray(w.box_samples(k, 2, M2)), u.real**2 + u.imag**2)
         total += pair * (M2 / N**2) ** grid.n
     return max(total * grid.cell_volume, 0.0)
 

@@ -83,9 +83,14 @@ class WeightSequence:
     def as_grid_function(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.level_values(k))
 
-    def power(self, k: int, r: float, out: np.ndarray) -> np.ndarray:
-        """t_k^r written into `out`, a full-grid buffer the caller owns; returns out."""
-        return np.power(self.tk[k], r, out=out)
+    def power(self, k: int, r: float, out: np.ndarray, at=...) -> np.ndarray:
+        """t_k^r on the cells `at` (default all) written into `out`, a buffer of their shape
+        the caller owns; returns out."""
+        return np.power(self.tk[k][at], r, out=out)
+
+    def _stored(self, k: int) -> np.ndarray:
+        """The array level k is stored as (`_Reciprocal` reads its base's)."""
+        return self.tk[k]
 
     def reciprocal(self) -> "WeightSequence":
         """The weights 1/t_k, computed level by level when read (never stored).
@@ -128,13 +133,21 @@ class WeightSequence:
     def box_samples(self, k: int, r: float, M: int) -> np.ndarray:
         """M^n Re ifftn_M(fftn(t_k^r) on the centred box of M frequencies per axis): N^n t_k^r
         cut to that box, on the M-lattice (an M^n real array); computed once per (k, r, M)
-        and kept read-only."""
+        and kept read-only.  A constant level's are N^n c^r, a broadcast view with no FFT,
+        bit for bit (for N a power of two the fftn of c^r is exactly N^n c^r at DC, else 0)."""
         if (k, r, M) not in self._arrays:
-            box = np.fft.fftfreq(M, 1 / M).astype(int) % self.grid.cells_per_axis
-            out = self.power(k, r, np.empty(self.grid.shape))
-            for axis in range(self.grid.n):  # each axis's lines, then only the box's
-                out = np.fft.fft(out, axis=axis).take(box, axis=axis)
-            out = M**self.grid.n * np.fft.ifftn(out).real
+            n, N = self.grid.n, self.grid.cells_per_axis
+            out = None
+            if not any(self._stored(k).strides):
+                cell = N**n * self.power(k, r, np.empty((1,) * n), at=(slice(0, 1),) * n)
+                if np.isfinite(cell).all():  # else the FFT's inf - inf = NaN, as on any level
+                    out = np.broadcast_to(cell.reshape(()), (M,) * n)
+            if out is None:
+                box = np.fft.fftfreq(M, 1 / M).astype(int) % N
+                out = self.power(k, r, np.empty(self.grid.shape))
+                for axis in range(n):  # each axis's lines, then only the box's
+                    out = np.fft.fft(out, axis=axis).take(box, axis=axis)
+                out = M**n * np.fft.ifftn(out).real
             out.flags.writeable = False
             self._arrays[k, r, M] = out
         return self._arrays[k, r, M]
@@ -161,8 +174,11 @@ class _Reciprocal(WeightSequence):
     def tk(self) -> dict[int, np.ndarray]:
         return {k: 1.0 / v for k, v in self._base.tk.items()}
 
-    def power(self, k: int, r: float, out: np.ndarray) -> np.ndarray:
-        return np.power(np.divide(1.0, self._base.tk[k], out=out), r, out=out)
+    def power(self, k: int, r: float, out: np.ndarray, at=...) -> np.ndarray:
+        return np.power(np.divide(1.0, self._stored(k)[at], out=out), r, out=out)
+
+    def _stored(self, k: int) -> np.ndarray:
+        return self._base.tk[k]
 
 
 def exp2_weights(grid: Grid, s: float, omega: np.ndarray | None = None,

@@ -300,7 +300,7 @@ def test_criterion_9_maximal_suite():
         w_ap = exp2_weights(grid, 0.2, omega=power_profile(grid, 0.3))
         scalar[J] = scalar_maximal_ratio(f, w_ap.as_grid_function(0), 2.0, cfg)
         fs = {k: GridFunction(grid, np.repeat(coarse_fs[k], rep)) for k in w_ap.levels}
-        vector[J] = fs_ratio(fs, w_ap, 2.0, 2.0, cfg).ratio
+        vector[J] = fs_ratio(fs.items(), w_ap, 2.0, 2.0, cfg).ratio
     for vals in (scalar, vector):
         a, b = vals[5], vals[6]
         ok &= np.isfinite(a) and np.isfinite(b)

@@ -3,9 +3,14 @@
 A module that imports an installed but undeclared package (scipy, say) works
 wherever that package happens to be present and breaks where only the
 declared dependencies are installed, so every import is checked from source.
+The CLI loads the modules of the maximal, duality and phi-transform suites only
+when a suite runs them.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +41,13 @@ def test_an_undeclared_import_is_caught(tmp_path):
     module.write_text("import numpy as np\nfrom . import dyadic\n"
                       "def f():\n    from scipy import ndimage\n")
     assert imported_roots(module) - ALLOWED == {"scipy"}
+
+
+def test_importing_the_cli_loads_no_suite_only_module():
+    code = "import json, sys, tlw.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env).stdout
+    loaded = set(json.loads(out))
+    assert "tlw.cli" in loaded
+    assert not loaded & {"tlw.maximal", "tlw.duality", "tlw.phitransform"}, loaded

@@ -60,6 +60,46 @@ def test_grid_function_bad_format(tmp_path):
         save_grid_function(GridFunction.zeros(g), tmp_path / "x", fmt="hdf")
 
 
+def test_unknown_format_writes_no_header(tmp_path):
+    with pytest.raises(ConfigError, match="format"):
+        save_grid_function(GridFunction.zeros(grid1()), tmp_path / "x", fmt="xml")
+    assert not list(tmp_path.iterdir())
+
+
+HEADER_EDITS = [
+    ("header", "list", lambda header: [header]),
+    ("kind", "kind", lambda header: {**header, "kind": "weight-sequence"}),
+    ("n", "n-bool", lambda header: {**header, "n": True}),
+    ("L", "L-fraction", lambda header: {**header, "L": 1.5}),
+    ("J", "J-string", lambda header: {**header, "J": "3"}),
+    ("L", "L-missing", lambda header: {k: v for k, v in header.items() if k != "L"}),
+]
+LEVEL_RANGE_EDITS = [  # only a coefficient field's header carries its level range
+    ("k_min", "k_min-null", lambda header: {**header, "k_min": None}),
+    ("k_max", "k_max-float", lambda header: {**header, "k_max": 2.0}),
+]
+
+
+@pytest.mark.parametrize("loader, field, edit", [
+    pytest.param(loader, field, edit, id=f"{loader}-{name}")
+    for loader, edits in (("grid-function", HEADER_EDITS),
+                          ("coeff-field", HEADER_EDITS + LEVEL_RANGE_EDITS))
+    for field, name, edit in edits
+])
+def test_malformed_header_is_a_config_error_naming_the_field(tmp_path, loader, field, edit):
+    g = Grid(n=2, L=1, J=3, k_min=-1, k_max=2)
+    if loader == "grid-function":
+        save_grid_function(GridFunction.zeros(g), tmp_path / "f")
+        load = load_grid_function
+    else:
+        save_coeff_field(CoeffField.random(g, np.random.default_rng(0)), tmp_path / "f")
+        load = load_coeff_field
+    header = tmp_path / "f.json"
+    header.write_text(json.dumps(edit(json.loads(header.read_text()))))
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        load(tmp_path / "f")
+
+
 def test_coeff_field_roundtrip(tmp_path):
     g = Grid(n=2, L=1, J=3, k_min=-1, k_max=2)
     cf = CoeffField.random(g, np.random.default_rng(409))

@@ -122,14 +122,22 @@ def test_maximal_peaks_within_five_grid_arrays_and_iteration_buffers():
 
 
 def test_fs_ratio_releases_each_summand_once_it_is_added():
-    # one M(f_k) at a time (5 buffers and its result) plus the norm's body; holding the
-    # previous summand while the next was built peaked at 7.38
+    # inputs drawn inside the traced call as fs_ratio asks for them: one f_k, maximal's 5
+    # buffers and the two sums (8.39); the parent needed all K = 4 inputs drawn before the
+    # call, and peaked at 6.38 on top of them
     g = Grid(2, 2, 6, 0, 3)
     w = exp2_weights(g, 0.3)
     rng = np.random.default_rng(11)
-    fs = {k: GridFunction(g, rng.standard_normal(g.shape)) for k in w.levels}
-    peak = traced_peak(fs_ratio, fs, w, 2.0, 2.0, MaximalConfig(g))
-    assert peak / np.empty(g.shape).nbytes <= 6.5
+    drawn = []
+
+    def fs():
+        for k in w.levels:
+            drawn.append(k)
+            yield k, GridFunction(g, rng.standard_normal(g.shape))
+
+    peak = traced_peak(lambda: fs_ratio(fs(), w, 2.0, 2.0, MaximalConfig(g)))
+    assert drawn == list(w.levels)
+    assert peak / np.empty(g.shape).nbytes <= 8.5
 
 
 def test_maximal_scaling_roundoff_fine_grid():
@@ -216,7 +224,7 @@ def test_fs_ratio_zero_flagged():
     g = grid1(J=4)
     w = exp2_weights(g, 0.3)
     fs = {k: GridFunction.zeros(g) for k in w.levels}
-    rep = fs_ratio(fs, w, 2.0, 2.0, MaximalConfig(g))
+    rep = fs_ratio(fs.items(), w, 2.0, 2.0, MaximalConfig(g))
     assert rep.lhs == rep.rhs == 0.0
     assert rep.ratio is None
 
@@ -229,7 +237,7 @@ def test_fs_ratio_single_level_reduces_to_scalar():
     f = GridFunction(g, rng.standard_normal(g.shape))
     fs = {k: GridFunction.zeros(g) for k in w.levels}
     fs[2] = f
-    rep = fs_ratio(fs, w, 2.0, 2.0, cfg)
+    rep = fs_ratio(fs.items(), w, 2.0, 2.0, cfg)
     want = scalar_maximal_ratio(f, w.as_grid_function(2), 2.0, cfg)
     assert rep.ratio == pytest.approx(want, rel=1e-12)
 
@@ -238,7 +246,25 @@ def test_fs_ratio_level_mismatch():
     g = grid1(J=4)
     w = exp2_weights(g, 0.0)
     with pytest.raises(LevelMismatchError):
-        fs_ratio({0: GridFunction.zeros(g)}, w, 2.0, 2.0, MaximalConfig(g))
+        fs_ratio({0: GridFunction.zeros(g)}.items(), w, 2.0, 2.0, MaximalConfig(g))
+
+
+@pytest.mark.parametrize("keys", [[1, 0, 2, 3], [0, 1, 2, 3, 4]], ids=["order", "extra"])
+def test_fs_ratio_reads_the_weight_levels_in_order_and_no_more(keys):
+    g = grid1(J=4)
+    w = exp2_weights(g, 0.0)
+    assert list(w.levels) == [0, 1, 2, 3]
+    with pytest.raises(LevelMismatchError):
+        fs_ratio({k: GridFunction.zeros(g) for k in keys}.items(), w, 2.0, 2.0, MaximalConfig(g))
+
+
+def test_fs_ratio_refuses_q_inf():
+    # the right-hand sum adds q-th powers, which q = inf does not have
+    g = grid1(J=4)
+    w = exp2_weights(g, 0.0)
+    fs = {k: GridFunction.zeros(g) for k in w.levels}
+    with pytest.raises(LevelRangeError):
+        fs_ratio(fs.items(), w, 2.0, math.inf, MaximalConfig(g))
 
 
 def test_fs_ratio_stability_under_refinement():
@@ -250,7 +276,7 @@ def test_fs_ratio_stability_under_refinement():
         fs = {k: GridFunction(g, np.repeat(rng.standard_normal(2 ** (g.L + 4)),
                                            g.cells_per_axis // 2 ** (g.L + 4)))
               for k in w.levels}
-        rep = fs_ratio(fs, w, 2.0, 2.0, MaximalConfig(g))
+        rep = fs_ratio(fs.items(), w, 2.0, 2.0, MaximalConfig(g))
         ratios[J] = rep.ratio
     a, b = ratios[5], ratios[6]
     assert abs(a - b) <= 0.10 * max(a, b)

@@ -25,7 +25,7 @@ from tlw.phitransform import (
 )
 from tlw.io import weights_from_spec
 from tlw.seqspace import CoeffField, f_pq_norm
-from tlw.weights import exp2_weights, random_ap_weights
+from tlw.weights import WeightSequence, exp2_weights, random_ap_weights
 
 from . import oracles
 
@@ -575,17 +575,27 @@ def test_transfer_check_2d_line_transform_points_within_budget(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    transfer_check(f, fp, w, 2.0, 2.0)  # also builds t_k^2 cut to each level's 2M-box
-    first = sum(points)
-    points.clear()
-    transfer_check(f, fp, w, 2.0, 2.0)
+
+    def memo_points(w):
+        """Points of the first call beyond the second's, which stays within budget."""
+        transfer_check(f, fp, w, 2.0, 2.0)  # also builds t_k^2 cut to each level's 2M-box
+        first = sum(points)
+        points.clear()
+        transfer_check(f, fp, w, 2.0, 2.0)
+        budget = (sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
+                  + sum(g.n * (2 * M) ** g.n for M in boxes))  # per level: one ifftn on (2M)^n
+        assert sum(points) <= budget == 13_600
+        memo = first - sum(points)
+        points.clear()
+        return memo
+
     N, boxes = g.cells_per_axis, [2 ** (g.L + k) for k in w.levels]
-    budget = (sum(g.n * M**g.n for M in boxes)  # the lattice inverses in analyze
-              + sum(g.n * (2 * M) ** g.n for M in boxes))  # per level: one ifftn on (2M)^n
-    assert sum(points) <= budget == 13_600
-    # the memo, once per level and not per call: every column of t_k^2, then the box rows,
-    # then the box's inverse onto the 2M-lattice
-    assert first - sum(points) == sum((N + 2 * M) * N + g.n * (2 * M) ** g.n for M in boxes)
+    # the memo, once per level and not per call: a constant level's samples need no
+    # transform; a grid array's take every column of t_k^2, then the box rows, then the
+    # box's inverse onto the 2M-lattice
+    assert memo_points(w) == 0
+    copy = WeightSequence(g, {k: np.array(w.tk[k]) for k in w.levels}, w.meta)
+    assert memo_points(copy) == sum((N + 2 * M) * N + g.n * (2 * M) ** g.n for M in boxes)
 
 
 def f22_weights(kind, g, seed, reciprocal):

@@ -399,6 +399,24 @@ def test_exp2_levels_are_broadcast_views_holding_no_grid_array():
         assert w.tk[k][0, 0] == 2.0 ** (k * 0.3)
 
 
+@pytest.mark.parametrize("reciprocal", [False, True], ids=["t", "1/t"])
+def test_box_samples_of_a_broadcast_level_hold_no_grid_array(reciprocal):
+    # N^n c^r from one cell; the full-grid FFT route peaked at 6.2 arrays and kept one
+    g = Grid(2, 2, 6, 0, 4)
+    w = exp2_weights(g, 0.3)
+    w = w.reciprocal() if reciprocal else w
+    tracemalloc.start()
+    try:
+        got = w.box_samples(g.k_max, 2.0, g.cells_per_axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty(g.shape).nbytes / 16
+    assert got.shape == g.shape and got.strides == (0, 0) and not got.flags.writeable
+    c = 2.0 ** (g.k_max * 0.3 * (-1 if reciprocal else 1))
+    assert got[0, 0] == pytest.approx(g.cells_per_axis**2 * c**2, rel=1e-14)
+
+
 @pytest.mark.parametrize("s, level", [(1000.0, 2), (-1000.0, 2), (5000.0, 1)])
 def test_exp2_weights_refuse_a_level_that_is_not_finite_or_positive(s, level):
     # 2^{1000 k} overflows from k = 2 on; 2^{-1000 k} underflows to 0 there
@@ -444,12 +462,14 @@ def test_broadcast_exp2_levels_compute_as_materialised_levels(n, L, s, data):
             for r in (1.0, 0.5, -2.0):
                 out += [w.power(k, r, np.empty(g.shape)),
                         w.reciprocal().power(k, r, np.empty(g.shape)), w.cube_integral(k, r)]
-            out += [w.box_samples(k, 2.0, min(2 << (L + k), N))]
+            M = min(2 << (L + k), N)
+            out += [w.box_samples(k, 2.0, M), w.reciprocal().box_samples(k, 2.0, M),
+                    w.box_samples(k, -1.0, M)]
             out += [ap_constant(w.as_grid_function(k), p) for p in (1.0, 2.0, 3.0)]
         return out + [
             verify_x_class(w, s, s, 2.0, 2.0, 2.0),
             scalar_maximal_ratio(f, w.as_grid_function(g.k_min), 2.0, cfg),
-            fs_ratio(fs, w, 2.0, 3.0, cfg),
+            fs_ratio(fs.items(), w, 2.0, 3.0, cfg),
             f_pq_norm(lam, w, 1.5, 3.0), f_inf_norm(lam, w, 2.0), m_p_levels(lam, w, 2.0),
             F_pq_norm(band, fp, w, 1.5, 3.0), F_pq_norm(band, fp, w, 3.0, INF),
         ]
