@@ -40,7 +40,8 @@ has its spectrum inside the centred box of 2M frequencies per axis, so its
 samples u on the 2M-lattice are alias-free (2M <= N for k <= J-1; at k = J the
 lattice is the grid), and int t_k^2 |phi_k * f|^2 is a real dot product of
 |u|^2 with the samples of t_k^2 cut to that box (`WeightSequence.box_samples`,
-built once; a constant level's are one value, found without a transform).
+built once; a constant level's are one value, found without a transform, and
+its product is that value times the sum of |u|^2).
 Every other (p, q) reduces t_k |phi_k * f| cell by cell on the full grid.
 """
 
@@ -360,15 +361,18 @@ def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> floa
 
 
 def _weighted_levels(f: BandSignal, fp: FilterPair, w: WeightSequence, levels=None):
-    """Yield (k, t_k |phi_k * f|) over `levels` (default w.levels)."""
+    """Yield (k, t_k |phi_k * f|) over `levels` (default w.levels); t_k is read through
+    `power` into one buffer, so a reciprocal sequence builds no level array of its own."""
     if w.grid.shape != f.grid.shape:
         raise LevelMismatchError("weights and signal live on different grids")
     grid, spec = w.grid, f.spectrum
     filtered = np.zeros(grid.shape, dtype=complex)  # 0 off the current level's box
+    t = np.empty(grid.shape)
     for k in (w.levels if levels is None else levels):
         box = _box_ix(grid, k)
         filtered[box] = spec[box] * fp.phi_multiplier(k)
-        yield k, w.tk[k] * np.abs(_ifftn_from_box(filtered, _box(grid, k)))
+        a = np.abs(_ifftn_from_box(filtered, _box(grid, k)))
+        yield k, np.multiply(w.power(k, 1.0, t), a, out=a)
         filtered[box] = 0.0
 
 
@@ -386,8 +390,9 @@ def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
         u = np.zeros((M2,) * grid.n, dtype=complex)
         u[_box_ix(grid, k, M2)] = spec[ix] * fp.phi_multiplier(k)
         u = np.fft.ifftn(u)
-        # a constant level's samples are a stride-0 view, which vdot sums in another order
-        pair = np.vdot(np.ascontiguousarray(w.box_samples(k, 2, M2)), u.real**2 + u.imag**2)
+        T, u2 = w.box_samples(k, 2, M2), u.real**2 + u.imag**2
+        # a constant level's samples are one stride-0 value: it times the sum of |u|^2
+        pair = np.vdot(T, u2) if any(T.strides) else T.flat[0] * u2.sum()
         total += pair * (M2 / N**2) ** grid.n
     return max(total * grid.cell_volume, 0.0)
 

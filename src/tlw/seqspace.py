@@ -16,11 +16,14 @@ per level, and takes the largest value with `dyadic.first_max`; on the
 truncated model this is the exact supremum (larger cubes cannot appear, and
 the domain cube dominates anything coarser).
 
-Norms with pointwise weights (`f_pq_norm` with p != q, `f_inf_norm`, the
-restricted norms, `g_p`, `m_p_levels`, `m_fun`) sweep the finest cells, where
-t_k varies.  `f_pq_norm_star` and `f_inf_norm_cubeavg`, whose summands are
-constant on level cubes, sweep `Grid.lattice()` (the level-k_max cubes), and
-`f_pq_norm` with p = q reads only the cube integrals of t_k^p.
+Norms with pointwise weights (`f_pq_norm` with p != q, `f_inf_norm`,
+`m_p_levels`, `m_fun`, `RestrictionSets.from_m_fun`, `restricted_sup_norm`)
+sweep the finest cells, where t_k varies, or `Grid.lattice()` (the
+level-k_max cubes) when w is `constant_in_space`; cube sizes, the quartile
+rank and |E_Q|/|Q| still count cells there.  `g_p`, `m_p`, `restricted_norm`
+and random sets E_Q stay on the cells.  `f_pq_norm_star` and
+`f_inf_norm_cubeavg` always sweep the lattice, and `f_pq_norm` with p = q
+reads only the cube integrals of t_k^p.
 """
 
 from __future__ import annotations
@@ -115,6 +118,17 @@ def _check_pair(lam: CoeffField, w: WeightSequence):
         raise LevelMismatchError("coefficient field and weights live on different grids")
 
 
+def _sweep(lam: CoeffField, w: WeightSequence) -> tuple[CoeffField, WeightSequence]:
+    """(lam, w) on `Grid.lattice()` if w is constant in space, else (lam, w) as given.
+
+    The pointwise summands are then constant on level-k_max cubes, so the lattice
+    carries them exactly; each of its points stands for c = 2^{n(J-k_max)} cells.
+    """
+    _check_pair(lam, w)
+    w_lattice = w.on_lattice()
+    return (lam, w) if w_lattice is None else (CoeffField(w_lattice.grid, lam.entries), w_lattice)
+
+
 def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, masks=None):
     """(k, 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x) [* masks[k]]) over `levels`, in one
     reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x)."""
@@ -128,8 +142,9 @@ def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, ma
             per_cube = (2.0 ** (k * grid.n * q / 2.0)) * np.abs(lam.entries[k]) ** q
         blocks, a = broadcast_cubes(buf, per_cube)
         blocks *= a
-        if masks is not None:
-            buf *= masks[k]
+        if masks is not None:  # a mask on the lattice covers its points' cells
+            blocks, a = broadcast_cubes(buf, masks[k])
+            blocks *= a
         yield k, buf
 
 
@@ -139,7 +154,8 @@ def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
     q = inf takes the sup over levels of the summand (usual modification).
     For p = q the norm is a weighted l_p sum, (sum_{k,m} 2^{knp/2} |l_km|^p
     int_Q t_k^p)^{1/p}, read from the memoised cube integrals without
-    touching the cells; every other (p, q) sums t_k^q |l_km|^q cell by cell.
+    touching the cells; every other (p, q) sums t_k^q |l_km|^q cell by cell
+    (on the lattice for weights constant in space).
     """
     _check_pair(lam, w)
     if not 0 < p < INF:
@@ -149,6 +165,7 @@ def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
         total = sum(float(((2.0 ** (k * n * p / 2.0)) * np.abs(lam.entries[k]) ** p
                            * w.cube_integral(k, p)).sum()) for k in lam.levels)
         return total ** (1.0 / p)
+    lam, w = _sweep(lam, w)
     terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels))
     return lp_lq_norm(lam.grid, terms, p, q)
 
@@ -174,7 +191,7 @@ def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
 
 def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
     """sup over dyadic P of the localized average, with pointwise weights."""
-    _check_pair(lam, w)
+    lam, w = _sweep(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
@@ -311,18 +328,38 @@ def m_p_levels(lam: CoeffField, w: WeightSequence, q: float,
     One `localized_sup` sweep; returns each level kept mapped to its m_P
     values, equal to `m_p` cube by cube up to the summation order of G_P.
     """
-    _check_pair(lam, w)
-    grid = lam.grid
+    return _m_p_levels(lam.grid, *_sweep(lam, w), q, min_cells)
+
+
+def _m_p_levels(grid: Grid, lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
+    """`m_p_levels` of (lam, w) on `grid` or on its lattice; cubes still count `grid`'s cells."""
+    sweep = lam.grid
+    c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
 
     def quartile(lev, tail):
-        f = grid.side_cells(lev)
-        if f**grid.n < min_cells:
+        cells = grid.side_cells(lev) ** grid.n
+        if cells < min_cells:
             return None
-        rank = f**grid.n - 1 - _quartile_count(f**grid.n)
-        return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)
+        # Sorted, the cells repeat each point's value c times, so the r-th smallest cell
+        # value is the (r // c)-th smallest point value.  r // c is also the points' own
+        # quartile rank, as ceil(ceil(c N / 4) / c) = ceil(N / 4) for N points; with
+        # c >= 4, which `from_m_fun` requires, every cube has the 4 cells m_P needs.
+        rank = (cells - 1 - _quartile_count(cells)) // c
+        return np.partition(cube_major(tail, sweep.side_cells(lev)), rank,
+                            axis=-1)[..., rank] ** (1.0 / q)
 
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-    return localized_sup(grid, summands, quartile)
+    return localized_sup(sweep, summands, quartile)
+
+
+def _m_fun_values(grid: Grid, lam: CoeffField, w: WeightSequence, q: float,
+                  min_cells: int) -> np.ndarray:
+    """m on the sweep grid of (lam, w): `grid` or its lattice."""
+    best = np.zeros(lam.grid.shape)
+    for vals in _m_p_levels(grid, lam, w, q, min_cells).values():
+        blocks, m = broadcast_cubes(best, vals)
+        np.maximum(blocks, m, out=blocks)
+    return best
 
 
 def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4) -> GridFunction:
@@ -332,11 +369,11 @@ def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4) -> G
     are skipped; pass min_cells=1 to extend the quartile rule down to single
     cells (there it degenerates to the plain maximum over the cube).
     """
-    best = np.zeros(lam.grid.shape)
-    for vals in m_p_levels(lam, w, q, min_cells).values():
-        blocks, m = broadcast_cubes(best, vals)
-        np.maximum(blocks, m, out=blocks)
-    return GridFunction(lam.grid, best)
+    grid = lam.grid
+    best = _m_fun_values(grid, *_sweep(lam, w), q, min_cells)
+    if best.shape != grid.shape:  # swept on the lattice
+        best = expand_level_array(grid, grid.k_max, best)
+    return GridFunction(grid, best)
 
 
 def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
@@ -347,7 +384,12 @@ def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> floa
 
 
 class RestrictionSets:
-    """Per-cube subsets E_Q (union of finest cells), |E_Q| > fraction * |Q| enforced."""
+    """Per-cube subsets E_Q (union of finest cells), |E_Q| > fraction * |Q| enforced.
+
+    A level's mask is on the cells, or on `grid.lattice()` when E_Q is a union of
+    level-k_max cubes (`from_m_fun` on weights constant in space); a lattice point
+    then stands for its c cells, and |E_Q| still counts cells.
+    """
 
     def __init__(self, grid: Grid, masks: dict[int, np.ndarray], fraction: float = 0.5):
         if not 0 < fraction < 1:
@@ -360,10 +402,12 @@ class RestrictionSets:
             if k not in masks:
                 raise LevelMismatchError(f"missing restriction mask for level {k}")
             mask = np.asarray(masks[k], dtype=bool)
-            if mask.shape != grid.shape:
+            on = grid if mask.shape == grid.shape else grid.lattice()
+            if mask.shape != on.shape:
                 raise LevelMismatchError(f"mask for level {k} has shape {mask.shape}")
             cells_per_cube = grid.side_cells(k) ** grid.n
-            counts = block_reduce(mask, grid.side_cells(k))
+            c = cells_per_cube // on.side_cells(k) ** grid.n  # cells per mask entry
+            counts = block_reduce(mask, on.side_cells(k)) * c
             if not np.all(counts > fraction * cells_per_cube):
                 bad = int(np.argmin(counts))
                 raise PositivityError(
@@ -427,13 +471,14 @@ class RestrictionSets:
                 "finest coefficient cubes have fewer than 4 cells; the quartile "
                 "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
             )
-        m = m_fun(lam, w, q).values
+        lam, w = _sweep(lam, w)
+        m = _m_fun_values(grid, lam, w, q, 4)
 
         def below_m(lev, tail):  # m_P's own `** (1/q)`: the quartile cell compares equal to it
             return tail ** (1.0 / q) <= m if lev >= grid.k_min else None
 
         summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-        return cls(grid, localized_sup(grid, summands, below_m))
+        return cls(grid, localized_sup(lam.grid, summands, below_m))
 
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels, as counted at construction."""
@@ -456,5 +501,8 @@ def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,
     _check_pair(lam, w)
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
+    lam_s, w_s = _sweep(lam, w)
+    if all(mask.shape == lam_s.grid.shape for mask in E.masks.values()):
+        lam, w = lam_s, w_s  # else masks on the cells keep the cell sweep
     terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels, E.masks))
     return lp_lq_norm(lam.grid, terms, INF) ** (1.0 / q)

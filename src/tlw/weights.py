@@ -4,8 +4,11 @@ A weight sequence is one strictly positive grid function per level k in the
 grid's level range, held read-only.  A level that is constant in space (every
 level of `exp2_weights` without a profile) is a broadcast view of its one value
 with stride 0, not a grid array: the kernels only read levels and write their
-results into buffers they own.  The audits compute, over every dyadic cube of
-the grid, the sharpest constants for
+results into buffers they own.  A sequence whose every level is one
+(`constant_in_space`) keeps a copy on `Grid.lattice()` for the pointwise norms
+of `seqspace`, and `verify_x_class` reads its cube means from the one value.
+The audits compute, over every dyadic cube of the grid, the sharpest constants
+for
 
     M_{Q,p}(t_k) * M_{Q,s1}(t_j^{-1})   <= C1 * 2^{a1 (k-j)}     (k <= j)
     M_{Q,s2}(t_j) / M_{Q,p}(t_k)        <= C2 * 2^{a2 (j-k)}     (k <= j)
@@ -18,15 +21,17 @@ bound of the true constant over all cubes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, first_max
+from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, cube_at, first_max
 from .errors import (
     LevelMismatchError,
     LevelRangeError,
     PositivityError,
+    TlwError,
 )
 
 
@@ -69,10 +74,25 @@ class WeightSequence:
         # dict holds those of t_k^{-r} and serves `reciprocal()`
         self._arrays, self._reciprocal_arrays = {}, {}
         self._reciprocal_finite = False  # set once a scan finds every 1/t_k finite
+        self._lattice = None  # the sequence on grid.lattice(), once `on_lattice` builds it
 
     @property
     def levels(self) -> range:
         return self.grid.levels
+
+    @property
+    def constant_in_space(self) -> bool:
+        """Every stored level has stride 0 on every axis: one value per level."""
+        return not any(any(self._stored(k).strides) for k in self.levels)
+
+    def on_lattice(self) -> "WeightSequence | None":
+        """The same levels on `grid.lattice()` if the sequence is constant in space, else None;
+        built once and kept."""
+        if self._lattice is None and self.constant_in_space:
+            lattice = self.grid.lattice()
+            self._lattice = WeightSequence(lattice, {
+                k: np.broadcast_to(v.flat[0], lattice.shape) for k, v in self.tk.items()}, self.meta)
+        return self._lattice
 
     def level_values(self, k: int) -> np.ndarray:
         try:
@@ -179,6 +199,10 @@ class _Reciprocal(WeightSequence):
 
     def _stored(self, k: int) -> np.ndarray:
         return self._base.tk[k]
+
+    def on_lattice(self) -> "WeightSequence | None":
+        base = self._base.on_lattice()
+        return None if base is None else base.reciprocal()
 
 
 def exp2_weights(grid: Grid, s: float, omega: np.ndarray | None = None,
@@ -349,13 +373,21 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
     grid = w.grid
     levels = list(w.levels)
 
-    tracker1 = _SupTracker()
-    tracker2 = _SupTracker()
+    def means(k, f, r, inverse=False):
+        t = w.tk[k]
+        if any(t.strides):
+            return block_reduce(1.0 / t if inverse else t, f, "mean", r)
+        # constant level: every cube mean is its one value's, a 0-d array (first cube wins)
+        v = 1.0 / t.flat[0] if inverse else t.flat[0]
+        return np.asarray(v if r == INF else (v**r) ** (1.0 / r))
+
+    tracker1 = _SupTracker(grid)
+    tracker2 = _SupTracker(grid)
     for lev in range(-grid.L, grid.J + 1):
         f = grid.side_cells(lev)
-        means_p = {k: block_reduce(w.tk[k], f, "mean", p) for k in levels}
-        means_s1_inv = {k: block_reduce(1.0 / w.tk[k], f, "mean", sigma1) for k in levels}
-        means_s2 = {k: block_reduce(w.tk[k], f, "mean", sigma2) for k in levels}
+        means_p = {k: means(k, f, p) for k in levels}
+        means_s1_inv = {k: means(k, f, sigma1, inverse=True) for k in levels}
+        means_s2 = {k: means(k, f, sigma2) for k in levels}
         for k in levels:
             for j in range(k, grid.k_max + 1):
                 c1 = means_p[k] * means_s1_inv[j] * 2.0 ** (-alpha1 * (k - j))
@@ -370,15 +402,20 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
 
 
 class _SupTracker:
-    def __init__(self):
+    def __init__(self, grid: Grid):
+        self.grid = grid
         self.witness: XClassWitness | None = None
         self.lag_profile: dict[int, float] = {}
 
     def update(self, lev: int, k: int, j: int, cand: np.ndarray):
-        val, cube = first_max({lev: cand})
+        """Fold in one level's candidates (an array per cube, or 0-d for all cubes alike);
+        the witness cube, the first maximum, is found only when it beats the current one."""
+        val = float(cand.max())
+        if math.isnan(val):
+            raise TlwError(f"level {lev}: cube values include NaN")
         self.lag_profile[j - k] = max(self.lag_profile.get(j - k, -np.inf), val)
         if self.witness is None or val > self.witness.value:
-            self.witness = XClassWitness(k, j, cube, val)
+            self.witness = XClassWitness(k, j, cube_at(self.grid, lev, int(np.argmax(cand))), val)
 
 
 def alpha_consistency(report: XClassReport, alpha1: float, alpha2: float,

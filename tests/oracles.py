@@ -558,3 +558,28 @@ def expanded_abs_mean(grid):
         f = grid.side_cells(lev)
         return np.abs(block_reduce(tail.real, f, "mean") + 1j * block_reduce(tail.imag, f, "mean"))
     return abs_mean
+
+
+def eager_x_class(w, alpha1, alpha2, sigma1, sigma2, p):
+    """(witness1, witness2, lag_profile1, lag_profile2) of `verify_x_class` with block means
+    of every level on the cells and every candidate array searched by `first_max`; each
+    witness is a (k, j, cube, value) tuple."""
+    from tlw.dyadic import first_max
+
+    grid, levels = w.grid, list(w.levels)
+    witnesses, profiles = [None, None], [{}, {}]
+    for lev in range(-grid.L, grid.J + 1):
+        f = grid.side_cells(lev)
+        means_p = {k: block_reduce(np.array(w.tk[k]), f, "mean", p) for k in levels}
+        means_s1_inv = {k: block_reduce(1.0 / w.tk[k], f, "mean", sigma1) for k in levels}
+        means_s2 = {k: block_reduce(np.array(w.tk[k]), f, "mean", sigma2) for k in levels}
+        for k in levels:
+            for j in range(k, grid.k_max + 1):
+                c1 = means_p[k] * means_s1_inv[j] * 2.0 ** (-alpha1 * (k - j))
+                c2 = means_s2[j] / means_p[k] * 2.0 ** (-alpha2 * (j - k))
+                for i, cand in enumerate((c1, c2)):
+                    val, cube = first_max({lev: cand})
+                    profiles[i][j - k] = max(profiles[i].get(j - k, -np.inf), val)
+                    if witnesses[i] is None or val > witnesses[i][3]:
+                        witnesses[i] = (k, j, cube, val)
+    return (*witnesses, *profiles)

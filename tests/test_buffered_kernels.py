@@ -25,7 +25,12 @@ import numpy as np
 import pytest
 
 from tlw.dyadic import Grid, block_reduce, expand_level_array
-from tlw.duality import kappa_constraint_norm, localized_pairing, star_constraint_norm
+from tlw.duality import (
+    hoelder_check_1q,
+    kappa_constraint_norm,
+    localized_pairing,
+    star_constraint_norm,
+)
 from tlw.phitransform import BandSignal, F_inf_norm, _weighted_levels, build_filter_pair
 from tlw.seqspace import (
     CoeffField,
@@ -59,14 +64,28 @@ def case(request):
     return g, weights(kind, g, rng), CoeffField.random(g, rng), rng
 
 
+def swept(lam, w):
+    """(lam, t_k) on the grid the pointwise norms sweep: the lattice for weights constant in
+    space (each t_k one value there too), else the cells."""
+    if not w.constant_in_space:
+        return lam, w.tk
+    lat = lam.grid.lattice()
+    return CoeffField(lat, lam.entries), {k: np.full(lat.shape, v.flat[0]) for k, v in w.tk.items()}
+
+
 def test_f_pq_norm_equals_expand_then_sum(case):
+    # p != q sweeps the lattice on exp2 weights: == to the form run there, and to the
+    # form run on the cells up to summation order
     g, w, lam, _ = case
     for p, q in ((2.0, 2.0), (1.5, 3.0), (1.0, 2.0), (0.5, 1.0), (3.0, INF), (1.0, INF)):
         want = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, w.tk, q), p, q)
         if p == q:  # sums cube integrals, not cells: another summation order
             assert f_pq_norm(lam, w, p, q) == pytest.approx(want, rel=1e-14), (p, q)
-        else:
-            assert f_pq_norm(lam, w, p, q) == want, (p, q)
+            continue
+        on, tk = swept(lam, w)
+        swept_want = oracles.expanded_lp_lq(on.grid, oracles.expanded_pointwise(on, tk, q), p, q)
+        assert f_pq_norm(lam, w, p, q) == swept_want, (p, q)
+        assert swept_want == pytest.approx(want, rel=1e-14), (p, q)
 
 
 def test_reciprocal_weights_equal_the_stored_reciprocal(case):
@@ -123,7 +142,9 @@ def test_m_p_levels_equal_expand_then_sum(case, min_cells):
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
-    # E_Q = {T_k^{1/q} <= m} with every suffix sum T_k and m from the expanded form
+    # E_Q = {T_k^{1/q} <= m} with every suffix sum T_k and m from the expanded form.  On
+    # exp2 weights the masks are on the lattice; each point's cells repeat its T_k and m
+    # bit for bit, so the expanded masks equal the cell form's exactly.
     g, w, lam, _ = case
     for weights_used, tk in direct_and_reciprocal(w):
         m_levels, suffix = oracles.expanded_localized(
@@ -133,9 +154,12 @@ def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
             np.maximum(m, expand_level_array(g, lev, vals), out=m)
         E = RestrictionSets.from_m_fun(lam, weights_used, q)
         assert sorted(E.masks) == sorted(suffix) == list(g.levels)
+        on = g.lattice() if w.constant_in_space else g
         for k, t in suffix.items():
-            assert np.array_equal(E.masks[k], t ** (1.0 / q) <= m), k
-        recount = min(float(block_reduce(E.masks[k], g.side_cells(k)).min())
+            assert E.masks[k].shape == on.shape, k
+            assert np.array_equal(expand_level_array(g, on.J, E.masks[k]), t ** (1.0 / q) <= m), k
+        recount = min(float(block_reduce(expand_level_array(g, on.J, E.masks[k]),
+                                         g.side_cells(k)).min())
                       / g.side_cells(k) ** g.n for k in g.levels)
         assert E.min_fraction() == recount >= 0.75
 
@@ -235,6 +259,27 @@ def test_cube_constant_norms_stay_below_one_full_grid_array():
     }
     for fn, *args in calls.values():
         fn(*args)
+    array_bytes = np.zeros(g.shape).nbytes
+    peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
+    assert all(peak < 1 for peak in peaks.values()), peaks
+
+
+def test_pointwise_norms_on_constant_weights_stay_below_one_full_grid_array():
+    # exp2 levels are one value each: the pointwise norms sweep the level-k_max lattice,
+    # 2^{J-k_max} = 16 times fewer points than the cells, and hold no cell array
+    g = Grid(1, 2, 13, 0, 9)
+    rng = np.random.default_rng(8)
+    w = exp2_weights(g, 0.3)
+    lam, s = CoeffField.random(g, rng), CoeffField.random(g, rng)
+    E = RestrictionSets.from_m_fun(lam, w.reciprocal(), 2.0)  # builds the lattice copy
+    calls = {
+        "f_pq_norm": (f_pq_norm, lam, w, 1.5, 3.0),
+        "f_inf_norm": (f_inf_norm, lam, w, 2.0),
+        "m_p_levels": (m_p_levels, lam, w, 2.0),
+        "from_m_fun": (RestrictionSets.from_m_fun, lam, w.reciprocal(), 2.0),
+        "restricted_sup_norm": (restricted_sup_norm, lam, w.reciprocal(), 2.0, E),
+        "hoelder_check_1q": (hoelder_check_1q, s, lam, w, 2.0),
+    }
     array_bytes = np.zeros(g.shape).nbytes
     peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
     assert all(peak < 1 for peak in peaks.values()), peaks

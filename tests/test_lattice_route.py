@@ -1,0 +1,233 @@
+"""Weights constant in space: the pointwise sequence norms sweep `Grid.lattice()`.
+
+Every routed function runs on `exp2` weights (each level a stride-0 view of one
+value) and is compared with the same function on the same weights made into
+grid arrays, which take the cell path, for w and for w.reciprocal().  One
+lattice point stands for c = 2^{n(J-k_max)} cells: exactly 4 on the first two
+grids, 16 and 64 on the others.  Values that select one summand (m_P, m, the
+sets E_Q) are equal bit for bit; sums run over the lattice in another order
+and agree to rel 1e-14.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tlw.duality import hoelder_check_1q
+from tlw.dyadic import Grid, block_reduce, expand_level_array, first_max
+from tlw.io import weights_from_spec
+from tlw.seqspace import (
+    CoeffField,
+    RestrictionSets,
+    _quartile_count,
+    f_inf_norm,
+    f_pq_norm,
+    m_fun,
+    m_p_levels,
+    restricted_norm,
+    restricted_sup_norm,
+)
+from tlw.weights import WeightSequence, _SupTracker, exp2_weights, verify_x_class
+
+from . import oracles
+
+INF = math.inf
+
+GRIDS = {  # (n, L, J, k_min, k_max): c = 4, 4, 16, 64
+    "1d-c4": Grid(1, 2, 5, 0, 3),
+    "2d-c4": Grid(2, 2, 4, 0, 3),
+    "1d-c16": Grid(1, 2, 7, -1, 3),
+    "2d-c64": Grid(2, 1, 4, 0, 1),
+}
+
+
+def cells_per_point(g):
+    return (g.cells_per_axis // g.lattice().cells_per_axis) ** g.n
+
+
+def materialised(w):
+    return WeightSequence(w.grid, {k: np.array(v) for k, v in w.tk.items()}, w.meta)
+
+
+@pytest.fixture(params=[(name, inverse) for name in GRIDS for inverse in (False, True)],
+                ids=lambda case: f"{case[0]}-{'reciprocal' if case[1] else 'w'}")
+def case(request):
+    name, inverse = request.param
+    g = GRIDS[name]
+    rng = np.random.default_rng(2021)
+    w = exp2_weights(g, 0.3)
+    cells = materialised(w)
+    if inverse:
+        w, cells = w.reciprocal(), cells.reciprocal()
+    return g, w, cells, CoeffField.random(g, rng), rng
+
+
+def test_grids_have_the_stated_cells_per_point():
+    assert [cells_per_point(g) for g in GRIDS.values()] == [4, 4, 16, 64]
+
+
+def test_only_weights_constant_in_space_move_to_the_lattice():
+    g = GRIDS["2d-c4"]
+    rng = np.random.default_rng(1)
+    w = exp2_weights(g, 0.3)
+    assert w.constant_in_space and w.reciprocal().constant_in_space
+    lattice = w.on_lattice()
+    assert lattice is w.on_lattice()  # built once
+    assert lattice.grid == g.lattice() and lattice.meta == w.meta
+    for k in g.levels:
+        assert lattice.tk[k].shape == g.lattice().shape and not any(lattice.tk[k].strides)
+        assert lattice.tk[k].flat[0] == w.tk[k].flat[0]
+    recip = w.reciprocal().on_lattice()
+    assert recip.grid == g.lattice() and recip.constant_in_space
+    for spec in ({"kind": "power", "s": 0.3, "alpha": 0.3}, {"kind": "random-ap"}):
+        other = weights_from_spec(g, spec, rng)
+        assert not other.constant_in_space and other.on_lattice() is None
+        assert other.reciprocal().on_lattice() is None
+    assert materialised(w).on_lattice() is None
+
+
+def test_f_pq_and_f_inf_norms_match_the_cell_path(case):
+    _, w, cells, lam, _ = case
+    for p, q in ((1.5, 3.0), (3.0, 1.5), (1.0, 2.0), (0.5, 1.0), (3.0, INF)):
+        assert f_pq_norm(lam, w, p, q) == pytest.approx(f_pq_norm(lam, cells, p, q),
+                                                        rel=1e-14), (p, q)
+    for q in (1.0, 2.0, 3.0):
+        assert f_inf_norm(lam, w, q) == pytest.approx(f_inf_norm(lam, cells, q), rel=1e-14)
+
+
+@pytest.mark.parametrize("min_cells", [1, 4, 16])
+def test_m_p_levels_and_m_fun_equal_the_cell_path(case, min_cells):
+    g, w, cells, lam, _ = case
+    got, want = m_p_levels(lam, w, 2.0, min_cells), m_p_levels(lam, cells, 2.0, min_cells)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[lev], want[lev]) for lev in got)
+    # a level-k_max cube has 1 lattice point but c >= 4 cells: it keeps its m_P
+    if min_cells <= cells_per_point(g):
+        assert g.k_max in got
+    assert np.array_equal(m_fun(lam, w, 3.0, min_cells).values,
+                          m_fun(lam, cells, 3.0, min_cells).values)
+
+
+def test_m_p_levels_match_the_loop_oracle():
+    # 1-D, c = 4: the lattice has a single point per level-k_max cube and 2 per level k_max - 1
+    g = GRIDS["1d-c4"]
+    rng = np.random.default_rng(5)
+    w, lam = exp2_weights(g, -0.4), CoeffField.random(g, rng)
+    tk = {k: np.array(v) for k, v in w.tk.items()}
+    levels = m_p_levels(lam, w, 2.0)
+    assert list(levels) == list(range(-g.L, g.k_max + 1))
+    for lev, vals in levels.items():
+        for i, got in enumerate(vals.ravel()):
+            index = np.unravel_index(i, vals.shape)
+            G = oracles.naive_g_p(lam.entries, tk, g, 2.0, lev, index, g.k_min, g.k_max)
+            f = g.side_cells(lev)
+            on_p = G[tuple(slice(m * f, (m + 1) * f) for m in index)]
+            assert got == pytest.approx(oracles.naive_m_p(on_p.ravel(), on_p.size), rel=1e-13)
+
+
+@pytest.mark.parametrize("c", [1, 2, 4, 16, 64])
+def test_quartile_rank_on_the_points_is_the_rank_on_the_cells(c):
+    # Each point's value fills c cells, so the r-th smallest cell value is the (r // c)-th
+    # smallest point value.  With r = N - ceil(N/4) for N = c N_p cells, r // c is
+    # N_p - ceil(ceil(c N_p / 4) / c) = N_p - ceil(N_p / 4): the points' own quartile rank.
+    # c >= 4, which `from_m_fun` requires, also gives every cube the 4 cells m_P needs.
+    for n_points in range(1, 400):
+        cells = c * n_points
+        assert ((cells - 1 - _quartile_count(cells)) // c
+                == n_points - 1 - _quartile_count(n_points)), n_points
+
+
+def test_restriction_sets_from_m_fun_equal_the_cell_path(case):
+    g, w, cells, lam, _ = case
+    got, want = (RestrictionSets.from_m_fun(lam, x, 2.0) for x in (w, cells))
+    for k in g.levels:
+        assert got.masks[k].shape == g.lattice().shape
+        assert np.array_equal(expand_level_array(g, g.k_max, got.masks[k]), want.masks[k])
+        counts = block_reduce(got.masks[k], g.lattice().side_cells(k)) * cells_per_point(g)
+        assert np.array_equal(counts, block_reduce(want.masks[k], g.side_cells(k)))
+    assert got.min_fraction() == want.min_fraction() >= 0.75
+
+
+def test_restricted_norms_on_lattice_and_cell_masks(case):
+    g, w, cells, lam, rng = case
+    E_lattice = RestrictionSets.from_m_fun(lam, w, 2.0)
+    E_cells = RestrictionSets(g, {k: expand_level_array(g, g.k_max, m)
+                                  for k, m in E_lattice.masks.items()})
+    E_random = RestrictionSets.random(g, 0.75, rng)
+    assert E_cells.min_fraction() == E_lattice.min_fraction()
+    for q in (2.0, 3.0):
+        # lattice masks and constant weights: the lattice sweep
+        assert restricted_sup_norm(lam, w, q, E_lattice) == pytest.approx(
+            restricted_sup_norm(lam, cells, q, E_cells), rel=1e-14)
+        # lattice masks on the cell sweep cover their points' cells
+        assert restricted_sup_norm(lam, cells, q, E_lattice) == restricted_sup_norm(
+            lam, cells, q, E_cells)
+        assert restricted_norm(lam, w, q, E_lattice) == restricted_norm(lam, cells, q, E_cells)
+        # masks that vary over the cells keep the cell path
+        assert restricted_sup_norm(lam, w, q, E_random) == restricted_sup_norm(
+            lam, cells, q, E_random)
+        assert restricted_norm(lam, w, q, E_random) == restricted_norm(lam, cells, q, E_random)
+
+
+def test_hoelder_check_1q_matches_the_cell_path(case):
+    g, w, cells, lam, rng = case
+    s = CoeffField.random(g, rng)
+    got, want = (hoelder_check_1q(s, lam, x, 2.0) for x in (w, cells))
+    assert got.factor == want.factor and got.pairing == want.pairing
+    assert got.lhs_norm == pytest.approx(want.lhs_norm, rel=1e-14)
+    assert got.rhs_norm == pytest.approx(want.rhs_norm, rel=1e-14)
+
+
+def eager_tracker_updates(grid, updates):
+    """The witness and lag profile when every candidate array is searched (`first_max`)."""
+    witness, profile = None, {}
+    for lev, k, j, cand in updates:
+        val, cube = first_max({lev: np.broadcast_to(cand, grid.level_shape(lev))})
+        profile[j - k] = max(profile.get(j - k, -np.inf), val)
+        if witness is None or val > witness[3]:
+            witness = (k, j, cube, val)
+    return witness, profile
+
+
+def test_lazy_witness_equals_the_eager_search():
+    g = Grid(2, 1, 3, 0, 2)
+    rng = np.random.default_rng(11)
+    updates = []
+    for lev in range(-g.L, g.J + 1):
+        for k, j in ((0, 0), (0, 2), (1, 2)):
+            shape = g.level_shape(lev)
+            cand = rng.choice([0.5, 1.0, 1.5], size=shape) if lev % 2 else np.asarray(1.25)
+            updates.append((lev, k, j, cand))
+    tracker = _SupTracker(g)
+    for update in updates:
+        tracker.update(*update)
+    (k, j, cube, val), profile = eager_tracker_updates(g, updates)
+    assert (tracker.witness.k, tracker.witness.j, tracker.witness.cube) == (k, j, cube)
+    assert tracker.witness.value == val and tracker.lag_profile == profile
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "random-ap", "spread": 0.5},
+    {"kind": "power", "s": 0.3, "alpha": 0.3},
+    {"kind": "exp2", "s": 0.3},
+], ids=["random-ap", "power", "exp2-materialised"])
+def test_x_class_on_grid_arrays_equals_the_eager_audit(spec):
+    # weights held as grid arrays take block means on the cells, as before the lazy witness
+    g = Grid(2, 1, 3, 0, 2)
+    w = materialised(weights_from_spec(g, spec, np.random.default_rng(3)))
+    rep = verify_x_class(w, 0.3, 0.3, 1.5, 2.5, 2.0)
+    want = oracles.eager_x_class(w, 0.3, 0.3, 1.5, 2.5, 2.0)
+    for got, (k, j, cube, val) in ((rep.witness1, want[0]), (rep.witness2, want[1])):
+        assert (got.k, got.j, got.cube, got.value) == (k, j, cube, val)
+    assert (rep.lag_profile1, rep.lag_profile2) == (want[2], want[3])
+
+
+def test_x_class_on_constant_levels_reads_each_level_once():
+    g = Grid(1, 2, 6, 0, 3)
+    w = exp2_weights(g, 0.3)
+    rep = verify_x_class(w, 0.3, 0.3, 2.0, 2.0, 2.0)
+    want = verify_x_class(materialised(w), 0.3, 0.3, 2.0, 2.0, 2.0)
+    assert (rep.C1, rep.C2) == pytest.approx((want.C1, want.C2), rel=1e-14)
+    # every cube ties: the witness is the first cube of the coarsest level reaching the max
+    assert rep.witness1.cube.level == -g.L and rep.witness1.cube.index == (0,)

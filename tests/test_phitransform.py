@@ -659,6 +659,24 @@ def test_F22_peaks_below_one_full_grid_complex_array(g):
     assert peak < np.empty(g.shape, dtype=complex).nbytes
 
 
+def test_general_F_pq_norm_on_reciprocal_weights_peaks_no_higher_than_on_w():
+    # 1/t_k is read through `power` into the buffer t_k takes, one level at a time
+    g = Grid(2, 2, 5, 0, 3)
+    fp = build_filter_pair(g)
+    w = random_ap_weights(g, 0.5, np.random.default_rng(73))
+    f = BandSignal.random_band(g, np.random.default_rng(79), (0, g.k_max))
+    peaks = {}
+    for name, weights in (("w", w), ("reciprocal", w.reciprocal())):
+        F_pq_norm(f, fp, weights, 1.5, 3.0)  # memoises the multipliers
+        tracemalloc.start()
+        try:
+            F_pq_norm(f, fp, weights, 1.5, 3.0)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["reciprocal"] <= peaks["w"], peaks
+
+
 def test_second_transfer_check_builds_no_weight_power(monkeypatch):
     g = Grid(1, 2, 8, 0, 5)
     fp, w = build_filter_pair(g), random_ap_weights(g, 0.5, np.random.default_rng(67))

@@ -467,14 +467,22 @@ def test_broadcast_exp2_levels_compute_as_materialised_levels(n, L, s, data):
                     w.box_samples(k, -1.0, M)]
             out += [ap_constant(w.as_grid_function(k), p) for p in (1.0, 2.0, 3.0)]
         return out + [
-            verify_x_class(w, s, s, 2.0, 2.0, 2.0),
             scalar_maximal_ratio(f, w.as_grid_function(g.k_min), 2.0, cfg),
             fs_ratio(fs.items(), w, 2.0, 3.0, cfg),
-            f_pq_norm(lam, w, 1.5, 3.0), f_inf_norm(lam, w, 2.0), m_p_levels(lam, w, 2.0),
+            m_p_levels(lam, w, 2.0),  # a quartile picks one summand: the same on the lattice
             F_pq_norm(band, fp, w, 1.5, 3.0), F_pq_norm(band, fp, w, 3.0, INF),
         ]
 
     assert [_canonical(x) for x in results(broadcast)] == [_canonical(x) for x in results(copy)]
+    # Broadcast levels sweep the lattice, and x-class reads a constant level's cube means
+    # from its one value: these sum in another order.  Every x-class cube ties at the exact
+    # value, so the witness is wherever roundoff puts the first maximum; it is not compared.
+    for norm in (lambda w: f_pq_norm(lam, w, 1.5, 3.0), lambda w: f_inf_norm(lam, w, 2.0)):
+        assert norm(broadcast) == pytest.approx(norm(copy), rel=1e-14)
+    got, want = (verify_x_class(w, s, s, 2.0, 2.0, 2.0) for w in (broadcast, copy))
+    assert (got.C1, got.C2) == pytest.approx((want.C1, want.C2), rel=1e-14)
+    assert got.lag_profile1 == pytest.approx(want.lag_profile1, rel=1e-14)
+    assert got.lag_profile2 == pytest.approx(want.lag_profile2, rel=1e-14)
 
 
 def test_reciprocal_refuses_a_weight_whose_reciprocal_overflows():
