@@ -118,21 +118,20 @@ def _check_pair(lam: CoeffField, w: WeightSequence):
         raise LevelMismatchError("coefficient field and weights live on different grids")
 
 
-def _sweep(lam: CoeffField, w: WeightSequence) -> tuple[CoeffField, WeightSequence]:
-    """(lam, w) on `Grid.lattice()` if w is constant in space, else (lam, w) as given.
-
-    The pointwise summands are then constant on level-k_max cubes, so the lattice
-    carries them exactly; each of its points stands for c = 2^{n(J-k_max)} cells.
+def _sweep(lam: CoeffField, w: WeightSequence) -> WeightSequence:
+    """w on `Grid.lattice()` if it is constant in space, else w: the summands of
+    `_pointwise_summands` live on its grid.  On the lattice they are constant on
+    level-k_max cubes, so it carries them exactly, one point for c = 2^{n(J-k_max)} cells.
     """
     _check_pair(lam, w)
-    w_lattice = w.on_lattice()
-    return (lam, w) if w_lattice is None else (CoeffField(w_lattice.grid, lam.entries), w_lattice)
+    lattice = w.on_lattice()
+    return w if lattice is None else lattice
 
 
 def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, masks=None):
-    """(k, 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x) [* masks[k]]) over `levels`, in one
-    reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x)."""
-    grid, buf = lam.grid, np.empty(lam.grid.shape)
+    """(k, 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x) [* masks[k]]) over `levels`, on w's
+    grid in one reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x)."""
+    grid, buf = w.grid, np.empty(w.grid.shape)
     for k in levels:
         if q == INF:  # (2^{kn/2} t_k) |lambda_k|: scaling |lambda_k| first rounds differently
             np.multiply(2.0 ** (k * grid.n / 2.0), w.power(k, 1.0, buf), out=buf)
@@ -165,9 +164,9 @@ def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
         total = sum(float(((2.0 ** (k * n * p / 2.0)) * np.abs(lam.entries[k]) ** p
                            * w.cube_integral(k, p)).sum()) for k in lam.levels)
         return total ** (1.0 / p)
-    lam, w = _sweep(lam, w)
+    w = _sweep(lam, w)
     terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels))
-    return lp_lq_norm(lam.grid, terms, p, q)
+    return lp_lq_norm(w.grid, terms, p, q)
 
 
 def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
@@ -191,11 +190,11 @@ def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
 
 def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
     """sup over dyadic P of the localized average, with pointwise weights."""
-    lam, w = _sweep(lam, w)
+    w = _sweep(lam, w)
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-    return first_max(localized_sup(lam.grid, summands))[0] ** (1.0 / q)
+    return first_max(localized_sup(w.grid, summands))[0] ** (1.0 / q)
 
 
 def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -328,12 +327,12 @@ def m_p_levels(lam: CoeffField, w: WeightSequence, q: float,
     One `localized_sup` sweep; returns each level kept mapped to its m_P
     values, equal to `m_p` cube by cube up to the summation order of G_P.
     """
-    return _m_p_levels(lam.grid, *_sweep(lam, w), q, min_cells)
+    return _m_p_levels(lam, _sweep(lam, w), q, min_cells)
 
 
-def _m_p_levels(grid: Grid, lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
-    """`m_p_levels` of (lam, w) on `grid` or on its lattice; cubes still count `grid`'s cells."""
-    sweep = lam.grid
+def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
+    """`m_p_levels` swept on w's grid, the cells or their lattice; cubes count cells."""
+    grid, sweep = lam.grid, w.grid
     c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
 
     def quartile(lev, tail):
@@ -352,11 +351,10 @@ def _m_p_levels(grid: Grid, lam: CoeffField, w: WeightSequence, q: float, min_ce
     return localized_sup(sweep, summands, quartile)
 
 
-def _m_fun_values(grid: Grid, lam: CoeffField, w: WeightSequence, q: float,
-                  min_cells: int) -> np.ndarray:
-    """m on the sweep grid of (lam, w): `grid` or its lattice."""
-    best = np.zeros(lam.grid.shape)
-    for vals in _m_p_levels(grid, lam, w, q, min_cells).values():
+def _m_fun_values(lam: CoeffField, w: WeightSequence, q: float, min_cells: int) -> np.ndarray:
+    """m on w's grid, the cells or their lattice."""
+    best = np.zeros(w.grid.shape)
+    for vals in _m_p_levels(lam, w, q, min_cells).values():
         blocks, m = broadcast_cubes(best, vals)
         np.maximum(blocks, m, out=blocks)
     return best
@@ -370,7 +368,7 @@ def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4) -> G
     cells (there it degenerates to the plain maximum over the cube).
     """
     grid = lam.grid
-    best = _m_fun_values(grid, *_sweep(lam, w), q, min_cells)
+    best = _m_fun_values(lam, _sweep(lam, w), q, min_cells)
     if best.shape != grid.shape:  # swept on the lattice
         best = expand_level_array(grid, grid.k_max, best)
     return GridFunction(grid, best)
@@ -471,14 +469,14 @@ class RestrictionSets:
                 "finest coefficient cubes have fewer than 4 cells; the quartile "
                 "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
             )
-        lam, w = _sweep(lam, w)
-        m = _m_fun_values(grid, lam, w, q, 4)
+        w = _sweep(lam, w)
+        m = _m_fun_values(lam, w, q, 4)
 
         def below_m(lev, tail):  # m_P's own `** (1/q)`: the quartile cell compares equal to it
             return tail ** (1.0 / q) <= m if lev >= grid.k_min else None
 
         summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-        return cls(grid, localized_sup(lam.grid, summands, below_m))
+        return cls(grid, localized_sup(w.grid, summands, below_m))
 
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels, as counted at construction."""
@@ -501,8 +499,8 @@ def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,
     _check_pair(lam, w)
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
-    lam_s, w_s = _sweep(lam, w)
-    if all(mask.shape == lam_s.grid.shape for mask in E.masks.values()):
-        lam, w = lam_s, w_s  # else masks on the cells keep the cell sweep
+    swept = _sweep(lam, w)
+    if all(mask.shape == swept.grid.shape for mask in E.masks.values()):
+        w = swept  # else masks on the cells keep the cell sweep
     terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels, E.masks))
-    return lp_lq_norm(lam.grid, terms, INF) ** (1.0 / q)
+    return lp_lq_norm(w.grid, terms, INF) ** (1.0 / q)
