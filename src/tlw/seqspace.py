@@ -404,8 +404,8 @@ class RestrictionSets:
             if mask.shape != on.shape:
                 raise LevelMismatchError(f"mask for level {k} has shape {mask.shape}")
             cells_per_cube = grid.side_cells(k) ** grid.n
-            c = cells_per_cube // on.side_cells(k) ** grid.n  # cells per mask entry
-            counts = block_reduce(mask, on.side_cells(k)) * c
+            counts = block_reduce(mask, on.side_cells(k))
+            counts *= cells_per_cube // on.side_cells(k) ** grid.n  # cells per mask entry
             if not np.all(counts > fraction * cells_per_cube):
                 bad = int(np.argmin(counts))
                 raise PositivityError(
