@@ -16,14 +16,12 @@ per level, and takes the largest value with `dyadic.first_max`; on the
 truncated model this is the exact supremum (larger cubes cannot appear, and
 the domain cube dominates anything coarser).
 
-Norms with pointwise weights (`f_pq_norm` with p != q, `f_inf_norm`,
-`m_p_levels`, `m_fun`, `RestrictionSets.from_m_fun`, `restricted_sup_norm`)
-sweep the finest cells, where t_k varies, or `Grid.lattice()` (the
-level-k_max cubes) when w is `constant_in_space`; cube sizes, the quartile
-rank and |E_Q|/|Q| still count cells there.  `g_p`, `m_p`, `restricted_norm`
-and random sets E_Q stay on the cells.  `f_pq_norm_star` and
-`f_inf_norm_cubeavg` always sweep the lattice, and `f_pq_norm` with p = q
-reads only the cube integrals of t_k^p.
+Pointwise-weight norms (`f_pq_norm` with p != q, `f_inf_norm`, `m_p_levels`,
+`m_fun`, `RestrictionSets.from_m_fun`, `restricted_sup_norm`) sweep the finest
+cells, or `Grid.lattice()` (the level-k_max cubes) when w is `constant_in_space`;
+cells are still what they count.  `f_pq_norm_star` and `f_inf_norm_cubeavg`
+always sweep the lattice, and `f_pq_norm` with p = q reads only the cube
+integrals of t_k^p.
 """
 
 from __future__ import annotations
