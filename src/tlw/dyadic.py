@@ -33,16 +33,6 @@ class DyadicCube:
     def n(self) -> int:
         return len(self.index)
 
-    @property
-    def volume(self) -> float:
-        return 2.0 ** (-self.level * self.n)
-
-    def children(self) -> list["DyadicCube"]:
-        return [
-            DyadicCube(self.level + 1, tuple(2 * m + o for m, o in zip(self.index, off)))
-            for off in itertools.product((0, 1), repeat=self.n)
-        ]
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -239,7 +229,8 @@ def cube_major_view(cells: np.ndarray, f: int) -> np.ndarray:
 
 
 def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
-    """(cubes..., f**n) copy of cells, one row per level cube; for order-free per-cube work."""
+    """(cubes..., f**n) rows of cells, one per level cube, for order-free per-cube work: a
+    view of cells whenever the reshape needs no copy (every 1-D call), so read it only."""
     rows = cube_major_view(cells, f)
     return rows.reshape(*rows.shape[:cells.ndim], -1)
 

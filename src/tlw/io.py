@@ -15,26 +15,24 @@ from pathlib import Path
 import numpy as np
 
 from .dyadic import Grid, GridFunction, expand_level_array
-from .errors import ConfigError, LevelMismatchError
+from .errors import ConfigError, PositivityError
 from .seqspace import CoeffField
-from .weights import WeightMeta, WeightSequence, exp2_weights, power_profile, random_ap_weights
+from .weights import (
+    WeightMeta,
+    WeightSequence,
+    _stored_once,
+    exp2_weights,
+    power_profile,
+    random_ap_weights,
+)
+
+# The largest power of t_k or 1/t_k a suite forms: max(p, q, p', q') over its (p, q) pairs,
+# (2, 2), (1.5, 3) and (1, 2).
+_MAX_POWER = 3
 
 
 def _write_header(base: Path, header: dict):
     base.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-
-
-def _read_header(base: Path, kind: str, int_keys: tuple[str, ...]) -> dict:
-    """<base>.json, checked: a JSON object of `kind` whose `int_keys` hold integers."""
-    header = json.loads(base.with_suffix(".json").read_text())
-    if not isinstance(header, dict):
-        raise ConfigError(f"header: expected a JSON object, got {type(header).__name__}")
-    if header.get("kind") != kind:
-        raise ConfigError(f"kind: expected {kind} header, got {header.get('kind')}")
-    for key in int_keys:
-        if type(header.get(key)) is not int:  # JSON true/false load as bool, a subclass of int
-            raise ConfigError(f"{key}: expected an integer, got {header.get(key)!r}")
-    return header
 
 
 def save_grid_function(gf: GridFunction, base: str | Path, fmt: str = "bin"):
@@ -68,7 +66,14 @@ def load_grid_function(base: str | Path, k_min: int | None = None,
                        k_max: int | None = None) -> GridFunction:
     """Read <base>.json and its payload; a malformed header raises ConfigError."""
     base = Path(base)
-    header = _read_header(base, "grid-function", ("n", "L", "J"))
+    header = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(header, dict):
+        raise ConfigError(f"header: expected a JSON object, got {type(header).__name__}")
+    if header.get("kind") != "grid-function":
+        raise ConfigError(f"kind: expected grid-function header, got {header.get('kind')}")
+    for key in ("n", "L", "J"):
+        if type(header.get(key)) is not int:  # JSON true/false load as bool, a subclass of int
+            raise ConfigError(f"{key}: expected an integer, got {header.get(key)!r}")
     fmt = header.get("format")
     if fmt not in ("bin", "csv"):
         raise ConfigError(f"format: expected 'bin' or 'csv', got {fmt!r}")
@@ -107,25 +112,6 @@ def save_coeff_field(cf: CoeffField, base: str | Path):
     base.with_suffix(".bin").write_bytes(payload.astype("<f8").tobytes())
 
 
-def load_coeff_field(base: str | Path) -> CoeffField:
-    """Read <base>.json and <base>.bin; a malformed header raises ConfigError."""
-    base = Path(base)
-    keys = ("n", "L", "J", "k_min", "k_max")
-    header = _read_header(base, "coeff-field", keys)
-    grid = Grid(*(header[key] for key in keys))
-    payload = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    entries = {}
-    pos = 0
-    for k in grid.levels:
-        count = int(np.prod(grid.level_shape(k)))
-        chunk = payload[pos : pos + 2 * count]
-        pos += 2 * count
-        entries[k] = (chunk[0::2] + 1j * chunk[1::2]).reshape(grid.level_shape(k))
-    if pos != payload.size:
-        raise LevelMismatchError("payload length does not match the declared level range")
-    return CoeffField(grid, entries)
-
-
 def _spec_number(spec: dict, key: str, default: float) -> float:
     try:
         value = float(spec.get(key, default))
@@ -152,24 +138,27 @@ def _on_run_grid(gf: GridFunction, grid: Grid, k: int) -> np.ndarray:
 
 
 def weights_from_spec(grid: Grid, spec: dict, rng: np.random.Generator) -> WeightSequence:
-    """A weight sequence from {kind: exp2|power|random-ap|grid, ...}; random-ap draws from `rng`."""
+    """A weight sequence from {kind: exp2|power|random-ap|grid, ...}; random-ap draws from `rng`.
+
+    Every t_k^r with |r| <= _MAX_POWER must be finite, so no suite overflows on the weights;
+    else PositivityError names the first level that fails, before any arithmetic on it.
+    """
     kind = spec.get("kind")
     p = _spec_number(spec, "p", 2.0)
     if not p > 0:
         raise ConfigError(f"weights.p: must be positive, got {p!r}")
     if kind == "exp2":
-        return exp2_weights(grid, _spec_number(spec, "s", 0.0), p=p)
-    if kind == "power":
+        w = exp2_weights(grid, _spec_number(spec, "s", 0.0), p=p)
+    elif kind == "power":
         s, alpha = _spec_number(spec, "s", 0.0), _spec_number(spec, "alpha", 0.0)
         w = exp2_weights(grid, s, omega=power_profile(grid, alpha), p=p)
         w.meta = replace(w.meta, kind="power", params={"s": s, "alpha": alpha})  # alpha1 = alpha2 = s
-        return w
-    if kind == "random-ap":
+    elif kind == "random-ap":
         spread = _spec_number(spec, "spread", 0.5)
         if not spread >= 0:
             raise ConfigError(f"weights.spread: must be nonnegative, got {spread!r}")
-        return random_ap_weights(grid, spread, rng, p=p)
-    if kind == "grid":
+        w = random_ap_weights(grid, spread, rng, p=p)
+    elif kind == "grid":
         file = spec.get("file")
         if not isinstance(file, str):
             raise ConfigError(f"weights.file: grid weights need a file path, got {file!r}")
@@ -180,8 +169,17 @@ def weights_from_spec(grid: Grid, spec: dict, rng: np.random.Generator) -> Weigh
             except (OSError, ValueError, KeyError) as exc:  # missing, malformed or truncated
                 raise ConfigError(f"weights.file: cannot read level {k}: {exc!r}") from None
             tk[k] = _on_run_grid(gf, grid, k)
-        return WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
-    raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")
+        w = WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
+    else:
+        raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")
+    for k in w.levels:  # t_k > 0, so its extreme cells decide; a stride-0 axis is read once
+        t = _stored_once(w.tk[k])
+        try:
+            float(t.max()) ** _MAX_POWER, float(t.min()) ** -_MAX_POWER
+        except OverflowError:
+            raise PositivityError(f"level {k}: t_{k}^{_MAX_POWER} or t_{k}^-{_MAX_POWER} "
+                                  "is not finite") from None
+    return w
 
 
 def save_weight_sequence(w: WeightSequence, base: str | Path):

@@ -283,17 +283,6 @@ class BandSignal:
         spec.flat[bins] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
         return cls(grid, spectrum=spec)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.grid.cell_volume))
-
-    def scale(self, c) -> "BandSignal":
-        return BandSignal(self.grid, c * self.values)
-
-    def plus(self, other: "BandSignal") -> "BandSignal":
-        if other.grid != self.grid:
-            raise LevelMismatchError("signals live on different grids")
-        return BandSignal(self.grid, self.values + other.values)
-
 
 def _check_level_representable(grid: Grid, k: int):
     if k > grid.J - 1:

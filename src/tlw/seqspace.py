@@ -318,24 +318,23 @@ def m_p(lam: CoeffField, w: WeightSequence, q: float, P: DyadicCube) -> float:
     return float(kth)
 
 
-def m_p_levels(lam: CoeffField, w: WeightSequence, q: float,
-               min_cells: int = 4) -> dict[int, np.ndarray]:
-    """m_P of every dyadic P (levels -L..k_max) with at least `min_cells` cells.
+def m_p_levels(lam: CoeffField, w: WeightSequence, q: float) -> dict[int, np.ndarray]:
+    """m_P of every dyadic P (levels -L..k_max) with at least the 4 cells m_P needs.
 
     One `localized_sup` sweep; returns each level kept mapped to its m_P
     values, equal to `m_p` cube by cube up to the summation order of G_P.
     """
-    return _m_p_levels(lam, _sweep(lam, w), q, min_cells)
+    return _m_p_levels(lam, _sweep(lam, w), q)
 
 
-def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
+def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float):
     """`m_p_levels` swept on w's grid, the cells or their lattice; cubes count cells."""
     grid, sweep = lam.grid, w.grid
     c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
 
     def quartile(lev, tail):
         cells = grid.side_cells(lev) ** grid.n
-        if cells < min_cells:
+        if cells < 4:
             return None
         # Sorted, the cells repeat each point's value c times, so the r-th smallest cell
         # value is the (r // c)-th smallest point value.  r // c is also the points' own
@@ -349,24 +348,20 @@ def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float, min_cells: int):
     return localized_sup(sweep, summands, quartile)
 
 
-def _m_fun_values(lam: CoeffField, w: WeightSequence, q: float, min_cells: int) -> np.ndarray:
+def _m_fun_values(lam: CoeffField, w: WeightSequence, q: float) -> np.ndarray:
     """m on w's grid, the cells or their lattice."""
     best = np.zeros(w.grid.shape)
-    for vals in _m_p_levels(lam, w, q, min_cells).values():
+    for vals in _m_p_levels(lam, w, q).values():
         blocks, m = broadcast_cubes(best, vals)
         np.maximum(blocks, m, out=blocks)
     return best
 
 
-def m_fun(lam: CoeffField, w: WeightSequence, q: float, min_cells: int = 4) -> GridFunction:
-    """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max).
-
-    Cubes with fewer than `min_cells` cells are outside the m_P resolution and
-    are skipped; pass min_cells=1 to extend the quartile rule down to single
-    cells (there it degenerates to the plain maximum over the cube).
-    """
+def m_fun(lam: CoeffField, w: WeightSequence, q: float) -> GridFunction:
+    """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max); cubes
+    with fewer than the 4 cells m_P needs are skipped."""
     grid = lam.grid
-    best = _m_fun_values(lam, _sweep(lam, w), q, min_cells)
+    best = _m_fun_values(lam, _sweep(lam, w), q)
     if best.shape != grid.shape:  # swept on the lattice
         best = expand_level_array(grid, grid.k_max, best)
     return GridFunction(grid, best)
@@ -442,20 +437,6 @@ class RestrictionSets:
         return cls(grid, masks, fraction)
 
     @classmethod
-    def corner_fraction(cls, grid: Grid, fraction_per_axis: float,
-                        fraction: float = 0.5) -> "RestrictionSets":
-        """Lower-left corner block of each cube (per-axis fraction of the side)."""
-        masks = {}
-        for k in grid.levels:
-            f = grid.side_cells(k)
-            keep = max(int(round(fraction_per_axis * f)), 1)
-            block = np.zeros((f,) * grid.n, dtype=bool)
-            block[(slice(0, keep),) * grid.n] = True
-            tiles = (grid.cubes_per_axis(k),) * grid.n
-            masks[k] = np.tile(block, tiles)
-        return cls(grid, masks, fraction)
-
-    @classmethod
     def from_m_fun(cls, lam: CoeffField, w: WeightSequence, q: float) -> "RestrictionSets":
         """E_Q = {x in Q : G_Q(x) <= m(x)} per cube; guarantees |E_Q| >= 3|Q|/4.
 
@@ -468,7 +449,7 @@ class RestrictionSets:
                 "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
             )
         w = _sweep(lam, w)
-        m = _m_fun_values(lam, w, q, 4)
+        m = _m_fun_values(lam, w, q)
 
         def below_m(lev, tail):  # m_P's own `** (1/q)`: the quartile cell compares equal to it
             return tail ** (1.0 / q) <= m if lev >= grid.k_min else None

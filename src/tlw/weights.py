@@ -35,10 +35,14 @@ from .errors import (
 )
 
 
+def _stored_once(values: np.ndarray) -> np.ndarray:
+    """values with each stride-0 axis, which repeats one stored value, cut to length 1."""
+    return values[tuple(slice(None) if st else slice(0, 1) for st in values.strides)]
+
+
 def _require_positive(values: np.ndarray, what: str):
-    """Raise unless every cell is finite and strictly positive (NaN and inf fail); a stride-0
-    axis repeats one stored value, so it is read at length 1."""
-    values = values[tuple(slice(None) if st else slice(0, 1) for st in values.strides)]
+    """Raise unless every cell is finite and strictly positive (NaN and inf fail)."""
+    values = _stored_once(values)
     if not np.all(np.isfinite(values) & (values > 0)):
         raise PositivityError(f"{what} has a nonpositive or non-finite cell")
 

@@ -329,12 +329,12 @@ def naive_random_restriction(grid, keep_fraction, rng):
     return masks
 
 
-def naive_m_fun(entries, tk, grid, q, k_min, k_max, min_cells=4):
-    """Pointwise sup of the quartile threshold over containing cubes."""
+def naive_m_fun(entries, tk, grid, q, k_min, k_max):
+    """Pointwise sup of the quartile threshold over containing cubes with at least 4 cells."""
     out = np.zeros(grid.shape)
     for lev, index in dyadic_cubes(grid, range(-grid.L, k_max + 1)):
         n_cells = (2 ** (grid.J - lev)) ** grid.n
-        if n_cells < min_cells:
+        if n_cells < 4:
             continue
         g_field = naive_g_p(entries, tk, grid, q, lev, index, k_min, k_max)
         vals = [g_field[c] for c in cell_iter(grid)
@@ -541,11 +541,11 @@ def level_sup(levels):
     return max(float(v.max()) for v in levels.values())
 
 
-def expanded_quartile(grid, q, min_cells=4):
-    """cube_value of m_P: the (ceil(N/4))-th largest of G_P^q over the N cells of P."""
+def expanded_quartile(grid, q):
+    """cube_value of m_P: the (ceil(N/4))-th largest of G_P^q over the N >= 4 cells of P."""
     def quartile(lev, tail):
         f = grid.side_cells(lev)
-        if f**grid.n < min_cells:
+        if f**grid.n < 4:
             return None
         rank = f**grid.n - 1 - (math.ceil(f**grid.n / 4.0) - 1)
         return np.partition(cube_major(tail, f), rank, axis=-1)[..., rank] ** (1.0 / q)

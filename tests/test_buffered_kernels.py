@@ -129,13 +129,12 @@ def direct_and_reciprocal(w):
     return (w, w.tk), (w.reciprocal(), {k: 1.0 / v for k, v in w.tk.items()})
 
 
-@pytest.mark.parametrize("min_cells", [1, 4])
-def test_m_p_levels_equal_expand_then_sum(case, min_cells):
+def test_m_p_levels_equal_expand_then_sum(case):
     g, w, lam, _ = case
     for weights_used, tk in direct_and_reciprocal(w):
         want_levels, _ = oracles.expanded_localized(
-            g, oracles.expanded_pointwise(lam, tk, 2.0), oracles.expanded_quartile(g, 2.0, min_cells))
-        levels = m_p_levels(lam, weights_used, 2.0, min_cells)
+            g, oracles.expanded_pointwise(lam, tk, 2.0), oracles.expanded_quartile(g, 2.0))
+        levels = m_p_levels(lam, weights_used, 2.0)
         assert list(levels) == list(want_levels)
         assert all(np.array_equal(levels[lev], want_levels[lev]) for lev in levels)
 

@@ -86,7 +86,7 @@ def test_indicator_basics():
     g = small_grid()
     q = DyadicCube(1, (2,))
     chi = indicator(g, q)
-    assert integrate(chi, q) == pytest.approx(q.volume, rel=1e-15)
+    assert integrate(chi, q) == pytest.approx(2.0 ** -q.level, rel=1e-15)  # |q| in 1-D
     other = indicator(g, DyadicCube(1, (0,)))
     assert np.all(chi.values * other.values == 0)
 
@@ -106,7 +106,8 @@ def test_nesting_exact():
     rng = np.random.default_rng(11)
     f = GridFunction(g, rng.standard_normal(g.shape))
     parent = DyadicCube(0, (1, 0))
-    child_sum = sum(integrate(f, ch) for ch in parent.children())
+    children = [DyadicCube(1, (2 + a, b)) for a in (0, 1) for b in (0, 1)]  # its 2^n children
+    child_sum = sum(integrate(f, ch) for ch in children)
     assert integrate(f, parent) == pytest.approx(child_sum, rel=1e-13, abs=1e-16)
 
 
@@ -164,6 +165,13 @@ def test_cube_major_rows_hold_each_cubes_cells(case):
     for cube in cubes_at_level(g, k):
         want = np.sort(cells[g.cube_slices(cube)].ravel())
         np.testing.assert_array_equal(np.sort(rows[cube.index]), want)
+
+
+def test_cube_major_is_a_view_of_the_cells_in_1d():
+    # callers only read the rows: an edit in place would reach the cells
+    cells = np.arange(16.0)
+    rows = cube_major(cells, 4)
+    assert rows.shape == (4, 4) and np.shares_memory(rows, cells)
 
 
 @st.composite

@@ -96,17 +96,14 @@ def test_f_pq_and_f_inf_norms_match_the_cell_path(case):
         assert f_inf_norm(lam, w, q) == pytest.approx(f_inf_norm(lam, cells, q), rel=1e-14)
 
 
-@pytest.mark.parametrize("min_cells", [1, 4, 16])
-def test_m_p_levels_and_m_fun_equal_the_cell_path(case, min_cells):
+def test_m_p_levels_and_m_fun_equal_the_cell_path(case):
     g, w, cells, lam, _ = case
-    got, want = m_p_levels(lam, w, 2.0, min_cells), m_p_levels(lam, cells, 2.0, min_cells)
+    got, want = m_p_levels(lam, w, 2.0), m_p_levels(lam, cells, 2.0)
     assert list(got) == list(want)
     assert all(np.array_equal(got[lev], want[lev]) for lev in got)
     # a level-k_max cube has 1 lattice point but c >= 4 cells: it keeps its m_P
-    if min_cells <= cells_per_point(g):
-        assert g.k_max in got
-    assert np.array_equal(m_fun(lam, w, 3.0, min_cells).values,
-                          m_fun(lam, cells, 3.0, min_cells).values)
+    assert g.k_max in got
+    assert np.array_equal(m_fun(lam, w, 3.0).values, m_fun(lam, cells, 3.0).values)
 
 
 def test_m_p_levels_match_the_loop_oracle():

@@ -195,7 +195,8 @@ def test_F_pq_norm_zero_and_homogeneity(fp1):
     rng = np.random.default_rng(307)
     f = BandSignal.random_band(g, rng, (0, 3))
     base = F_pq_norm(f, fp1, w, 2.0, 2.0)
-    assert F_pq_norm(f.scale(-3.0j), fp1, w, 2.0, 2.0) == pytest.approx(3.0 * base, rel=1e-12)
+    scaled = BandSignal(g, -3.0j * f.values)
+    assert F_pq_norm(scaled, fp1, w, 2.0, 2.0) == pytest.approx(3.0 * base, rel=1e-12)
     assert F_pq_norm(f, fp1, w, 2.0, INF) > 0.0
 
 
@@ -507,7 +508,7 @@ def test_band_signal_needs_exactly_one_form():
 def cell_residual(f, fp, levels):
     """The relative L2 error of synthesize(analyze(f)), taken cell by cell on the samples."""
     diff = synthesize(analyze(f, fp, levels), fp).values - f.values
-    return float(np.sqrt((np.abs(diff) ** 2).sum() * f.grid.cell_volume)) / f.l2_norm()
+    return float(np.sqrt((np.abs(diff) ** 2).sum() / (np.abs(f.values) ** 2).sum()))
 
 
 @pytest.mark.parametrize("g, band", [(Grid(1, 2, 8, 0, 5), (0, 5)), (Grid(2, 2, 5, 0, 3), (0, 3))])

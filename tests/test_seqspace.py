@@ -9,6 +9,7 @@ from tlw.dyadic import DyadicCube, Grid, block_reduce, cubes_at_level
 from tlw.errors import (
     LevelMismatchError,
     LevelRangeError,
+    NonFiniteError,
     PositivityError,
     ResolutionError,
 )
@@ -49,6 +50,14 @@ def grid2(J=3, L=1, k_min=0, k_max=2):
 
 def ones_weights(grid):
     return exp2_weights(grid, 0.0)
+
+
+def test_coeff_field_refuses_non_finite_amplitudes():
+    g = grid1()
+    entries = {k: np.zeros(g.level_shape(k)) for k in g.levels}
+    entries[1][0] = math.inf
+    with pytest.raises(NonFiniteError, match="^level 1 contains non-finite amplitudes"):
+        CoeffField(g, entries)
 
 
 # ---------------------------------------------------------------- f_pq_norm
@@ -544,10 +553,13 @@ def test_restriction_full_equals_plain():
 
 def test_restriction_quarter_fails_half_threshold():
     g = grid1(J=5)
+    # the first quarter of every level cube's cells: 8, 4 and 2 cells at levels 0, 1 and 2
+    masks = {k: np.arange(g.cells_per_axis) % g.side_cells(k) < g.side_cells(k) // 4
+             for k in g.levels}
     with pytest.raises(PositivityError):
-        RestrictionSets.corner_fraction(g, 0.25, fraction=0.5)
+        RestrictionSets(g, masks, fraction=0.5)
     # but it passes a 1/5 threshold
-    E = RestrictionSets.corner_fraction(g, 0.25, fraction=0.2)
+    E = RestrictionSets(g, masks, fraction=0.2)
     assert E.min_fraction() == pytest.approx(0.25, abs=1e-12)
 
 
@@ -634,10 +646,8 @@ def field_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_m_fun_matches_naive_oracle(case, q):
     g, w, lam, _ = case
-    for min_cells in (1, 4):
-        want = oracles.naive_m_fun(lam.entries, w.tk, g, q, g.k_min, g.k_max, min_cells)
-        got = m_fun(lam, w, q, min_cells=min_cells).values
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    want = oracles.naive_m_fun(lam.entries, w.tk, g, q, g.k_min, g.k_max)
+    np.testing.assert_allclose(m_fun(lam, w, q).values, want, rtol=1e-12, atol=0)
 
 
 @given(field_cases(), st.sampled_from([1.0, 2.0, 3.0]))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlw.dyadic import DyadicCube, Grid, GridFunction, block_reduce, cubes_at_level
-from tlw.errors import LevelRangeError, PositivityError
+from tlw.errors import LevelRangeError, PositivityError, TlwError
 from tlw.weights import (
     WeightSequence,
     alpha_consistency,
@@ -272,6 +272,14 @@ def test_x_class_overdeclared_alpha_grows():
     assert rep.C1 == pytest.approx(2.0 ** (g.k_max - g.k_min), rel=1e-12)
     assert rep.witness1.j - rep.witness1.k == g.k_max - g.k_min
     assert not rep.validates()
+
+
+def test_x_class_names_a_level_whose_cube_values_are_nan():
+    # `tlw run` refuses these weights up front; built directly, t_3^2 = 2^1800 is inf
+    w = exp2_weights(Grid(n=1, L=2, J=6, k_min=0, k_max=3), 300.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TlwError, match="^level -2: cube values include NaN"):
+            verify_x_class(w, 300.0, 300.0, 2.0, 2.0, 2.0)
 
 
 def test_x_class_exp2_times_ap_weight():
