@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import DyadicCube, Grid, GridFunction, cube_at, first_max
-from .errors import ConfigError, ResolutionError, TlwError
+from .errors import ConfigError, NonFiniteError, ResolutionError, TlwError
 from .io import (
     export_filter_csv,
     save_coeff_field,
@@ -422,8 +422,9 @@ def suite_phitransform(config: ExperimentConfig) -> list[dict]:
         checks.append(_record(f"scale_partition_unity[J={grid.J}]", [fp.partition_deviation()],
                               1e-12, J=grid.J, tolerance=1e-12))
         covered = fp.covered_levels()
-        band = (max(min(covered), grid.k_min), min(max(covered), grid.k_max, grid.J - 1))
-        if band[0] > band[1]:
+        if covered:
+            band = (max(min(covered), grid.k_min), min(max(covered), grid.k_max, grid.J - 1))
+        if not covered or band[0] > band[1]:
             checks.append(_record(f"phitransform[J={grid.J}]", [], J=grid.J,
                                   reason="no covered levels inside the configured range"))
             continue
@@ -467,7 +468,13 @@ SUITE_RUNNERS = {
 def run(config: ExperimentConfig) -> ReportRecord:
     """Execute the selected suites and assemble the report record."""
     names = list(SUITES) if config.suite == "all" else [config.suite]
-    results = {name: SUITE_RUNNERS[name](config) for name in names}
+    results = {}
+    for name in names:  # a floating-point error raises, so no inf or NaN reaches a report
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                results[name] = SUITE_RUNNERS[name](config)
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"{name}: {exc}") from None
     checks = []
     for name in sorted(results):
         for c in results[name]:

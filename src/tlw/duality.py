@@ -18,11 +18,10 @@ from .dyadic import INF, DyadicCube, block_reduce, expand_level_array, first_max
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from .seqspace import (
     CoeffField,
-    RestrictionSets,
     f_inf_norm,
     f_inf_norm_cubeavg,
     f_pq_norm,
-    restricted_sup_norm,
+    quartile_restricted_sup,
 )
 from .weights import WeightSequence
 
@@ -67,25 +66,20 @@ def hoelder_check_pq(s: CoeffField, lam: CoeffField, w: WeightSequence,
     return DualityReport(pair, lhs, rhs, slack, ratio)
 
 
-def hoelder_check_1q(s: CoeffField, lam: CoeffField, w: WeightSequence, q: float,
-                     E: RestrictionSets | None = None) -> DualityReport:
+def hoelder_check_1q(s: CoeffField, lam: CoeffField, w: WeightSequence,
+                     q: float) -> DualityReport:
     """The p = 1 pairing bound through the restricted L_inf expression for lam.
 
-    With the default E (quartile-functional level sets of lam against the
-    reciprocal weights) every |E_Q| >= 3|Q|/4 and the licensed factor is 4/3;
-    for a supplied sparser E the factor is 1/min-fraction and is reported.
+    E_Q are the quartile-functional level sets of lam against the reciprocal
+    weights, so every |E_Q| >= 3|Q|/4 and the licensed factor is 4/3; it is
+    1/(least |E_Q|/|Q|) should the counted fraction fall short.
     """
     if not 1 < q < INF:
         raise LevelRangeError("this check needs q strictly between 1 and inf")
-    qq = conjugate_exponent(q)
-    w_inv = w.reciprocal()
-    if E is None:
-        E = RestrictionSets.from_m_fun(lam, w_inv, qq)
-    min_frac = E.min_fraction()
+    rhs, min_frac = quartile_restricted_sup(lam, w.reciprocal(), conjugate_exponent(q))
     factor = 4.0 / 3.0 if min_frac >= 0.75 else 1.0 / min_frac
     pair = pairing(s, lam)
     lhs = f_pq_norm(s, w, 1.0, q)
-    rhs = restricted_sup_norm(lam, w_inv, qq, E)
     prod = factor * lhs * rhs
     slack = prod - abs(pair)
     ratio = None if prod == 0.0 else abs(pair) / prod

@@ -26,8 +26,8 @@ from .weights import (
     random_ap_weights,
 )
 
-# The largest power of t_k or 1/t_k a suite forms: max(p, q, p', q') over its (p, q) pairs,
-# (2, 2), (1.5, 3) and (1, 2).
+# The largest power of t_k or 1/t_k a suite forms, besides the weights' own p (ap-audit and
+# xclass raise t_k to it): max(p, q, p', q') over its (p, q) pairs, (2, 2), (1.5, 3) and (1, 2).
 _MAX_POWER = 3
 
 
@@ -140,8 +140,8 @@ def _on_run_grid(gf: GridFunction, grid: Grid, k: int) -> np.ndarray:
 def weights_from_spec(grid: Grid, spec: dict, rng: np.random.Generator) -> WeightSequence:
     """A weight sequence from {kind: exp2|power|random-ap|grid, ...}; random-ap draws from `rng`.
 
-    Every t_k^r with |r| <= _MAX_POWER must be finite, so no suite overflows on the weights;
-    else PositivityError names the first level that fails, before any arithmetic on it.
+    Every t_k^r with |r| <= max(_MAX_POWER, p) must be finite, so no suite overflows on the
+    weights; else PositivityError names the first level that fails, before any arithmetic on it.
     """
     kind = spec.get("kind")
     p = _spec_number(spec, "p", 2.0)
@@ -172,13 +172,13 @@ def weights_from_spec(grid: Grid, spec: dict, rng: np.random.Generator) -> Weigh
         w = WeightSequence(grid, tk, WeightMeta(p=p, kind="grid"))
     else:
         raise ConfigError(f"weights.kind: unknown weight kind {kind!r}")
+    r = max(_MAX_POWER, p)
     for k in w.levels:  # t_k > 0, so its extreme cells decide; a stride-0 axis is read once
         t = _stored_once(w.tk[k])
         try:
-            float(t.max()) ** _MAX_POWER, float(t.min()) ** -_MAX_POWER
+            float(t.max()) ** r, float(t.min()) ** -r
         except OverflowError:
-            raise PositivityError(f"level {k}: t_{k}^{_MAX_POWER} or t_{k}^-{_MAX_POWER} "
-                                  "is not finite") from None
+            raise PositivityError(f"level {k}: t_{k}^{r:g} or t_{k}^-{r:g} is not finite") from None
     return w
 
 

@@ -17,11 +17,10 @@ truncated model this is the exact supremum (larger cubes cannot appear, and
 the domain cube dominates anything coarser).
 
 Pointwise-weight norms (`f_pq_norm` with p != q, `f_inf_norm`, `m_p_levels`,
-`m_fun`, `RestrictionSets.from_m_fun`, `restricted_sup_norm`) sweep the finest
-cells, or `Grid.lattice()` (the level-k_max cubes) when w is `constant_in_space`;
-cells are still what they count.  `f_pq_norm_star` and `f_inf_norm_cubeavg`
-always sweep the lattice, and `f_pq_norm` with p = q reads only the cube
-integrals of t_k^p.
+`m_fun`, `quartile_restricted_sup`) sweep the finest cells, or `Grid.lattice()`
+(the level-k_max cubes) when w is `constant_in_space`; cells are still what
+they count.  `f_pq_norm_star` and `f_inf_norm_cubeavg` always sweep the
+lattice, and `f_pq_norm` with p = q reads only the cube integrals of t_k^p.
 """
 
 from __future__ import annotations
@@ -128,7 +127,8 @@ def _sweep(lam: CoeffField, w: WeightSequence) -> WeightSequence:
 
 def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, masks=None):
     """(k, 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x) [* masks[k]]) over `levels`, on w's
-    grid in one reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x)."""
+    grid in one reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x).
+    Masks are on the cells, so they need w on the cells."""
     grid, buf = w.grid, np.empty(w.grid.shape)
     for k in levels:
         if q == INF:  # (2^{kn/2} t_k) |lambda_k|: scaling |lambda_k| first rounds differently
@@ -139,9 +139,8 @@ def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, ma
             per_cube = (2.0 ** (k * grid.n * q / 2.0)) * np.abs(lam.entries[k]) ** q
         blocks, a = broadcast_cubes(buf, per_cube)
         blocks *= a
-        if masks is not None:  # a mask on the lattice covers its points' cells
-            blocks, a = broadcast_cubes(buf, masks[k])
-            blocks *= a
+        if masks is not None:
+            buf *= masks[k]
         yield k, buf
 
 
@@ -339,7 +338,8 @@ def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float):
         # Sorted, the cells repeat each point's value c times, so the r-th smallest cell
         # value is the (r // c)-th smallest point value.  r // c is also the points' own
         # quartile rank, as ceil(ceil(c N / 4) / c) = ceil(N / 4) for N points; with
-        # c >= 4, which `from_m_fun` requires, every cube has the 4 cells m_P needs.
+        # c >= 4, which `quartile_restricted_sup` requires, every cube has the 4 cells
+        # m_P needs.
         rank = (cells - 1 - _quartile_count(cells)) // c
         return np.partition(cube_major(tail, sweep.side_cells(lev)), rank,
                             axis=-1)[..., rank] ** (1.0 / q)
@@ -375,12 +375,7 @@ def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> floa
 
 
 class RestrictionSets:
-    """Per-cube subsets E_Q (union of finest cells), |E_Q| > fraction * |Q| enforced.
-
-    A level's mask is on the cells, or on `grid.lattice()` when E_Q is a union of
-    level-k_max cubes (`from_m_fun` on weights constant in space); a lattice point
-    then stands for its c cells, and |E_Q| still counts cells.
-    """
+    """Per-cube subsets E_Q (unions of finest cells), |E_Q| > fraction * |Q| enforced."""
 
     def __init__(self, grid: Grid, masks: dict[int, np.ndarray], fraction: float = 0.5):
         if not 0 < fraction < 1:
@@ -393,12 +388,10 @@ class RestrictionSets:
             if k not in masks:
                 raise LevelMismatchError(f"missing restriction mask for level {k}")
             mask = np.asarray(masks[k], dtype=bool)
-            on = grid if mask.shape == grid.shape else grid.lattice()
-            if mask.shape != on.shape:
+            if mask.shape != grid.shape:
                 raise LevelMismatchError(f"mask for level {k} has shape {mask.shape}")
             cells_per_cube = grid.side_cells(k) ** grid.n
-            counts = block_reduce(mask, on.side_cells(k))
-            counts *= cells_per_cube // on.side_cells(k) ** grid.n  # cells per mask entry
+            counts = block_reduce(mask, grid.side_cells(k))
             if not np.all(counts > fraction * cells_per_cube):
                 bad = int(np.argmin(counts))
                 raise PositivityError(
@@ -436,27 +429,6 @@ class RestrictionSets:
                           out=cells)
         return cls(grid, masks, fraction)
 
-    @classmethod
-    def from_m_fun(cls, lam: CoeffField, w: WeightSequence, q: float) -> "RestrictionSets":
-        """E_Q = {x in Q : G_Q(x) <= m(x)} per cube; guarantees |E_Q| >= 3|Q|/4.
-
-        m needs a whole `m_fun` sweep; a second sweep then tests each level's G_Q against it.
-        """
-        grid = lam.grid
-        if grid.side_cells(grid.k_max) ** grid.n < 4:
-            raise ResolutionError(
-                "finest coefficient cubes have fewer than 4 cells; the quartile "
-                "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
-            )
-        w = _sweep(lam, w)
-        m = _m_fun_values(lam, w, q)
-
-        def below_m(lev, tail):  # m_P's own `** (1/q)`: the quartile cell compares equal to it
-            return tail ** (1.0 / q) <= m if lev >= grid.k_min else None
-
-        summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-        return cls(grid, localized_sup(w.grid, summands, below_m))
-
     def min_fraction(self) -> float:
         """Smallest |E_Q|/|Q| over all cubes and levels, as counted at construction."""
         return self._min_fraction
@@ -472,14 +444,35 @@ def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,
     return first_max(localized_sup(lam.grid, summands))[0] ** (1.0 / q)
 
 
-def restricted_sup_norm(lam: CoeffField, w: WeightSequence, q: float,
-                        E: RestrictionSets) -> float:
-    """L_inf variant: max over cells of the full (uncut) restricted sum, ^{1/q}."""
-    _check_pair(lam, w)
-    if E.grid != lam.grid:
-        raise LevelMismatchError("restriction sets live on a different grid")
-    swept = _sweep(lam, w)
-    if all(mask.shape == swept.grid.shape for mask in E.masks.values()):
-        w = swept  # else masks on the cells keep the cell sweep
-    terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels, E.masks))
-    return lp_lq_norm(w.grid, terms, INF) ** (1.0 / q)
+def quartile_restricted_sup(lam: CoeffField, w: WeightSequence,
+                            q: float) -> tuple[float, float]:
+    """(max over x of (sum_k u_k(x) chi_{E_k(x)}(x))^{1/q}, least |E_Q|/|Q|) for the quartile
+    sets E_Q = {x in Q : G_Q(x) <= m(x)} of the cubes of levels k_min..k_max, where u_k are
+    the summands of G and E_k(x) is the set of x's level-k cube; |E_Q| >= 3|Q|/4 always.
+
+    m needs a whole `m_fun` sweep.  A second sweep forms each level's mask, counts its cells
+    and spends it.  The suffix sum T_k only grows toward coarser levels, so the masks are
+    nested and the restricted sum at x is T_k(x) at the coarsest k whose mask holds at x.
+    """
+    grid = lam.grid
+    if grid.side_cells(grid.k_max) ** grid.n < 4:
+        raise ResolutionError(
+            "finest coefficient cubes have fewer than 4 cells; the quartile "
+            "guarantee needs k_max <= J-2 (1-D) or k_max <= J-1 (2-D)"
+        )
+    w = _sweep(lam, w)
+    sweep = w.grid
+    c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
+    m = _m_fun_values(lam, w, q)
+    restricted, fractions = np.zeros(sweep.shape), []
+
+    def spend(lev, tail):
+        if lev >= grid.k_min:
+            # m_P's own `** (1/q)`: the quartile cell compares equal to it
+            below = tail ** (1.0 / q) <= m
+            kept = int(block_reduce(below, sweep.side_cells(lev)).min()) * c
+            fractions.append(kept / grid.side_cells(lev) ** grid.n)
+            np.copyto(restricted, tail, where=below)
+
+    localized_sup(sweep, _pointwise_summands(lam, w, q, reversed(lam.levels)), spend)
+    return float(restricted.max()) ** (1.0 / q), min(fractions)

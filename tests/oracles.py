@@ -346,6 +346,23 @@ def naive_m_fun(entries, tk, grid, q, k_min, k_max):
     return out
 
 
+def naive_quartile_restricted_sup(entries, tk, grid, q, k_min, k_max):
+    """(max over cells of (sum_k u_k chi_{E_Q})^{1/q}, least |E_Q|/|Q|) over the quartile sets
+    E_Q = {x in Q : G_Q(x) <= m(x)} of the level-k_min..k_max cubes, cube by cube."""
+    m = naive_m_fun(entries, tk, grid, q, k_min, k_max)
+    total = np.zeros(grid.shape)
+    least = 1.0
+    for lev, index in dyadic_cubes(grid, range(k_min, k_max + 1)):
+        g_field = naive_g_p(entries, tk, grid, q, lev, index, k_min, k_max)
+        cells = [c for c in cell_iter(grid) if cell_in_cube(grid, c, lev, index)]
+        kept = [c for c in cells if g_field[c] <= m[c]]
+        least = min(least, len(kept) / len(cells))
+        scale = (2.0 ** (lev * grid.n * q / 2.0)) * abs(entries[lev][index]) ** q
+        for c in kept:
+            total[c] += scale * tk[lev][c] ** q
+    return float(total.max()) ** (1.0 / q), least
+
+
 def _lattice_sampler(grid, k):
     return (slice(None, None, 2 ** (grid.J - k)),) * grid.n
 

@@ -39,8 +39,8 @@ from tlw.seqspace import (
     f_inf_norm_cubeavg,
     f_pq_norm,
     m_p_levels,
+    quartile_restricted_sup,
     restricted_norm,
-    restricted_sup_norm,
 )
 from tlw.weights import exp2_weights, random_ap_weights
 
@@ -120,12 +120,10 @@ def test_restricted_norms_equal_expand_then_sum(case):
         summands = oracles.expanded_pointwise(lam, w.tk, q, E.masks)
         levels, _ = oracles.expanded_localized(g, summands)
         assert restricted_norm(lam, w, q, E) == oracles.level_sup(levels) ** (1.0 / q)
-        want = oracles.expanded_lp_lq(g, summands, INF) ** (1.0 / q)
-        assert restricted_sup_norm(lam, w, q, E) == want
 
 
 def direct_and_reciprocal(w):
-    """(weights, their t_k) for w and for 1/w, the weights `hoelder_check_1q` builds E from."""
+    """(weights, their t_k) for w and for 1/w, the weights `hoelder_check_1q` sweeps."""
     return (w, w.tk), (w.reciprocal(), {k: 1.0 / v for k, v in w.tk.items()})
 
 
@@ -140,10 +138,10 @@ def test_m_p_levels_equal_expand_then_sum(case):
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
-def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
-    # E_Q = {T_k^{1/q} <= m} with every suffix sum T_k and m from the expanded form.  On
-    # exp2 weights the masks are on the lattice; each point's cells repeat its T_k and m
-    # bit for bit, so the expanded masks equal the cell form's exactly.
+def test_quartile_restricted_sup_spends_the_suffix_sums_below_m(case, q):
+    # E_Q = {T_k^{1/q} <= m} with every suffix sum T_k and m from the expanded form.  The
+    # masks are nested, so the masked sum at a cell is T_k at the coarsest k whose mask
+    # holds there: == on the cells, and to summation order on the lattice (exp2)
     g, w, lam, _ = case
     for weights_used, tk in direct_and_reciprocal(w):
         m_levels, suffix = oracles.expanded_localized(
@@ -151,16 +149,22 @@ def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
         m = np.zeros(g.shape)
         for lev, vals in m_levels.items():
             np.maximum(m, expand_level_array(g, lev, vals), out=m)
-        E = RestrictionSets.from_m_fun(lam, weights_used, q)
-        assert sorted(E.masks) == sorted(suffix) == list(g.levels)
-        on = g.lattice() if w.constant_in_space else g
-        for k, t in suffix.items():
-            assert E.masks[k].shape == on.shape, k
-            assert np.array_equal(expand_level_array(g, on.J, E.masks[k]), t ** (1.0 / q) <= m), k
-        recount = min(float(block_reduce(expand_level_array(g, on.J, E.masks[k]),
-                                         g.side_cells(k)).min())
-                      / g.side_cells(k) ** g.n for k in g.levels)
-        assert E.min_fraction() == recount >= 0.75
+        masks = {k: t ** (1.0 / q) <= m for k, t in suffix.items()}
+        picked = np.zeros(g.shape)
+        for k in sorted(suffix, reverse=True):
+            picked = np.where(masks[k], suffix[k], picked)
+        want = float(picked.max()) ** (1.0 / q)
+        masked = oracles.expanded_pointwise(lam, tk, q, masks)
+        assert want == pytest.approx(oracles.expanded_lp_lq(g, masked, INF) ** (1.0 / q),
+                                     rel=1e-14)
+        least = min(float(block_reduce(masks[k], g.side_cells(k)).min()) / g.side_cells(k) ** g.n
+                    for k in g.levels)
+        value, got_least = quartile_restricted_sup(lam, weights_used, q)
+        assert got_least == least >= 0.75
+        if w.constant_in_space:
+            assert value == pytest.approx(want, rel=1e-14)
+        else:
+            assert value == want
 
 
 def test_localized_pairing_equals_expand_then_sum(case):
@@ -235,7 +239,6 @@ def test_sequence_norms_stay_within_four_full_grid_arrays(k_max):
         "f_inf_norm": (f_inf_norm, lam, w, 2.0),
         "f_inf_norm_cubeavg": (f_inf_norm_cubeavg, lam, w, 2.0),
         "restricted_norm": (restricted_norm, lam, w, 2.0, E),
-        "restricted_sup_norm": (restricted_sup_norm, lam, w, 2.0, E),
     }
     array_bytes = np.zeros(g.shape).nbytes
     peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
@@ -270,13 +273,12 @@ def test_pointwise_norms_on_constant_weights_stay_below_one_full_grid_array():
     rng = np.random.default_rng(8)
     w = exp2_weights(g, 0.3)
     lam, s = CoeffField.random(g, rng), CoeffField.random(g, rng)
-    E = RestrictionSets.from_m_fun(lam, w.reciprocal(), 2.0)  # builds the lattice copy
+    quartile_restricted_sup(lam, w.reciprocal(), 2.0)  # builds the lattice copy
     calls = {
         "f_pq_norm": (f_pq_norm, lam, w, 1.5, 3.0),
         "f_inf_norm": (f_inf_norm, lam, w, 2.0),
         "m_p_levels": (m_p_levels, lam, w, 2.0),
-        "from_m_fun": (RestrictionSets.from_m_fun, lam, w.reciprocal(), 2.0),
-        "restricted_sup_norm": (restricted_sup_norm, lam, w.reciprocal(), 2.0, E),
+        "quartile_restricted_sup": (quartile_restricted_sup, lam, w.reciprocal(), 2.0),
         "hoelder_check_1q": (hoelder_check_1q, s, lam, w, 2.0),
     }
     array_bytes = np.zeros(g.shape).nbytes
@@ -284,12 +286,12 @@ def test_pointwise_norms_on_constant_weights_stay_below_one_full_grid_array():
     assert all(peak < 1 for peak in peaks.values()), peaks
 
 
-def test_restriction_sets_from_m_fun_stay_within_seven_full_grid_arrays():
-    # m, the summand buffer, the suffix sum, one T_k^{1/q} and a bool mask per level
-    # (an eighth of an array each); a copy of every suffix sum would add one per level
+def test_quartile_restricted_sup_stays_within_seven_full_grid_arrays():
+    # m, the restricted sum, the summand buffer, the suffix sum, one T_k^{1/q} and one
+    # level's bool mask (an eighth of an array); the m sweep holds fewer at its peak
     g = Grid(1, 2, 13, 0, 9)
     rng = np.random.default_rng(8)
     w_inv = random_ap_weights(g, 0.5, rng).reciprocal()
     lam = CoeffField.random(g, rng)
-    peak = traced_peak(RestrictionSets.from_m_fun, lam, w_inv, 2.0) / np.zeros(g.shape).nbytes
+    peak = traced_peak(quartile_restricted_sup, lam, w_inv, 2.0) / np.zeros(g.shape).nbytes
     assert peak <= 7, peak

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlw.cli import ExperimentConfig, emit, fixture, main, run
+from tlw.cli import SUITES, ExperimentConfig, emit, fixture, main, run
 from tlw.dyadic import Grid, GridFunction
 from tlw.errors import ConfigError
 
@@ -302,19 +306,22 @@ def test_phitransform_suite_frees_the_first_grid_before_the_second():
     assert peak / np.zeros(cfg.make_grid(bump_j=1).shape).nbytes < 6.0
 
 
-@pytest.mark.parametrize("suite, s, message", [
+@pytest.mark.parametrize("suite, weights, message", [
     # t_2^3 = 2^{1800} overflows, so level 2 is refused as the suite reads its weights, before
     # any numpy arithmetic on it could warn (pyproject.toml makes a RuntimeWarning an error)
-    *(pytest.param(suite, 300, "level 2: t_2^3 or t_2^-3 is not finite", id=suite)
-      for suite in ("ap-audit", "xclass", "maximal", "seqnorms", "duality", "phitransform")),
+    *(pytest.param(suite, {"s": 300}, "level 2: t_2^3 or t_2^-3 is not finite", id=suite)
+      for suite in SUITES),
+    # ap-audit and xclass raise t_k to the weights' p: t_2^300 = 2^{1800} overflows
+    *(pytest.param(suite, {"s": 3, "p": 300}, "level 2: t_2^300 or t_2^-300 is not finite",
+                   id=f"{suite}-p300") for suite in SUITES),
     # 2^{1000 k} itself overflows at level 2, before the weights exist
-    pytest.param("ap-audit", 1000, "t_2 = 2^(2 * 1000", id="s1000"),
+    pytest.param("ap-audit", {"s": 1000}, "t_2 = 2^(2 * 1000", id="s1000"),
 ])
-def test_overflowing_weights_exit_65_naming_the_level(tmp_path, capsys, suite, s, message):
+def test_overflowing_weights_exit_65_naming_the_level(tmp_path, capsys, suite, weights, message):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config(
         suite=suite, grid={"n": 1, "L": 2, "J": 6, "k_min": 0, "k_max": 3},
-        weights={"kind": "exp2", "s": s})))
+        weights={"kind": "exp2", **weights})))
     assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 65
     assert message in capsys.readouterr().err
 
@@ -586,3 +593,99 @@ def test_lambda_star_deficit_fails_with_a_finite_value(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
     bound = checks["chebyshev_quartile_bound"]
     assert bound["status"] == "fail" and bound["value"] > 1e-14 and bound["margin"] < 0
+
+
+# ------------------------------------------------------------------ fuzzed configs
+
+ONE_D = {"n": 1, "L": 2, "J": 4, "k_min": 0, "k_max": 3}
+
+
+@pytest.mark.parametrize("grid, weights, suite, message", [
+    # numpy's floating-point errors in a suite raise, and the run names the suite: the
+    # weights overflow as they are built, e^1000, |x|^800 and 2^{2*400} |x|^150 ...
+    pytest.param(ONE_D, {"kind": "random-ap", "spread": 1000}, "ap-audit",
+                 "ap-audit: overflow encountered in exp", id="random-ap-overflow"),
+    pytest.param(ONE_D, {"kind": "power", "s": 0, "alpha": 800}, "ap-audit",
+                 "ap-audit: overflow encountered in power", id="profile-overflow"),
+    pytest.param(ONE_D, {"kind": "power", "s": 400, "alpha": 150}, "ap-audit",
+                 "ap-audit: overflow encountered in multiply", id="power-overflow"),
+    # ... or t_k^3 is finite, but 2^{knq/2} t_k^q |lambda_km|^q overflows
+    pytest.param({"n": 2, "L": 3, "J": 3, "k_min": -3, "k_max": 2},
+                 {"kind": "power", "s": 0, "p": 1.0, "alpha": 97.4}, "duality",
+                 "duality: overflow encountered in multiply", id="summand-overflow"),
+    # the filter pair covers no level at J = 0 (once min() of no levels); J + 1 holds no
+    # frequency in its band [0, 0]
+    pytest.param({"n": 1, "L": 2, "J": 0, "k_min": 0, "k_max": 0}, {"kind": "exp2", "s": 0},
+                 "phitransform", "no represented frequencies in [2^0, 2^0]", id="empty-band"),
+])
+def test_configs_the_fuzz_found_exit_65(tmp_path, capsys, grid, weights, suite, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(suite=suite, grid=grid, weights=weights,
+                                               trials=1, seed=2)))
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 65
+    assert message in capsys.readouterr().err
+
+
+FUZZ_NUMBERS = st.one_of(st.sampled_from([0, 0.0, 1, -1, 1.0, -1.0, math.nan, 1e3, -1e3]),
+                         st.floats(-1e3, 1e3))
+WRONG_TYPES = st.sampled_from(["x", "", True, False, None, [], [1], {}, {"a": 1}])
+# stands for the test's random-ap weight files on (n, L, J, k_min, k_max) = (1, 1, 6, 0, 3)
+FIXTURE_FILE = "<fixture>"
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A `tlw run` config of at most 2^13 cells and one suite.  Half of them are meant to
+    run: every field has its type and range.  In the others any field may be absent, out
+    of range or of the wrong JSON type, and numbers run from +-1e3 down to 0, +-1 and NaN."""
+    corrupt = draw(st.booleans())
+
+    def field(valid, wrong=WRONG_TYPES):  # 6 of 0..12, not an end, which draws favour
+        return draw(wrong) if corrupt and draw(st.integers(0, 12)) == 6 else draw(valid)
+
+    def put(obj, key, valid, wrong=WRONG_TYPES):
+        if not corrupt or draw(st.integers(0, 8)) != 4:  # else left out
+            obj[key] = field(valid, wrong)
+
+    n = field(st.sampled_from([1, 2]), st.sampled_from([0, 3, 1.5, "1"]))
+    L = draw(st.integers(0, 3))
+    top = 13 // n - L if n in (1, 2) else 2  # (L + J) n <= 13
+    J = draw(st.integers(-L - 1 if corrupt else -L, top))
+    grid = {"n": n, "L": field(st.just(L)), "J": field(st.just(J))}
+    k_min = draw(st.integers(-L - 2, J + 2) if corrupt else st.integers(-L, J))
+    put(grid, "k_min", st.just(k_min))
+    put(grid, "k_max", st.integers(-L - 2, J + 2) if corrupt else st.integers(k_min, J))
+    weights = {"kind": field(st.sampled_from(["exp2", "power", "random-ap", "grid"]),
+                             st.sampled_from(["bump", "", 2, None]))}
+    for key in ("s", "p", "alpha", "spread"):
+        valid = FUZZ_NUMBERS if corrupt else FUZZ_NUMBERS.filter(
+            (lambda x: x > 0) if key in ("p", "spread") else math.isfinite)
+        put(weights, key, valid)
+    put(weights, "file", st.just(FIXTURE_FILE), st.sampled_from(["no-such-weights", 3, None]))
+    config = {"grid": field(st.just(grid)), "weights": field(st.just(weights))}
+    config["suite"] = field(st.sampled_from(SUITES), st.sampled_from(["all", "bogus", 3, None]))
+    put(config, "trials", st.integers(1, 2), st.sampled_from([0, -1, 1.5, "2", True, math.nan]))
+    put(config, "seed", st.integers(0, 2**32), st.sampled_from([-1, 0.5, "0", None, math.inf]))
+    if corrupt and draw(st.integers(0, 20)) == 10:
+        config.pop(draw(st.sampled_from(["grid", "weights"])))
+    return config
+
+
+@settings(max_examples=12, deadline=None)
+@given(config=fuzzed_configs())
+def test_fuzzed_run_exits_with_a_code_and_writes_strict_json(tmp_path_factory, config):
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    weights_file = work / "fx"
+    if not (work / "fx.json").exists():
+        fixture("random-ap", {}, 0, weights_file)
+    if isinstance(config.get("weights"), dict) and config["weights"].get("file") == FIXTURE_FILE:
+        config["weights"]["file"] = str(weights_file)
+    cfg_path, out = work / "config.json", work / "report.json"
+    cfg_path.write_text(json.dumps(config))  # NaN and Infinity reach the config reader
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", "-c", str(cfg_path), "-o", str(out)])
+    assert code in (0, 1, 2, 64, 65)
+    if code in (0, 1):
+        assert _strict_json(out.read_text())["checks"]

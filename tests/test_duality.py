@@ -16,7 +16,7 @@ from tlw.duality import (
     star_constraint_norm,
 )
 from tlw.errors import LevelRangeError, UndefinedRatioError
-from tlw.seqspace import CoeffField, RestrictionSets, f_inf_norm, f_pq_norm
+from tlw.seqspace import CoeffField, f_inf_norm, f_pq_norm
 from tlw.weights import ap_constant, exp2_weights, random_ap_weights
 
 from .oracles import naive_pairing
@@ -126,18 +126,6 @@ def test_hoelder_1q_random_trials_with_default_sets():
         rep = hoelder_check_1q(s, lam, w, 2.0)
         assert rep.factor == pytest.approx(4.0 / 3.0)  # the 3/4 guarantee held exactly
         assert rep.hoelder_slack >= -1e-10 * rep.factor * rep.lhs_norm * rep.rhs_norm
-
-
-def test_hoelder_1q_supplied_sparser_sets():
-    rng = np.random.default_rng(239)
-    g = grid1(J=5, k_max=2)
-    w = exp2_weights(g, 0.0)
-    E = RestrictionSets.random(g, 0.55, rng, fraction=0.5)
-    s, lam = CoeffField.random(g, rng), CoeffField.random(g, rng)
-    rep = hoelder_check_1q(s, lam, w, 2.0, E)
-    assert rep.factor >= 4.0 / 3.0
-    assert rep.factor == pytest.approx(1.0 / E.min_fraction(), rel=1e-12)
-    assert rep.hoelder_slack >= -1e-10 * rep.factor * rep.lhs_norm * rep.rhs_norm
 
 
 def test_extremal_single_atom_trivial_weights():

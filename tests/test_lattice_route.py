@@ -5,8 +5,8 @@ value) and is compared with the same function on the same weights made into
 grid arrays, which take the cell path, for w and for w.reciprocal().  One
 lattice point stands for c = 2^{n(J-k_max)} cells: exactly 4 on the first two
 grids, 16 and 64 on the others.  Values that select one summand (m_P, m, the
-sets E_Q) are equal bit for bit; sums run over the lattice in another order
-and agree to rel 1e-14.
+counts of the sets E_Q) are equal bit for bit; sums run over the lattice in
+another order and agree to rel 1e-14.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tlw.duality import hoelder_check_1q
-from tlw.dyadic import Grid, block_reduce, expand_level_array, first_max
+from tlw.dyadic import Grid, first_max
 from tlw.io import weights_from_spec
 from tlw.seqspace import (
     CoeffField,
@@ -25,10 +25,16 @@ from tlw.seqspace import (
     f_pq_norm,
     m_fun,
     m_p_levels,
+    quartile_restricted_sup,
     restricted_norm,
-    restricted_sup_norm,
 )
-from tlw.weights import WeightSequence, _SupTracker, exp2_weights, verify_x_class
+from tlw.weights import (
+    WeightSequence,
+    _SupTracker,
+    exp2_weights,
+    random_ap_weights,
+    verify_x_class,
+)
 
 from . import oracles
 
@@ -128,43 +134,57 @@ def test_quartile_rank_on_the_points_is_the_rank_on_the_cells(c):
     # Each point's value fills c cells, so the r-th smallest cell value is the (r // c)-th
     # smallest point value.  With r = N - ceil(N/4) for N = c N_p cells, r // c is
     # N_p - ceil(ceil(c N_p / 4) / c) = N_p - ceil(N_p / 4): the points' own quartile rank.
-    # c >= 4, which `from_m_fun` requires, also gives every cube the 4 cells m_P needs.
+    # c >= 4, which `quartile_restricted_sup` requires, also gives every cube the 4 cells
+    # m_P needs.
     for n_points in range(1, 400):
         cells = c * n_points
         assert ((cells - 1 - _quartile_count(cells)) // c
                 == n_points - 1 - _quartile_count(n_points)), n_points
 
 
-def test_restriction_sets_from_m_fun_equal_the_cell_path(case):
-    g, w, cells, lam, _ = case
-    got, want = (RestrictionSets.from_m_fun(lam, x, 2.0) for x in (w, cells))
-    for k in g.levels:
-        assert got.masks[k].shape == g.lattice().shape
-        assert np.array_equal(expand_level_array(g, g.k_max, got.masks[k]), want.masks[k])
-        counts = block_reduce(got.masks[k], g.lattice().side_cells(k)) * cells_per_point(g)
-        assert np.array_equal(counts, block_reduce(want.masks[k], g.side_cells(k)))
-    assert got.min_fraction() == want.min_fraction() >= 0.75
-
-
 def test_restricted_norms_on_lattice_and_cell_masks(case):
+    # the quartile sets are lattice masks on weights constant in space, formed and spent in
+    # one sweep; random sets vary over the cells and keep the cell path
     g, w, cells, lam, rng = case
-    E_lattice = RestrictionSets.from_m_fun(lam, w, 2.0)
-    E_cells = RestrictionSets(g, {k: expand_level_array(g, g.k_max, m)
-                                  for k, m in E_lattice.masks.items()})
     E_random = RestrictionSets.random(g, 0.75, rng)
-    assert E_cells.min_fraction() == E_lattice.min_fraction()
     for q in (2.0, 3.0):
-        # lattice masks and constant weights: the lattice sweep
-        assert restricted_sup_norm(lam, w, q, E_lattice) == pytest.approx(
-            restricted_sup_norm(lam, cells, q, E_cells), rel=1e-14)
-        # lattice masks on the cell sweep cover their points' cells
-        assert restricted_sup_norm(lam, cells, q, E_lattice) == restricted_sup_norm(
-            lam, cells, q, E_cells)
-        assert restricted_norm(lam, w, q, E_lattice) == restricted_norm(lam, cells, q, E_cells)
-        # masks that vary over the cells keep the cell path
-        assert restricted_sup_norm(lam, w, q, E_random) == restricted_sup_norm(
-            lam, cells, q, E_random)
+        (got, got_least), (want, want_least) = (quartile_restricted_sup(lam, x, q)
+                                                for x in (w, cells))
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got_least == want_least >= 0.75
         assert restricted_norm(lam, w, q, E_random) == restricted_norm(lam, cells, q, E_random)
+
+
+ORACLE_GRIDS = {  # (n, L, J, k_min, k_max): c = 4, 16, 64 cells per lattice point
+    "1d-c4": Grid(1, 2, 5, 0, 3),
+    "1d-c16": Grid(1, 1, 6, 0, 2),
+    "1d-c64": Grid(1, 1, 7, 0, 1),
+    "2d-c4": Grid(2, 1, 3, 0, 2),
+    "2d-c16": Grid(2, 1, 3, 0, 1),
+    "2d-c64": Grid(2, 0, 4, 0, 1),
+}
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["w", "reciprocal"])
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
+def test_quartile_restricted_sup_matches_the_loop_oracle(name, inverse):
+    # exp2 weights sweep the lattice, the same weights as grid arrays and random-ap weights
+    # sweep the cells
+    g = ORACLE_GRIDS[name]
+    assert cells_per_point(g) == int(name.split("-c")[1])
+    rng = np.random.default_rng(313)
+    lam = CoeffField.random(g, rng)
+    w, other = exp2_weights(g, 0.3), random_ap_weights(g, 0.5, rng)
+    for same_tk in ((w, materialised(w)), (other,)):
+        same_tk = [x.reciprocal() if inverse else x for x in same_tk]
+        tk = {k: np.array(v) for k, v in same_tk[0].tk.items()}
+        for q in (2.0, 3.0):
+            want, want_least = oracles.naive_quartile_restricted_sup(
+                lam.entries, tk, g, q, g.k_min, g.k_max)
+            for x in same_tk:
+                value, least = quartile_restricted_sup(lam, x, q)
+                assert value == pytest.approx(want, rel=1e-13), (x.constant_in_space, q)
+                assert least == want_least >= 0.75, (x.constant_in_space, q)
 
 
 def test_hoelder_check_1q_matches_the_cell_path(case):

@@ -30,8 +30,8 @@ from tlw.seqspace import (
     m_fun_p_norm,
     m_p,
     m_p_levels,
+    quartile_restricted_sup,
     restricted_norm,
-    restricted_sup_norm,
 )
 from tlw.weights import exp2_weights, power_profile, random_ap_weights
 
@@ -594,35 +594,29 @@ def test_restriction_reverse_constant_stable():
     assert abs(a - b) <= 0.25 * max(a, b)  # same-draw stability band, recorded
 
 
-def test_restriction_from_m_fun_three_quarter_guarantee():
+def test_quartile_sets_keep_three_quarters():
     rng = np.random.default_rng(197)
     g = grid1(J=5, k_max=3)
     w = random_ap_weights(g, 0.5, rng)
-    lam = CoeffField.random(g, rng)
-    E = RestrictionSets.from_m_fun(lam, w, 2.0)
-    from tlw.dyadic import block_reduce
-
-    for k in lam.levels:
-        cells_per_cube = (1 << (g.J - k)) ** g.n
-        counts = block_reduce(E.masks[k], 1 << (g.J - k))
-        assert np.all(counts >= 0.75 * cells_per_cube)
+    for _ in range(10):
+        lam = CoeffField.random(g, rng)
+        assert 0.75 <= quartile_restricted_sup(lam, w, 2.0)[1] <= 1.0
 
 
-def test_restriction_from_m_fun_needs_resolution():
+def test_quartile_restricted_sup_needs_resolution():
     g = grid1(J=3, k_max=3)
     lam = CoeffField.zeros(g)
     with pytest.raises(ResolutionError):
-        RestrictionSets.from_m_fun(lam, ones_weights(g), 2.0)
+        quartile_restricted_sup(lam, ones_weights(g), 2.0)
 
 
-def test_restricted_sup_norm_monotone():
+def test_quartile_restricted_sup_below_the_full_sup():
     rng = np.random.default_rng(199)
     g = grid1()
     w = random_ap_weights(g, 0.4, rng)
     lam = CoeffField.random(g, rng)
-    E = RestrictionSets.random(g, 0.75, rng)
-    full = RestrictionSets.full(g)
-    assert restricted_sup_norm(lam, w, 2.0, E) <= restricted_sup_norm(lam, w, 2.0, full)
+    full = g_p(lam, w, 2.0, DyadicCube(-g.L, (0,))).values.max()
+    assert quartile_restricted_sup(lam, w, 2.0)[0] <= full
 
 
 # ------------------------------------------------- kernel layer against oracles
