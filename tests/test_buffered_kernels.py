@@ -138,7 +138,7 @@ def test_m_p_levels_equal_expand_then_sum(case):
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
-def test_quartile_restricted_sup_spends_the_suffix_sums_below_m(case, q):
+def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
     # E_Q = {T_k^{1/q} <= m} with every suffix sum T_k and m from the expanded form.  The
     # masks are nested, so the masked sum at a cell is T_k at the coarsest k whose mask
     # holds there: == on the cells, and to summation order on the lattice (exp2)
@@ -286,7 +286,7 @@ def test_pointwise_norms_on_constant_weights_stay_below_one_full_grid_array():
     assert all(peak < 1 for peak in peaks.values()), peaks
 
 
-def test_quartile_restricted_sup_stays_within_seven_full_grid_arrays():
+def test_restriction_sets_from_m_fun_stay_within_seven_full_grid_arrays():
     # m, the restricted sum, the summand buffer, the suffix sum, one T_k^{1/q} and one
     # level's bool mask (an eighth of an array); the m sweep holds fewer at its peak
     g = Grid(1, 2, 13, 0, 9)

@@ -142,16 +142,22 @@ def test_quartile_rank_on_the_points_is_the_rank_on_the_cells(c):
                 == n_points - 1 - _quartile_count(n_points)), n_points
 
 
-def test_restricted_norms_on_lattice_and_cell_masks(case):
-    # the quartile sets are lattice masks on weights constant in space, formed and spent in
-    # one sweep; random sets vary over the cells and keep the cell path
-    g, w, cells, lam, rng = case
-    E_random = RestrictionSets.random(g, 0.75, rng)
+def test_restriction_sets_from_m_fun_equal_the_cell_path(case):
+    # the sets E_Q = {T_k^{1/q} <= m} are lattice masks on weights constant in space,
+    # formed and spent in one sweep: the same sum and the same least fraction as on cells
+    _, w, cells, lam, _ = case
     for q in (2.0, 3.0):
         (got, got_least), (want, want_least) = (quartile_restricted_sup(lam, x, q)
                                                 for x in (w, cells))
         assert got == pytest.approx(want, rel=1e-14)
         assert got_least == want_least >= 0.75
+
+
+def test_restricted_norms_on_lattice_and_cell_masks(case):
+    # random sets vary over the cells and keep the cell path
+    g, w, cells, lam, rng = case
+    E_random = RestrictionSets.random(g, 0.75, rng)
+    for q in (2.0, 3.0):
         assert restricted_norm(lam, w, q, E_random) == restricted_norm(lam, cells, q, E_random)
 
 

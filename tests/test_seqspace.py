@@ -594,7 +594,7 @@ def test_restriction_reverse_constant_stable():
     assert abs(a - b) <= 0.25 * max(a, b)  # same-draw stability band, recorded
 
 
-def test_quartile_sets_keep_three_quarters():
+def test_restriction_from_m_fun_three_quarter_guarantee():
     rng = np.random.default_rng(197)
     g = grid1(J=5, k_max=3)
     w = random_ap_weights(g, 0.5, rng)
@@ -603,7 +603,7 @@ def test_quartile_sets_keep_three_quarters():
         assert 0.75 <= quartile_restricted_sup(lam, w, 2.0)[1] <= 1.0
 
 
-def test_quartile_restricted_sup_needs_resolution():
+def test_restriction_from_m_fun_needs_resolution():
     g = grid1(J=3, k_max=3)
     lam = CoeffField.zeros(g)
     with pytest.raises(ResolutionError):
