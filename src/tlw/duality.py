@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import INF, DyadicCube, block_reduce, expand_level_array, first_max, localized_sup
+from .dyadic import (
+    INF,
+    DyadicCube,
+    block_reduce,
+    expand_level_array,
+    first_max,
+    inner_sum,
+    localized_sup,
+)
 from .errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from .seqspace import (
     CoeffField,
@@ -38,7 +46,7 @@ def pairing(s: CoeffField, lam: CoeffField) -> complex:
         raise LevelMismatchError("fields live on different lattices")
     total = 0.0 + 0.0j
     for k in s.levels:
-        total += np.vdot(lam.entries[k], s.entries[k])  # vdot conjugates its first argument
+        total += inner_sum(s.entries[k], lam.entries[k].conj())
     return complex(total)
 
 

@@ -228,28 +228,36 @@ def cube_major_view(cells: np.ndarray, f: int) -> np.ndarray:
     return _cube_blocks(cells, f).transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
 
 
-def cube_major(cells: np.ndarray, f: int) -> np.ndarray:
+def cube_major(cells: np.ndarray, f: int, out=None) -> np.ndarray:
     """(cubes..., f**n) rows of cells, one per level cube, for order-free per-cube work: a
-    view of cells whenever the reshape needs no copy (every 1-D call), so read it only."""
+    view of cells whenever the reshape needs no copy (every 1-D call), so read it only; or,
+    with `out` (a C-contiguous array of cells' size), a copy there that the caller may edit."""
     rows = cube_major_view(cells, f)
+    if out is not None:
+        copy = out.reshape(rows.shape)
+        np.copyto(copy, rows)
+        rows = copy
     return rows.reshape(*rows.shape[:cells.ndim], -1)
 
 
-def localized_sup(grid: Grid, summands, cube_value=None):
+def localized_sup(grid: Grid, summands, cube_value=None, out=None):
     """cube_value on the localized sum of every dyadic P (levels -L..top summand level).
 
     `summands` yields (k, u_k) finest level first and may refill one buffer.
     The localized sum of P is T_j = sum_{k >= j} u_k at j = max(k_P, lowest
-    summand level), accumulated in place in one buffer.  cube_value(level, T)
-    may return any per-level array (default: the mean of T over each level
-    cube), or None to leave the level out; T is overwritten by the next
-    level, so it must not be kept.  Returns each level kept mapped to its
-    array; for one value per cube, `first_max` of it is the sup over P.
+    summand level), accumulated in place in one buffer (`out` if given, else a
+    new one).  cube_value(level, T) may return any per-level array (default:
+    the mean of T over each level cube), or None to leave the level out; T is
+    overwritten by the next level, so it must not be kept.  Returns each level
+    kept mapped to its array; for one value per cube, `first_max` of it is the
+    sup over P.
     """
     if cube_value is None:
         def cube_value(lev, tail):
             return block_reduce(tail, grid.side_cells(lev), "mean")
-    levels, acc = {}, None
+    levels, acc = {}, out
+    if acc is not None:
+        acc.fill(0.0)
     for k, u in summands:
         acc = np.zeros_like(u) if acc is None else acc
         acc += u
@@ -257,6 +265,13 @@ def localized_sup(grid: Grid, summands, cube_value=None):
     for lev in range(-grid.L, k):  # coarser than every summand: T of the lowest level
         levels[lev] = cube_value(lev, acc)
     return {lev: levels[lev] for lev in sorted(levels) if levels[lev] is not None}
+
+
+def inner_sum(a: np.ndarray, b: np.ndarray):
+    """sum of a * b over every entry of two arrays of one shape, by einsum: no temporary and
+    no BLAS call (BLAS picks its kernel, and so its summation order, by CPU)."""
+    axes = list(range(a.ndim))
+    return np.einsum(a, axes, b, axes, [])
 
 
 def broadcast_cubes(cells: np.ndarray, a: np.ndarray):
@@ -268,26 +283,29 @@ def broadcast_cubes(cells: np.ndarray, a: np.ndarray):
     return blocks, a.reshape([d for size in a.shape for d in (size, 1)])
 
 
-def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0) -> float:
+def lp_lq_norm(grid: Grid, summands, p: float, q: float = 1.0, out=None) -> float:
     """Exact grid norm || (sum_k u_k)^{1/q} ||_{L_p} of cell fields u_k.
 
     For finite q each u_k is already the q-th power |a_k|^q; for q = inf the
     u_k are the |a_k| and the sum becomes their pointwise max.  p = inf gives
-    the max over cells.
+    the max over cells.  The sum is formed in `out` if given, else in a new array.
     """
     if not p > 0:
         raise LevelRangeError(f"p must be positive or inf, got {p}")
     if not q > 0:
         raise LevelRangeError(f"q must be positive or inf, got {q}")
-    body = np.zeros(grid.shape)
+    body = np.empty(grid.shape) if out is None else out
+    body.fill(0.0)
     for u in summands:
         if q == INF:
             np.maximum(body, u, out=body)
         else:
             body += u
         del u  # else it stays alive while the generator builds the next summand
-    if q != INF:
-        body **= 1.0 / q
     if p == INF:
+        if q != INF:
+            body **= 1.0 / q
         return float(body.max()) if body.size else 0.0
-    return float(np.power(body, p, out=body).sum() * grid.cell_volume) ** (1.0 / p)
+    # one power: (1.5, 3) and (1, 2) take a square root, (3, 1.5) a square
+    body **= p if q == INF else p / q
+    return float(body.sum() * grid.cell_volume) ** (1.0 / p)

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import INF, Grid, first_max, localized_sup, lp_lq_norm
+from .dyadic import INF, Grid, first_max, inner_sum, localized_sup, lp_lq_norm
 from .errors import LevelMismatchError, LevelRangeError, ResolutionError
 from .seqspace import CoeffField
 from .weights import WeightSequence
@@ -326,12 +326,17 @@ def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
     """Relative L2 error of synthesize(analyze(f)), by Parseval on the whole spectrum; 0 for f = 0."""
     spec = f.spectrum
-    denom = float(np.vdot(spec, spec).real)
+    denom = _energy(spec)
     if denom == 0.0:
         return 0.0
     diff = synthesize(analyze(f, fp, levels), fp).spectrum
     diff -= spec  # in place: no second full-grid array; the synthesized signal is not kept
-    return math.sqrt(float(np.vdot(diff, diff).real) / denom)
+    return math.sqrt(_energy(diff) / denom)
+
+
+def _energy(a: np.ndarray) -> float:
+    """sum |a|^2 over a complex array, from views of its two parts."""
+    return float(inner_sum(a.real, a.real) + inner_sum(a.imag, a.imag))
 
 
 def band_leakage(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
@@ -381,7 +386,7 @@ def _f22_squared(f: BandSignal, fp: FilterPair, w: WeightSequence) -> float:
         u = np.fft.ifftn(u)
         T, u2 = w.box_samples(k, 2, M2), u.real**2 + u.imag**2
         # a constant level's samples are one stride-0 value: it times the sum of |u|^2
-        pair = np.vdot(T, u2) if any(T.strides) else T.flat[0] * u2.sum()
+        pair = inner_sum(T, u2) if any(T.strides) else T.flat[0] * u2.sum()
         total += pair * (M2 / N**2) ** grid.n
     return max(total * grid.cell_volume, 0.0)
 

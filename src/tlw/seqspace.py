@@ -21,6 +21,13 @@ Pointwise-weight norms (`f_pq_norm` with p != q, `f_inf_norm`, `m_p_levels`,
 (the level-k_max cubes) when w is `constant_in_space`; cells are still what
 they count.  `f_pq_norm_star` and `f_inf_norm_cubeavg` always sweep the
 lattice, and `f_pq_norm` with p = q reads only the cube integrals of t_k^p.
+
+The sweeps of the pointwise norms and of `restricted_norm` write into the work
+arrays of the weights they sweep (`WeightSequence._work`), so a repeated call
+allocates no grid array: 0 holds the summands, 1 the suffix sum or the L_p
+body, 2 a level's sorted rows or E_Q, 3 and 4 the m and the restricted sum of
+`quartile_restricted_sup`.  `w.reciprocal()` shares w's arrays and the lattice
+copy has its own, so one sweep at a time may run on a weight sequence.
 """
 
 from __future__ import annotations
@@ -127,9 +134,9 @@ def _sweep(lam: CoeffField, w: WeightSequence) -> WeightSequence:
 
 def _pointwise_summands(lam: CoeffField, w: WeightSequence, q: float, levels, masks=None):
     """(k, 2^{knq/2} t_k(x)^q |lambda_{k,m}|^q chi_{k,m}(x) [* masks[k]]) over `levels`, on w's
-    grid in one reused buffer; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x).
+    grid in w's work array 0; q = inf gives 2^{kn/2} t_k(x) |lambda_{k,m}| chi_{k,m}(x).
     Masks are on the cells, so they need w on the cells."""
-    grid, buf = w.grid, np.empty(w.grid.shape)
+    grid, buf = w.grid, w._work(0)
     for k in levels:
         if q == INF:  # (2^{kn/2} t_k) |lambda_k|: scaling |lambda_k| first rounds differently
             np.multiply(2.0 ** (k * grid.n / 2.0), w.power(k, 1.0, buf), out=buf)
@@ -163,7 +170,7 @@ def f_pq_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
         return total ** (1.0 / p)
     w = _sweep(lam, w)
     terms = (u for _, u in _pointwise_summands(lam, w, q, lam.levels))
-    return lp_lq_norm(w.grid, terms, p, q)
+    return lp_lq_norm(w.grid, terms, p, q, out=w._work(1))
 
 
 def f_pq_norm_star(lam: CoeffField, w: WeightSequence, p: float, q: float,
@@ -191,7 +198,7 @@ def f_inf_norm(lam: CoeffField, w: WeightSequence, q: float) -> float:
     if not 0 < q < INF:
         raise LevelRangeError(f"the p = inf space is defined for q in (0, inf), got {q}")
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-    return first_max(localized_sup(w.grid, summands))[0] ** (1.0 / q)
+    return first_max(localized_sup(w.grid, summands, out=w._work(1)))[0] ** (1.0 / q)
 
 
 def f_inf_norm_cubeavg(lam: CoeffField, w: WeightSequence, q: float) -> float:
@@ -341,30 +348,39 @@ def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float):
         # c >= 4, which `quartile_restricted_sup` requires, every cube has the 4 cells
         # m_P needs.
         rank = (cells - 1 - _quartile_count(cells)) // c
-        return np.partition(cube_major(tail, sweep.side_cells(lev)), rank,
-                            axis=-1)[..., rank] ** (1.0 / q)
+        rows = cube_major(tail, sweep.side_cells(lev), out=w._work(2))
+        rows.partition(rank, axis=-1)
+        return rows[..., rank] ** (1.0 / q)
 
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
-    return localized_sup(sweep, summands, quartile)
+    return localized_sup(sweep, summands, quartile, out=w._work(1))
 
 
-def _m_fun_values(lam: CoeffField, w: WeightSequence, q: float) -> np.ndarray:
-    """m on w's grid, the cells or their lattice."""
-    best = np.zeros(w.grid.shape)
-    for vals in _m_p_levels(lam, w, q).values():
-        blocks, m = broadcast_cubes(best, vals)
-        np.maximum(blocks, m, out=blocks)
-    return best
+def _m_fun_values(lam: CoeffField, w: WeightSequence, q: float, out: np.ndarray) -> np.ndarray:
+    """m on `out`, an array of the cells or of their lattice, from w swept on its grid.
+
+    A pyramid: the running max of the m_P arrays, coarsest level first, each level's
+    entries maxed with their parent's; the finest level is then spread over `out`.
+    """
+    levels = _m_p_levels(lam, w, q)
+    if not levels:
+        out.fill(0.0)
+        return out
+    best = None
+    for vals in levels.values():
+        if best is not None:
+            blocks, parent = broadcast_cubes(vals, best)
+            np.maximum(blocks, parent, out=blocks)
+        best = vals
+    blocks, best = broadcast_cubes(out, best)
+    blocks[...] = best
+    return out
 
 
 def m_fun(lam: CoeffField, w: WeightSequence, q: float) -> GridFunction:
     """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max); cubes
     with fewer than the 4 cells m_P needs are skipped."""
-    grid = lam.grid
-    best = _m_fun_values(lam, _sweep(lam, w), q)
-    if best.shape != grid.shape:  # swept on the lattice
-        best = expand_level_array(grid, grid.k_max, best)
-    return GridFunction(grid, best)
+    return GridFunction(lam.grid, _m_fun_values(lam, _sweep(lam, w), q, np.empty(lam.grid.shape)))
 
 
 def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
@@ -417,12 +433,16 @@ class RestrictionSets:
         """
         if not 0 <= keep_fraction <= 1:
             raise ValueError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
-        masks = {}
+        masks, key_cells, sorted_cells = {}, np.empty(grid.shape), np.empty(grid.shape)
         for k in grid.levels:
             f = grid.side_cells(k)
             keep = min(int(keep_fraction * f**grid.n) + 1, f**grid.n)
-            keys = rng.random((*grid.level_shape(k), f**grid.n))
-            kth = np.partition(keys, keep - 1, axis=-1)[..., keep - 1]
+            keys = key_cells.reshape(*grid.level_shape(k), f**grid.n)
+            rng.random(out=keys)  # the stream of rng.random(keys.shape), in reused cells
+            ranked = sorted_cells.reshape(keys.shape)
+            np.copyto(ranked, keys)
+            ranked.partition(keep - 1, axis=-1)
+            kth = ranked[..., keep - 1]
             masks[k] = np.empty(grid.shape, dtype=bool)
             cells = cube_major_view(masks[k], f)  # writes reach masks[k]
             np.less_equal(keys.reshape(cells.shape), kth.reshape(kth.shape + (1,) * grid.n),
@@ -441,7 +461,7 @@ def restricted_norm(lam: CoeffField, w: WeightSequence, q: float,
     if E.grid != lam.grid:
         raise LevelMismatchError("restriction sets live on a different grid")
     summands = _pointwise_summands(lam, w, q, reversed(lam.levels), E.masks)
-    return first_max(localized_sup(lam.grid, summands))[0] ** (1.0 / q)
+    return first_max(localized_sup(lam.grid, summands, out=w._work(1)))[0] ** (1.0 / q)
 
 
 def quartile_restricted_sup(lam: CoeffField, w: WeightSequence,
@@ -463,16 +483,21 @@ def quartile_restricted_sup(lam: CoeffField, w: WeightSequence,
     w = _sweep(lam, w)
     sweep = w.grid
     c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
-    m = _m_fun_values(lam, w, q)
-    restricted, fractions = np.zeros(sweep.shape), []
+    m = _m_fun_values(lam, w, q, w._work(3))
+    restricted, fractions = w._work(4), []
+    restricted.fill(0.0)
 
     def spend(lev, tail):
         if lev >= grid.k_min:
-            # m_P's own `** (1/q)`: the quartile cell compares equal to it
-            below = tail ** (1.0 / q) <= m
+            below = w._work(2)
+            np.copyto(below, tail)
+            below **= 1.0 / q  # m_P's own `** (1/q)`: the quartile cell compares equal to it
+            np.less_equal(below, m, out=below)  # 1.0 on E_Q, 0.0 off it
             kept = int(block_reduce(below, sweep.side_cells(lev)).min()) * c
             fractions.append(kept / grid.side_cells(lev) ** grid.n)
-            np.copyto(restricted, tail, where=below)
+            # the tail only grows toward coarser levels: this writes it where E_Q holds
+            np.maximum(restricted, np.multiply(below, tail, out=below), out=restricted)
 
-    localized_sup(sweep, _pointwise_summands(lam, w, q, reversed(lam.levels)), spend)
+    summands = _pointwise_summands(lam, w, q, reversed(lam.levels))
+    localized_sup(sweep, summands, spend, out=w._work(1))
     return float(restricted.max()) ** (1.0 / q), min(fractions)

@@ -7,6 +7,9 @@ with stride 0, not a grid array: the kernels only read levels and write their
 results into buffers they own.  A sequence whose every level is one
 (`constant_in_space`) keeps a copy on `Grid.lattice()` for the pointwise norms
 of `seqspace`, and `verify_x_class` reads its cube means from the one value.
+A sequence also owns up to five work arrays of its grid's shape, made when the
+sweeps of `seqspace` first ask for them and kept as long as it lives; its
+`reciprocal()` shares them, so one sweep at a time per sequence.
 The audits compute, over every dyadic cube of the grid, the sharpest constants
 for
 
@@ -79,6 +82,7 @@ class WeightSequence:
         self._arrays, self._reciprocal_arrays = {}, {}
         self._reciprocal_finite = False  # set once a scan finds every 1/t_k finite
         self._lattice = None  # the sequence on grid.lattice(), once `on_lattice` builds it
+        self._work_arrays = []  # `_work`'s arrays, shared with every `reciprocal()`
 
     @property
     def levels(self) -> range:
@@ -109,8 +113,19 @@ class WeightSequence:
 
     def power(self, k: int, r: float, out: np.ndarray, at=...) -> np.ndarray:
         """t_k^r on the cells `at` (default all) written into `out`, a buffer of their shape
-        the caller owns; returns out."""
-        return np.power(self.tk[k][at], r, out=out)
+        the caller owns; returns out.  t^3 is t*t*t: within 1 ulp of np.power, at a fifth
+        of its time."""
+        t = self.tk[k][at]
+        if r == 3.0:
+            return np.multiply(np.multiply(t, t, out=out), t, out=out)
+        return np.power(t, r, out=out)
+
+    def _work(self, i: int) -> np.ndarray:
+        """Work array i (0 <= i < 5) of the grid's shape, made on first use and kept; its
+        contents are whatever the last sweep left.  One sweep at a time per sequence."""
+        while len(self._work_arrays) <= i:
+            self._work_arrays.append(np.empty(self.grid.shape))
+        return self._work_arrays[i]
 
     def _stored(self, k: int) -> np.ndarray:
         """The array level k is stored as (`_Reciprocal` reads its base's)."""
@@ -191,6 +206,7 @@ class _Reciprocal(WeightSequence):
         self.grid, self._base = base.grid, base
         self._arrays, self._reciprocal_arrays = base._reciprocal_arrays, {}
         self._reciprocal_finite = False
+        self._work_arrays = base._work_arrays
         self.meta = WeightMeta(p=base.meta.p, kind=f"reciprocal({base.meta.kind})",
                                params=dict(base.meta.params))
 
@@ -199,7 +215,12 @@ class _Reciprocal(WeightSequence):
         return {k: 1.0 / v for k, v in self._base.tk.items()}
 
     def power(self, k: int, r: float, out: np.ndarray, at=...) -> np.ndarray:
-        return np.power(np.divide(1.0, self._stored(k)[at], out=out), r, out=out)
+        """(1/t_k)^r into `out`.  (1/t)^{3/2} is 1/(t*sqrt(t)): within 3 ulp of np.power, at
+        under half of its time."""
+        t = self._stored(k)[at]
+        if r == 1.5:
+            return np.divide(1.0, np.multiply(np.sqrt(t, out=out), t, out=out), out=out)
+        return np.power(np.divide(1.0, t, out=out), r, out=out)
 
     def _stored(self, k: int) -> np.ndarray:
         return self._base.tk[k]
@@ -381,9 +402,9 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
         t = w.tk[k]
         if any(t.strides):
             return block_reduce(1.0 / t if inverse else t, f, "mean", r)
-        # constant level: every cube mean is its one value's, a 0-d array (first cube wins)
-        v = 1.0 / t.flat[0] if inverse else t.flat[0]
-        return np.asarray(v if r == INF else (v**r) ** (1.0 / r))
+        # constant level: every cube mean, at any r, is its one value (a 0-d array; the
+        # first cube wins), not (v^r)^{1/r}, which is v only on paper
+        return np.asarray(1.0 / t.flat[0] if inverse else t.flat[0])
 
     tracker1 = _SupTracker(grid)
     tracker2 = _SupTracker(grid)

@@ -493,16 +493,21 @@ def per_level_partition_deviation(fp):
 # order as the library's buffered kernels.
 
 
-def expanded_pointwise(lam, tk, q, masks=None):
-    """{k: 2^{knq/2} t_k^q |lambda_k|^q (times masks[k])}; q = inf: 2^{kn/2} t_k |lambda_k|."""
+def expanded_pointwise(lam, w, q, masks=None):
+    """{k: 2^{knq/2} t_k^q |lambda_k|^q (times masks[k])}; q = inf: 2^{kn/2} t_k |lambda_k|.
+
+    t_k^q is read through `w.power` (weights on lam's grid): some powers go by products,
+    which `test_weights` holds to np.power, so the oracle takes them as the library forms
+    them."""
     grid, out = lam.grid, {}
     for k in lam.levels:
+        t_q = w.power(k, 1.0 if q == math.inf else q, np.empty(grid.shape))
         if q == math.inf:
             amp = expand_level_array(grid, k, np.abs(lam.entries[k]))
-            u = (2.0 ** (k * grid.n / 2.0)) * tk[k] * amp
+            u = (2.0 ** (k * grid.n / 2.0)) * t_q * amp
         else:
             amp = expand_level_array(grid, k, np.abs(lam.entries[k]) ** q)
-            u = (2.0 ** (k * grid.n * q / 2.0)) * amp * tk[k] ** q
+            u = (2.0 ** (k * grid.n * q / 2.0)) * amp * t_q
         out[k] = u if masks is None else u * masks[k]
     return out
 
@@ -523,18 +528,17 @@ def expanded_cubeavg(lam, tk, q, on=None):
 
 
 def expanded_lp_lq(grid, summands, p, q=1.0):
-    """|| (sum_k u_k)^{1/q} ||_{L_p}, the levels summed coarsest first (q = inf: their max)."""
+    """|| (sum_k u_k)^{1/q} ||_{L_p}, the levels summed coarsest first (q = inf: their max);
+    for finite p the sum is raised once, to p/q (q = inf: to p)."""
     body = np.zeros(grid.shape)
     for k in sorted(summands):
         if q == math.inf:
             np.maximum(body, summands[k], out=body)
         else:
             body += summands[k]
-    if q != math.inf:
-        body **= 1.0 / q
     if p == math.inf:
-        return float(body.max())
-    return float((body**p).sum() * grid.cell_volume) ** (1.0 / p)
+        return float((body if q == math.inf else body ** (1.0 / q)).max())
+    return float((body ** (p if q == math.inf else p / q)).sum() * grid.cell_volume) ** (1.0 / p)
 
 
 def expanded_localized(grid, summands, cube_value=None):

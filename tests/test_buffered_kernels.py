@@ -27,6 +27,7 @@ import pytest
 from tlw.dyadic import Grid, block_reduce, expand_level_array
 from tlw.duality import (
     hoelder_check_1q,
+    hoelder_check_pq,
     kappa_constraint_norm,
     localized_pairing,
     star_constraint_norm,
@@ -35,14 +36,16 @@ from tlw.phitransform import BandSignal, F_inf_norm, _weighted_levels, build_fil
 from tlw.seqspace import (
     CoeffField,
     RestrictionSets,
+    _m_fun_values,
     f_inf_norm,
     f_inf_norm_cubeavg,
     f_pq_norm,
+    m_fun,
     m_p_levels,
     quartile_restricted_sup,
     restricted_norm,
 )
-from tlw.weights import exp2_weights, random_ap_weights
+from tlw.weights import WeightSequence, exp2_weights, random_ap_weights
 
 from . import oracles
 
@@ -65,12 +68,11 @@ def case(request):
 
 
 def swept(lam, w):
-    """(lam, t_k) on the grid the pointwise norms sweep: the lattice for weights constant in
+    """(lam, w) on the grid the pointwise norms sweep: the lattice for weights constant in
     space (each t_k one value there too), else the cells."""
     if not w.constant_in_space:
-        return lam, w.tk
-    lat = lam.grid.lattice()
-    return CoeffField(lat, lam.entries), {k: np.full(lat.shape, v.flat[0]) for k, v in w.tk.items()}
+        return lam, w
+    return CoeffField(lam.grid.lattice(), lam.entries), w.on_lattice()
 
 
 def test_f_pq_norm_equals_expand_then_sum(case):
@@ -78,12 +80,12 @@ def test_f_pq_norm_equals_expand_then_sum(case):
     # form run on the cells up to summation order
     g, w, lam, _ = case
     for p, q in ((2.0, 2.0), (1.5, 3.0), (1.0, 2.0), (0.5, 1.0), (3.0, INF), (1.0, INF)):
-        want = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, w.tk, q), p, q)
+        want = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, w, q), p, q)
         if p == q:  # sums cube integrals, not cells: another summation order
             assert f_pq_norm(lam, w, p, q) == pytest.approx(want, rel=1e-14), (p, q)
             continue
-        on, tk = swept(lam, w)
-        swept_want = oracles.expanded_lp_lq(on.grid, oracles.expanded_pointwise(on, tk, q), p, q)
+        on, on_w = swept(lam, w)
+        swept_want = oracles.expanded_lp_lq(on.grid, oracles.expanded_pointwise(on, on_w, q), p, q)
         assert f_pq_norm(lam, w, p, q) == swept_want, (p, q)
         assert swept_want == pytest.approx(want, rel=1e-14), (p, q)
 
@@ -91,8 +93,12 @@ def test_f_pq_norm_equals_expand_then_sum(case):
 def test_reciprocal_weights_equal_the_stored_reciprocal(case):
     g, w, lam, _ = case
     inv = {k: 1.0 / v for k, v in w.tk.items()}
-    want = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, inv, 3.0), 1.5, 3.0)
-    assert f_pq_norm(lam, w.reciprocal(), 1.5, 3.0) == want
+    # (1/t)^{3/2} goes by products, and a stored sequence cubes by products: at those two
+    # exponents the reciprocal is the stored one's power only to 3 ulp (`test_weights`)
+    on, on_w = swept(lam, w)
+    stored = WeightSequence(on.grid, {k: 1.0 / v for k, v in on_w.tk.items()})
+    want = oracles.expanded_lp_lq(on.grid, oracles.expanded_pointwise(on, stored, 2.0), 1.5, 2.0)
+    assert f_pq_norm(lam, w.reciprocal(), 1.5, 2.0) == want
     for k in w.levels:
         f = g.side_cells(k)
         want = (block_reduce(inv[k], f, "sum", 2.0) * g.cell_volume) ** 0.5
@@ -103,7 +109,7 @@ def test_reciprocal_weights_equal_the_stored_reciprocal(case):
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
 def test_f_inf_norms_equal_expand_then_sum(case, q):
     g, w, lam, _ = case
-    levels, _ = oracles.expanded_localized(g, oracles.expanded_pointwise(lam, w.tk, q))
+    levels, _ = oracles.expanded_localized(g, oracles.expanded_pointwise(lam, w, q))
     assert f_inf_norm(lam, w, q) == oracles.level_sup(levels) ** (1.0 / q)
     got = f_inf_norm_cubeavg(lam, w, q)
     lat = g.lattice()
@@ -117,21 +123,16 @@ def test_restricted_norms_equal_expand_then_sum(case):
     g, w, lam, rng = case
     E = RestrictionSets.random(g, 0.75, rng)
     for q in (1.0, 2.0, 3.0):
-        summands = oracles.expanded_pointwise(lam, w.tk, q, E.masks)
+        summands = oracles.expanded_pointwise(lam, w, q, E.masks)
         levels, _ = oracles.expanded_localized(g, summands)
         assert restricted_norm(lam, w, q, E) == oracles.level_sup(levels) ** (1.0 / q)
 
 
-def direct_and_reciprocal(w):
-    """(weights, their t_k) for w and for 1/w, the weights `hoelder_check_1q` sweeps."""
-    return (w, w.tk), (w.reciprocal(), {k: 1.0 / v for k, v in w.tk.items()})
-
-
 def test_m_p_levels_equal_expand_then_sum(case):
     g, w, lam, _ = case
-    for weights_used, tk in direct_and_reciprocal(w):
+    for weights_used in (w, w.reciprocal()):  # 1/w is what `hoelder_check_1q` sweeps
         want_levels, _ = oracles.expanded_localized(
-            g, oracles.expanded_pointwise(lam, tk, 2.0), oracles.expanded_quartile(g, 2.0))
+            g, oracles.expanded_pointwise(lam, weights_used, 2.0), oracles.expanded_quartile(g, 2.0))
         levels = m_p_levels(lam, weights_used, 2.0)
         assert list(levels) == list(want_levels)
         assert all(np.array_equal(levels[lev], want_levels[lev]) for lev in levels)
@@ -143,9 +144,9 @@ def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
     # masks are nested, so the masked sum at a cell is T_k at the coarsest k whose mask
     # holds there: == on the cells, and to summation order on the lattice (exp2)
     g, w, lam, _ = case
-    for weights_used, tk in direct_and_reciprocal(w):
+    for weights_used in (w, w.reciprocal()):
         m_levels, suffix = oracles.expanded_localized(
-            g, oracles.expanded_pointwise(lam, tk, q), oracles.expanded_quartile(g, q))
+            g, oracles.expanded_pointwise(lam, weights_used, q), oracles.expanded_quartile(g, q))
         m = np.zeros(g.shape)
         for lev, vals in m_levels.items():
             np.maximum(m, expand_level_array(g, lev, vals), out=m)
@@ -154,7 +155,7 @@ def test_from_m_fun_masks_equal_suffix_roots_below_m(case, q):
         for k in sorted(suffix, reverse=True):
             picked = np.where(masks[k], suffix[k], picked)
         want = float(picked.max()) ** (1.0 / q)
-        masked = oracles.expanded_pointwise(lam, tk, q, masks)
+        masked = oracles.expanded_pointwise(lam, weights_used, q, masks)
         assert want == pytest.approx(oracles.expanded_lp_lq(g, masked, INF) ** (1.0 / q),
                                      rel=1e-14)
         least = min(float(block_reduce(masks[k], g.side_cells(k)).min()) / g.side_cells(k) ** g.n
@@ -287,11 +288,76 @@ def test_pointwise_norms_on_constant_weights_stay_below_one_full_grid_array():
 
 
 def test_restriction_sets_from_m_fun_stay_within_seven_full_grid_arrays():
-    # m, the restricted sum, the summand buffer, the suffix sum, one T_k^{1/q} and one
-    # level's bool mask (an eighth of an array); the m sweep holds fewer at its peak
+    # a first call on these weights makes their five work arrays: m, the restricted sum,
+    # the summand buffer, the suffix sum and one level's T_k^{1/q}, then its E_Q indicator
     g = Grid(1, 2, 13, 0, 9)
     rng = np.random.default_rng(8)
     w_inv = random_ap_weights(g, 0.5, rng).reciprocal()
     lam = CoeffField.random(g, rng)
     peak = traced_peak(quartile_restricted_sup, lam, w_inv, 2.0) / np.zeros(g.shape).nbytes
     assert peak <= 7, peak
+
+
+def test_a_repeated_sweep_on_the_same_weights_allocates_under_half_a_grid_array():
+    # the sweeps write into the weights' work arrays, made by the first call; a second
+    # call allocates level arrays and numpy's ufunc buffers (8192 elements, a quarter of
+    # the 1-D grid's array), no grid array
+    for g in (Grid(1, 2, 13, 0, 9), Grid(2, 2, 6, 0, 4)):
+        rng = np.random.default_rng(8)
+        for w in (random_ap_weights(g, 0.5, rng), exp2_weights(g, 0.3)):
+            lam, s = CoeffField.random(g, rng), CoeffField.random(g, rng)
+            E = RestrictionSets.random(g, 0.75, rng)
+            calls = {
+                "f_pq_norm": (f_pq_norm, lam, w, 1.5, 3.0),
+                "f_inf_norm": (f_inf_norm, lam, w, 2.0),
+                "m_p_levels": (m_p_levels, lam, w, 2.0),
+                "restricted_norm": (restricted_norm, lam, w, 2.0, E),
+                "quartile_restricted_sup": (quartile_restricted_sup, lam, w.reciprocal(), 2.0),
+                "hoelder_check_pq": (hoelder_check_pq, s, lam, w, 1.5, 3.0),
+                "hoelder_check_1q": (hoelder_check_1q, s, lam, w, 2.0),
+            }
+            for fn, *args in calls.values():
+                fn(*args)
+            array_bytes = np.zeros(g.shape).nbytes
+            peaks = {name: traced_peak(*call) / array_bytes for name, call in calls.items()}
+            assert all(peak < 0.5 for peak in peaks.values()), (g, w.meta.kind, peaks)
+
+
+def sweep_values(lam, s, E, weights_for):
+    """Every sweep on the work arrays, each on the weights `weights_for()` returns."""
+    out = [f_pq_norm(lam, weights_for(), 1.5, 3.0),
+           f_pq_norm(lam, weights_for().reciprocal(), 3.0, 1.5),
+           quartile_restricted_sup(lam, weights_for().reciprocal(), 2.0),
+           f_inf_norm(lam, weights_for(), 2.0),
+           quartile_restricted_sup(lam, weights_for(), 3.0),
+           restricted_norm(lam, weights_for(), 2.0, E),
+           f_inf_norm(lam, weights_for().reciprocal(), 2.0)]
+    rep = hoelder_check_1q(s, lam, weights_for(), 2.0)
+    out += [rep.lhs_norm, rep.rhs_norm, rep.factor]
+    levels = m_p_levels(lam, weights_for().reciprocal(), 2.0)
+    return out + [(lev, v.tolist()) for lev, v in levels.items()]
+
+
+def test_interleaved_sweeps_on_w_and_its_reciprocal_equal_sweeps_on_fresh_weights(case):
+    # 1/w shares w's work arrays: what one sweep leaves there never reaches the next
+    g, w, lam, rng = case
+    s, E = CoeffField.random(g, rng), RestrictionSets.random(g, 0.75, rng)
+    fresh = sweep_values(lam, s, E, lambda: WeightSequence(g, w.tk, w.meta))
+    assert sweep_values(lam, s, E, lambda: w) == fresh
+    assert sweep_values(lam, s, E, lambda: w) == fresh
+
+
+def test_m_fun_pyramid_equals_expand_then_max(case):
+    # the running max down the levels, spread once, against each level's m_P spread over
+    # the grid and maxed in turn; the lattice for exp2 weights, else the cells
+    g, w, lam, _ = case
+    for weights_used in (w, w.reciprocal()):
+        on = weights_used.on_lattice() or weights_used
+        levels, want = m_p_levels(lam, weights_used, 2.0), {}
+        for grid in (on.grid, g):
+            want[grid] = np.zeros(grid.shape)
+            for lev, vals in levels.items():
+                np.maximum(want[grid], expand_level_array(grid, lev, vals), out=want[grid])
+        got = _m_fun_values(lam, on, 2.0, np.empty(on.grid.shape))
+        assert np.array_equal(got, want[on.grid])
+        assert np.array_equal(m_fun(lam, weights_used, 2.0).values, want[g])

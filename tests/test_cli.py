@@ -613,10 +613,6 @@ ONE_D = {"n": 1, "L": 2, "J": 4, "k_min": 0, "k_max": 3}
     pytest.param({"n": 2, "L": 3, "J": 3, "k_min": -3, "k_max": 2},
                  {"kind": "power", "s": 0, "p": 1.0, "alpha": 97.4}, "duality",
                  "duality: overflow encountered in multiply", id="summand-overflow"),
-    # the filter pair covers no level at J = 0 (once min() of no levels); J + 1 holds no
-    # frequency in its band [0, 0]
-    pytest.param({"n": 1, "L": 2, "J": 0, "k_min": 0, "k_max": 0}, {"kind": "exp2", "s": 0},
-                 "phitransform", "no represented frequencies in [2^0, 2^0]", id="empty-band"),
 ])
 def test_configs_the_fuzz_found_exit_65(tmp_path, capsys, grid, weights, suite, message):
     cfg_path = tmp_path / "config.json"
@@ -624,6 +620,36 @@ def test_configs_the_fuzz_found_exit_65(tmp_path, capsys, grid, weights, suite, 
                                                trials=1, seed=2)))
     assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "r.json")]) == 65
     assert message in capsys.readouterr().err
+
+
+def test_a_band_without_frequencies_is_a_skip(tmp_path):
+    # the fuzz found this: the filter pair covers no level at J = 0, and at J + 1 the band
+    # [0, 0] holds no frequency; both grids are skipped with their reason
+    cfg_path, out = tmp_path / "config.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(base_config(
+        suite="phitransform", grid={"n": 1, "L": 2, "J": 0, "k_min": 0, "k_max": 0},
+        weights={"kind": "exp2", "s": 0}, trials=1, seed=2)))
+    assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
+    checks = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
+    assert checks["phitransform[J=0]"]["status"] == "skip"
+    skip = checks["phitransform[J=1]"]
+    assert skip["status"] == "skip"
+    assert skip["reason"] == "no represented frequencies in [2^0, 2^0]"
+    assert not any(name.startswith("roundtrip_residual") for name in checks)
+
+
+@pytest.mark.parametrize("p", [1e-12, 5e-324])
+def test_a_tiny_weight_exponent_keeps_the_exp2_constants_exact(tmp_path, p):
+    # a constant level's cube mean is its value at every exponent; (v^p)^{1/p} lost about
+    # |log v| * 1e-4 at p = 1e-12 and failed xclass_exp2_C1_exact at 1.000111
+    cfg_path, out = tmp_path / "config.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(base_config(
+        suite="xclass", grid={"n": 1, "L": 0, "J": 7, "k_min": 7, "k_max": 7},
+        weights={"kind": "exp2", "s": 1, "p": p}, trials=1)))
+    assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
+    checks = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
+    for name in ("xclass_exp2_C1_exact", "xclass_exp2_C2_exact"):
+        assert checks[name]["status"] == "pass" and checks[name]["value"] == 1.0
 
 
 FUZZ_NUMBERS = st.one_of(st.sampled_from([0, 0.0, 1, -1, 1.0, -1.0, math.nan, 1e3, -1e3]),

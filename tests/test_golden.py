@@ -3,11 +3,12 @@
 `scripts/golden.py --write` regenerates the set and `--diff DIR` prints every
 value that moved, exactly.  This test compares suite, name, status, hard,
 covered, witness and reason exactly and every other float to 1e-13 relative.
-The float tolerance is there because four reductions go through BLAS
-`np.vdot` (the duality pairing and the phitransform roundtrip residual),
-and BLAS may pick its kernel, and so its summation order, by CPU.  For the
-same reason a float within 1e-15 of the golden one passes too: the residuals
-of exact identities sit at that size and carry no leading digit to keep.
+The float tolerance is there because numpy picks the SIMD kernels of some
+ufuncs (exp, log, power) by CPU, and they may round differently.  No
+reduction goes through BLAS, whose kernel, and so summation order, also
+varies by CPU: the pairings use `dyadic.inner_sum`.  For the same reason a
+float within 1e-15 of the golden one passes too: the residuals of exact
+identities sit at that size and carry no leading digit to keep.
 Floats inside a witness (the x-class witness repeats its value) take the
 float tolerance; its levels and cube indices compare exactly.
 """

@@ -674,7 +674,7 @@ def test_f_pp_norm_matches_cube_oracle_and_cell_form(case, p):
     for weights_used, tk in ((w, w.tk), (w.reciprocal(), inv)):
         got = f_pq_norm(lam, weights_used, p, p)
         assert got == pytest.approx(oracles.naive_f_pp_norm(lam.entries, tk, g, p), rel=1e-13)
-        cells = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, tk, p), p, p)
+        cells = oracles.expanded_lp_lq(g, oracles.expanded_pointwise(lam, weights_used, p), p, p)
         assert got == pytest.approx(cells, rel=1e-13)
 
 

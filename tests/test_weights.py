@@ -275,11 +275,25 @@ def test_x_class_overdeclared_alpha_grows():
 
 
 def test_x_class_names_a_level_whose_cube_values_are_nan():
-    # `tlw run` refuses these weights up front; built directly, t_3^2 = 2^1800 is inf
-    w = exp2_weights(Grid(n=1, L=2, J=6, k_min=0, k_max=3), 300.0)
+    # `tlw run` refuses these weights up front; built directly, t_3^2 = 2^1800 is inf.  The
+    # profile keeps each level a grid array: a constant level's cube means are its value
+    g = Grid(n=1, L=2, J=6, k_min=0, k_max=3)
+    w = exp2_weights(g, 300.0, omega=np.ones(g.shape))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TlwError, match="^level -2: cube values include NaN"):
             verify_x_class(w, 300.0, 300.0, 2.0, 2.0, 2.0)
+
+
+def test_cube_and_reciprocal_three_halves_powers_within_3_ulp_of_np_power():
+    # t^3 is t*t*t and (1/t)^{3/2} is 1/(t sqrt(t)); np.power forms both in its general path
+    g = Grid(n=1, L=2, J=10, k_min=0, k_max=3)
+    w = random_ap_weights(g, 30.0, np.random.default_rng(4))  # t over e^{-30}..e^{30}
+    for k in w.levels:
+        t = w.tk[k]
+        for got, want, ulps in ((w.power(k, 3.0, np.empty(g.shape)), np.power(t, 3.0), 1),
+                                (w.reciprocal().power(k, 1.5, np.empty(g.shape)),
+                                 np.power(1.0 / t, 1.5), 3)):
+            assert np.all(np.abs(got - want) <= ulps * np.spacing(want)), k
 
 
 def test_x_class_exp2_times_ap_weight():
