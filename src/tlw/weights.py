@@ -25,6 +25,7 @@ bound of the true constant over all cubes.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,23 +197,36 @@ class WeightSequence:
         return self.cube_integral(k, r) ** (1.0 / r)
 
 
+class _ReciprocalLevels(Mapping):
+    """The levels 1/t_k of `base`, each formed anew when read, and only the one read."""
+
+    def __init__(self, base: dict[int, np.ndarray]):
+        self._base = base
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return 1.0 / self._base[k]
+
+    def __iter__(self):
+        return iter(self._base)
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+
 class _Reciprocal(WeightSequence):
     """1/t_k of a base sequence, never stored: the kernels read it through `power` into
-    buffers they own, and `tk` computes every level anew on each access.  Its cube
-    integrals and box samples are kept on the base, which holds no reference back to
-    it (no cycle)."""
+    buffers they own, and `tk[k]` (or `level_values(k)`) forms level k alone on each
+    access.  Its cube integrals and box samples are kept on the base, which holds no
+    reference back to it (no cycle)."""
 
     def __init__(self, base: WeightSequence):
         self.grid, self._base = base.grid, base
+        self.tk = _ReciprocalLevels(base.tk)
         self._arrays, self._reciprocal_arrays = base._reciprocal_arrays, {}
         self._reciprocal_finite = False
         self._work_arrays = base._work_arrays
         self.meta = WeightMeta(p=base.meta.p, kind=f"reciprocal({base.meta.kind})",
                                params=dict(base.meta.params))
-
-    @property
-    def tk(self) -> dict[int, np.ndarray]:
-        return {k: 1.0 / v for k, v in self._base.tk.items()}
 
     def power(self, k: int, r: float, out: np.ndarray, at=...) -> np.ndarray:
         """(1/t_k)^r into `out`.  (1/t)^{3/2} is 1/(t*sqrt(t)): within 3 ulp of np.power, at
@@ -399,7 +413,7 @@ def verify_x_class(w: WeightSequence, alpha1: float, alpha2: float,
     levels = list(w.levels)
 
     def means(k, f, r, inverse=False):
-        t = w.tk[k]
+        t = w.level_values(k)
         if any(t.strides):
             return block_reduce(1.0 / t if inverse else t, f, "mean", r)
         # constant level: every cube mean, at any r, is its one value (a 0-d array; the

@@ -80,14 +80,30 @@ def naive_maximal(values, grid):
     return out
 
 
-def naive_containing_max(anchors, w):
-    """Per-cell max over the anchors a in [i-w+1, i] on every axis, cell by cell."""
-    shape = tuple(a + w - 1 for a in anchors.shape)
-    out = np.empty(shape)
-    for cell in itertools.product(*[range(s) for s in shape]):
-        window = tuple(slice(max(0, i - w + 1), i + 1) for i in cell)
-        out[cell] = anchors[window].max()
+def naive_cascade_step(avg, upper, w):
+    """R_w = max(A_w, D_w R_{2w}) anchor by anchor: each width-w anchor a of `avg` takes
+    the max of itself and of `upper` at every a - s, s in {0, w}^n, that is an anchor of it."""
+    out = avg.copy()
+    for a in itertools.product(*[range(s) for s in avg.shape]):
+        for s in itertools.product((0, w), repeat=avg.ndim):
+            b = tuple(x - y for x, y in zip(a, s))
+            if all(0 <= x < m for x, m in zip(b, upper.shape)):
+                out[a] = max(out[a], upper[b])
     return out
+
+
+def naive_dyadic_maximal_1d(values):
+    """1-D, any length m: the doubling averages of |f| anchor by anchor, widths 2^i <= m,
+    then per cell the max over the windows that contain it."""
+    m = len(values)
+    avgs, w = {1: [abs(float(v)) for v in values]}, 1
+    while 2 * w <= m:
+        prev = avgs[w]
+        avgs[2 * w] = [(prev[a] + prev[a + w]) * 0.5 for a in range(m - 2 * w + 1)]
+        w *= 2
+    return np.array([max(avg[a] for w, avg in avgs.items()
+                         for a in range(max(0, x - w + 1), min(x, m - w) + 1))
+                     for x in range(m)])
 
 
 def padded_containing_max(anchors, w):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlw.maximal
 from tlw.dyadic import DyadicCube, Grid, GridFunction, indicator
 from tlw.errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from tlw.maximal import (
     MaximalConfig,
-    _fold_containing_max,
-    _window_averages,
+    _fold,
+    _split_cascade,
     fs_ratio,
     maximal,
     maximal_sigma,
@@ -18,10 +19,11 @@ from tlw.maximal import (
     shifted_maximal_constant,
     weighted_lp_norm,
 )
-from tlw.weights import exp2_weights, random_ap_weights
+from tlw.weights import WeightSequence, exp2_weights, random_ap_weights
 
 from .oracles import (
-    naive_containing_max,
+    naive_cascade_step,
+    naive_dyadic_maximal_1d,
     naive_maximal,
     naive_weighted_lp,
     padded_doubling_maximal,
@@ -81,25 +83,43 @@ def test_maximal_matches_naive_oracle():
 
 
 @pytest.mark.parametrize("n, J", [(1, 6), (2, 3)])
-def test_fold_containing_max_matches_cell_oracle_at_every_width(n, J):
+def test_cascade_step_matches_anchor_loop_at_every_width(n, J):
+    # the cascade holds width w in rows of the N cells of a grid row; the cells past the
+    # last anchor hold junk, here larger than every average, so a step that reads it fails
     g = Grid(n=n, L=1, J=J, k_min=0, k_max=0)
     N = g.cells_per_axis
+    offs = (N, 1) if n == 2 else (1,)
     rng = np.random.default_rng(7)
-    cells = np.abs(rng.standard_normal(g.shape))
-    prior = rng.standard_normal(g.shape)
-    work = np.empty((2, cells.size))
-    widths = []
-    for w, avg in _window_averages(cells.copy(), N, np.empty(cells.size)):
-        want = naive_containing_max(avg, w)
-        best = np.full(g.shape, -np.inf)
-        _fold_containing_max(avg, w, best, work)
-        assert np.array_equal(best, want)
-        best = prior.copy()
-        _fold_containing_max(avg, w, best, work)
-        assert np.array_equal(best, np.maximum(prior, want))
-        widths.append(w)
-    assert widths == [1 << i for i in range(g.J + g.L + 1)]
-    assert any(w - 1 > N - w + 1 for w in widths)  # running max held past the last anchor
+    widths = [1 << i for i in range(g.L + g.J)]
+    for w in widths:
+        held = []
+        for v in (w, 2 * w):
+            rows = 10.0 + rng.random((N - v + 1,) + (N,) * (n - 1))
+            anchors = (slice(None),) + (slice(N - v + 1),) * (n - 1)
+            rows[anchors] = rng.random(rows[anchors].shape)
+            held.append((rows, anchors))
+        (avg, anchors), (upper, upper_anchors) = held
+        want = naive_cascade_step(avg[anchors], upper[upper_anchors], w)
+        _fold(avg.reshape(-1), upper.reshape(-1), w, offs)
+        assert np.array_equal(avg[anchors], want)
+    assert widths[-1] == N // 2  # the top step: one 2w-anchor, clipped on every side
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_split_cascade_matches_the_loop_oracles_at_every_depth(depth):
+    # the odd residue classes have sides that are no power of two, and their top width
+    # is below half their side; in 2-D three of the four classes are not square
+    rng = np.random.default_rng(17)
+    for m in range(1, 70):
+        values = rng.standard_normal(m)
+        res = np.abs(values)
+        _split_cascade(res, depth)
+        assert np.array_equal(res, naive_dyadic_maximal_1d(values)), m
+    for m in (2, 4, 8, 16, 32):
+        values = rng.standard_normal((m, m))
+        res = np.abs(values)
+        _split_cascade(res, depth)
+        assert np.array_equal(res, padded_doubling_maximal(values)), m
 
 
 @given(st.sampled_from([1, 2]), st.integers(0, 2), st.integers(0, 2**32 - 1), st.data())
@@ -115,16 +135,30 @@ def test_maximal_equals_padded_doubling_bitwise(n, L, seed, data):
 
 
 def test_maximal_peaks_within_five_grid_arrays_and_iteration_buffers():
-    # best, two average buffers and two work buffers; the padded doubling peaked at 6.25
+    # |f| folded into M and the work area, every other width and a spare in rows of
+    # 256 cells (3.68 arrays): 4.69; the containing max per width peaked at 5.38, the
+    # padded doubling at 6.25
     g = Grid(2, 2, 6, 0, 3)
     f = GridFunction(g, np.random.default_rng(9).standard_normal(g.shape))
     assert traced_peak(maximal, f, MaximalConfig(g)) / f.values.nbytes <= 6.25
 
 
+@pytest.mark.parametrize("n, L, J, budget", [(1, 2, 12, 4.25), (2, 2, 7, 3.25)])
+def test_maximal_on_residue_classes_peaks_within_its_budget(n, L, J, budget):
+    # unsplit, the store of every other width would take 6.7 grid arrays at 2^14 cells
+    # (7.70 peak) and 4.3 at 512^2; split into the residue classes mod 4 (1-D) or mod 2
+    # (2-D) of the width-2 anchors it peaks at 3.96 and 2.92: |f| folded into M, the
+    # width-2 averages (one array), in 1-D those of width 4 (half), and the store of
+    # one class; the containing max per width peaked at 5.03 and 5.10
+    g = Grid(n, L, J, 0, 0)
+    f = GridFunction(g, np.random.default_rng(9).standard_normal(g.shape))
+    assert traced_peak(maximal, f, MaximalConfig(g)) / f.values.nbytes <= budget
+
+
 def test_fs_ratio_releases_each_summand_once_it_is_added():
-    # inputs drawn inside the traced call as fs_ratio asks for them: one f_k, maximal's 5
-    # buffers and the two sums (8.39); the parent needed all K = 4 inputs drawn before the
-    # call, and peaked at 6.38 on top of them
+    # inputs drawn inside the traced call as fs_ratio asks for them: one f_k, maximal's
+    # |f| and work area, and the two sums (7.69); drawing all K = 4 inputs before the
+    # call peaked at 6.38 on top of them
     g = Grid(2, 2, 6, 0, 3)
     w = exp2_weights(g, 0.3)
     rng = np.random.default_rng(11)
@@ -138,6 +172,77 @@ def test_fs_ratio_releases_each_summand_once_it_is_added():
     peak = traced_peak(lambda: fs_ratio(fs(), w, 2.0, 2.0, MaximalConfig(g)))
     assert drawn == list(w.levels)
     assert peak / np.empty(g.shape).nbytes <= 8.5
+
+
+def test_fs_ratio_on_reciprocal_weights_equals_stored_reciprocals_in_the_same_memory():
+    # fs_ratio reads each level twice, and a reciprocal forms the level read alone; the
+    # peak stays that of stored reciprocals, since no level is held across maximal
+    g = Grid(2, 2, 5, 0, 3)
+    w = random_ap_weights(g, 0.5, np.random.default_rng(3))
+    stored = WeightSequence(g, {k: 1.0 / v for k, v in w.tk.items()})
+
+    def ratio(weights):
+        rng = np.random.default_rng(1)
+        fs = ((k, GridFunction(g, rng.standard_normal(g.shape))) for k in w.levels)
+        return fs_ratio(fs, weights, 2.0, 2.0, MaximalConfig(g))
+
+    assert ratio(w.reciprocal()) == ratio(stored)
+    unit = np.empty(g.shape).nbytes
+    assert traced_peak(ratio, w.reciprocal()) <= traced_peak(ratio, stored) + 0.05 * unit
+
+
+class _WriteCounter:
+    """numpy as `tlw.maximal` sees it, counting the elements each ufunc call writes."""
+
+    def __init__(self):
+        self.written = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.written += out.size
+            return out
+        return counted
+
+
+@pytest.mark.parametrize("n, Js", [(1, (6, 14)), (2, (3, 7))])
+def test_maximal_writes_a_constant_times_cells_per_width(monkeypatch, n, Js):
+    # per width at most 2n passes of doubling, n more for the half that is doubled again,
+    # and 2^n clipped maxima: 5 in 1-D and 10 in 2-D (a 2-D pass also writes the junk
+    # past each row's last anchor), and a residue split adds 2n + 2^n passes once; it
+    # read 3.5 and 4.1 in 1-D, 5.6 and 7.1 in 2-D.  A containing max per width grows as
+    # cells * widths^2
+    per_cell_width = []
+    for J in Js:
+        g = Grid(n, 2, J, 0, 0)
+        counter = _WriteCounter()
+        monkeypatch.setattr(tlw.maximal, "np", counter)
+        maximal(GridFunction(g, np.ones(g.shape)), MaximalConfig(g))
+        monkeypatch.undo()
+        per_cell_width.append(counter.written / (np.ones(g.shape).size * (g.L + g.J + 1)))
+    assert max(per_cell_width) <= 10.0, per_cell_width
+
+
+@pytest.mark.parametrize("n, L, J", [(1, 2, 12), (2, 2, 5), (2, 2, 7)])
+def test_maximal_commutes_with_the_symmetries_of_the_box(n, L, J):
+    # at 2^14 cells and at 512^2, sizes no oracle reaches, and at 128^2, where no residue
+    # split runs; a reflection maps every doubling sum to the same sum with its terms
+    # swapped, so M maps bit for bit; swapping the axes swaps the order of the two passes,
+    # so M maps to roundoff; the mapped inputs are strided views, not C-ordered arrays
+    g = Grid(n, L, J, 0, 0)
+    cfg = MaximalConfig(g)
+    values = np.random.default_rng(19).standard_normal(g.shape)
+    m = maximal(GridFunction(g, values), cfg).values
+    for ax in range(n):
+        reflected = maximal(GridFunction(g, np.flip(values, ax)), cfg).values
+        assert np.array_equal(reflected, np.flip(m, ax))
+    if n == 2:
+        swapped = maximal(GridFunction(g, values.T), cfg).values
+        np.testing.assert_allclose(swapped, m.T, rtol=1e-15, atol=0)
 
 
 def test_maximal_scaling_roundoff_fine_grid():

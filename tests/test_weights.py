@@ -296,6 +296,27 @@ def test_cube_and_reciprocal_three_halves_powers_within_3_ulp_of_np_power():
             assert np.all(np.abs(got - want) <= ulps * np.spacing(want)), k
 
 
+def test_reciprocal_forms_only_the_level_it_reads():
+    # each read of a reciprocal level used to form 1/t for every level: 4 grid arrays here
+    g = Grid(n=2, L=2, J=5, k_min=0, k_max=3)
+    w = random_ap_weights(g, 0.5, np.random.default_rng(3))
+    r = w.reciprocal()
+    unit = np.empty(g.shape).nbytes
+    for k in w.levels:
+        for read in (r.level_values, r.tk.__getitem__):
+            tracemalloc.start()
+            try:
+                got = read(k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / unit <= 1.01, (k, peak / unit)
+            assert np.array_equal(got, 1.0 / w.tk[k])
+    assert list(r.tk) == list(w.levels) == [k for k, _ in r.tk.items()]
+    with pytest.raises(LevelRangeError):
+        r.level_values(g.k_max + 1)
+
+
 def test_x_class_exp2_times_ap_weight():
     # t_k = 2^{ks} omega with omega^p in A_{p/r}: finite constants, stable under refinement
     s, p, r = 0.3, 2.0, 1.0
