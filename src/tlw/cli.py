@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import DyadicCube, Grid, GridFunction, cube_at, first_max
+from .dyadic import DyadicCube, Grid, GridFunction, cube_at, first_max, lp_lq_norm
 from .errors import ConfigError, NonFiniteError, ResolutionError, TlwError
 from .io import (
     export_filter_csv,
@@ -38,14 +38,12 @@ from .seqspace import (
     f_pq_norm_star,
     lambda_star,
     m_fun,
-    m_fun_p_norm,
     m_p_levels,
     restricted_norm,
 )
 from .weights import (
     ap_constant,
     ap_duality_identity,
-    exp2_weights,
     verify_x_class,
 )
 
@@ -268,6 +266,11 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
         del mcf
         t0 = w.as_grid_function(grid.k_min)
         ratios["scalar_ratio"][grid.J] = scalar_maximal_ratio(f, t0, 2.0, cfg, mf)
+        if grid is grids[0]:  # the level-shifted inequality, with the weights' declared alpha1
+            a1 = w.meta.alpha1 if w.meta.alpha1 is not None else 0.0
+            pairs = [[k, j] for k in w.levels for j in w.levels if j >= k]
+            consts = [shifted_maximal_constant(f, w, k, j, 2.0, cfg, alpha1=a1, mf=mf)
+                      for k, j in pairs]
         del f, mf
         fs = ((k, GridFunction(grid, rng.standard_normal(grid.shape))) for k in w.levels)
         ratios["fs_ratio"][grid.J] = fs_ratio(fs, w, 2.0, 2.0, cfg).ratio  # draws f_k when due
@@ -279,16 +282,9 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
         checks.append(_record(f"{name}_stable", [_rel_change(r[j0], r[j1])], RATIO_BAND,
                               J=[j0, j1], hard=False, value=[r[j0], r[j1]],
                               tolerance=RATIO_BAND, reason=undefined))
-    grid = grids[0]
-    w = exp2_weights(grid, 0.3)
-    cfg = MaximalConfig(grid)
-    f = GridFunction(grid, rng.standard_normal(grid.shape))
-    mf = maximal(f, cfg)
-    pairs = [[k, j] for k in w.levels for j in w.levels if j >= k]
-    consts = [shifted_maximal_constant(f, w, k, j, 2.0, cfg, alpha1=0.3, mf=mf) for k, j in pairs]
-    checks.append(_record("shifted_constant_max", consts, J=grid.J, labels=pairs))
+    checks.append(_record("shifted_constant_max", consts, J=j0, labels=pairs))
     checks.append(_record("shifted_constant_bounded", [max(consts) / min(consts)], 25.0, "<",
-                          J=grid.J, hard=False, value=[min(consts), max(consts)]))
+                          J=j0, hard=False, value=[min(consts), max(consts)]))
     return checks
 
 
@@ -333,8 +329,9 @@ def suite_seqnorms(config: ExperimentConfig) -> list[dict]:
         checks.append(_record("star_norm_cancellation", [abs(star_norm - got)],
                               tol * max(got, 1), J=grid.J, value=star_norm, tolerance=tol))
     lam = CoeffField.random(grid, rng)
-    checks.append(_record("m_fun_sup", [float(m_fun(lam, w, 2.0).values.max())], J=grid.J))
-    checks.append(_record("m_fun_l2_over_f22", [m_fun_p_norm(lam, w, 2.0, 2.0)
+    m = m_fun(lam, w, 2.0).values
+    checks.append(_record("m_fun_sup", [float(m.max())], J=grid.J))
+    checks.append(_record("m_fun_l2_over_f22", [lp_lq_norm(grid, [m], 2.0)
                           / max(f_pq_norm(lam, w, 2.0, 2.0), 1e-300)], J=grid.J))
     return checks
 

@@ -51,10 +51,8 @@ def save_grid_function(gf: GridFunction, base: str | Path, fmt: str = "bin"):
         "dtype": "<f8",
     }
     _write_header(base, header)
-    flat = gf.values.ravel()
-    payload = np.empty(flat.size * 2) if complex_data else np.asarray(flat, dtype=float)
-    if complex_data:
-        payload[0::2], payload[1::2] = flat.real, flat.imag
+    # a C-ordered complex128 array is its re, im pairs interleaved
+    payload = np.ascontiguousarray(gf.values, dtype=complex if complex_data else float).view(float)
     if fmt == "bin":
         base.with_suffix(".bin").write_bytes(payload.astype("<f8").tobytes())
     else:
@@ -83,11 +81,8 @@ def load_grid_function(base: str | Path, k_min: int | None = None,
         payload = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
     else:
         payload = np.loadtxt(base.with_suffix(".csv"), delimiter=",").ravel()
-    if header["complex"]:
-        values = (payload[0::2] + 1j * payload[1::2]).reshape(grid.shape)
-    else:
-        values = payload.reshape(grid.shape)
-    return GridFunction(grid, values)
+    values = payload.view(complex) if header["complex"] else payload
+    return GridFunction(grid, values.reshape(grid.shape))
 
 
 def save_coeff_field(cf: CoeffField, base: str | Path):
@@ -102,13 +97,7 @@ def save_coeff_field(cf: CoeffField, base: str | Path):
         "dtype": "<f8 interleaved re/im",
     }
     _write_header(base, header)
-    chunks = []
-    for k in cf.levels:
-        flat = cf.entries[k].ravel()
-        buf = np.empty(flat.size * 2)
-        buf[0::2], buf[1::2] = flat.real, flat.imag
-        chunks.append(buf)
-    payload = np.concatenate(chunks) if chunks else np.empty(0)
+    payload = np.concatenate([cf.entries[k].ravel() for k in cf.levels]).view(float)
     base.with_suffix(".bin").write_bytes(payload.astype("<f8").tobytes())
 
 

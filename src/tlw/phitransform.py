@@ -55,7 +55,7 @@ import numpy as np
 
 from .dyadic import INF, Grid, first_max, inner_sum, localized_sup, lp_lq_norm
 from .errors import LevelMismatchError, LevelRangeError, ResolutionError
-from .seqspace import CoeffField
+from .seqspace import CoeffField, f_pq_norm
 from .weights import WeightSequence
 
 PLATEAU_LO, PLATEAU_HI = 3.0 / 5.0, 5.0 / 3.0
@@ -418,6 +418,4 @@ def transfer_check(f: BandSignal, fp: FilterPair, w: WeightSequence, p: float,
                    q: float) -> tuple[float, float]:
     """(sequence norm of the analysis coefficients, function-space norm of f)."""
     lam = analyze(f, fp, (w.grid.k_min, w.grid.k_max))
-    from .seqspace import f_pq_norm as _seq_norm
-
-    return _seq_norm(lam, w, p, q), F_pq_norm(f, fp, w, p, q)
+    return f_pq_norm(lam, w, p, q), F_pq_norm(f, fp, w, p, q)

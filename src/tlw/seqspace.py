@@ -18,9 +18,10 @@ the domain cube dominates anything coarser).
 
 Pointwise-weight norms (`f_pq_norm` with p != q, `f_inf_norm`, `m_p_levels`,
 `m_fun`, `quartile_restricted_sup`) sweep the finest cells, or `Grid.lattice()`
-(the level-k_max cubes) when w is `constant_in_space`; cells are still what
-they count.  `f_pq_norm_star` and `f_inf_norm_cubeavg` always sweep the
-lattice, and `f_pq_norm` with p = q reads only the cube integrals of t_k^p.
+(the level-k_max cubes) when w is `constant_in_space`; there a point stands for
+the cells of its cube, and quartile ranks and fractions counted in points equal
+those counted in cells.  `f_pq_norm_star` and `f_inf_norm_cubeavg` always sweep
+the lattice, and `f_pq_norm` with p = q reads only the cube integrals of t_k^p.
 
 The sweeps of the pointwise norms and of `restricted_norm` write into the work
 arrays of the weights they sweep (`WeightSequence._work`), so a repeated call
@@ -334,20 +335,15 @@ def m_p_levels(lam: CoeffField, w: WeightSequence, q: float) -> dict[int, np.nda
 
 
 def _m_p_levels(lam: CoeffField, w: WeightSequence, q: float):
-    """`m_p_levels` swept on w's grid, the cells or their lattice; cubes count cells."""
+    """`m_p_levels` swept on w's grid, the cells or their lattice; the 4-cell skip counts cells."""
     grid, sweep = lam.grid, w.grid
-    c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
 
     def quartile(lev, tail):
-        cells = grid.side_cells(lev) ** grid.n
-        if cells < 4:
+        if grid.side_cells(lev) ** grid.n < 4:
             return None
-        # Sorted, the cells repeat each point's value c times, so the r-th smallest cell
-        # value is the (r // c)-th smallest point value.  r // c is also the points' own
-        # quartile rank, as ceil(ceil(c N / 4) / c) = ceil(N / 4) for N points; with
-        # c >= 4, which `quartile_restricted_sup` requires, every cube has the 4 cells
-        # m_P needs.
-        rank = (cells - 1 - _quartile_count(cells)) // c
+        # N points of c cells each rank as the cells do: ceil(ceil(c N / 4) / c) = ceil(N / 4)
+        points = sweep.side_cells(lev) ** grid.n
+        rank = points - 1 - _quartile_count(points)
         rows = cube_major(tail, sweep.side_cells(lev), out=w._work(2))
         rows.partition(rank, axis=-1)
         return rows[..., rank] ** (1.0 / q)
@@ -482,7 +478,6 @@ def quartile_restricted_sup(lam: CoeffField, w: WeightSequence,
         )
     w = _sweep(lam, w)
     sweep = w.grid
-    c = (grid.cells_per_axis // sweep.cells_per_axis) ** grid.n  # cells per sweep point
     m = _m_fun_values(lam, w, q, w._work(3))
     restricted, fractions = w._work(4), []
     restricted.fill(0.0)
@@ -493,8 +488,8 @@ def quartile_restricted_sup(lam: CoeffField, w: WeightSequence,
             np.copyto(below, tail)
             below **= 1.0 / q  # m_P's own `** (1/q)`: the quartile cell compares equal to it
             np.less_equal(below, m, out=below)  # 1.0 on E_Q, 0.0 off it
-            kept = int(block_reduce(below, sweep.side_cells(lev)).min()) * c
-            fractions.append(kept / grid.side_cells(lev) ** grid.n)
+            kept = int(block_reduce(below, sweep.side_cells(lev)).min())
+            fractions.append(kept / sweep.side_cells(lev) ** grid.n)
             # the tail only grows toward coarser levels: this writes it where E_Q holds
             np.maximum(restricted, np.multiply(below, tail, out=below), out=restricted)
 

@@ -581,6 +581,45 @@ def test_maximal_suite_computes_each_maximal_function_once(monkeypatch):
     assert inputs and len(inputs) == len(set(inputs))
 
 
+@pytest.mark.parametrize("weights", [
+    {"kind": "exp2", "s": 0.3},
+    {"kind": "power", "s": 0.3, "alpha": 0.3},
+    {"kind": "random-ap", "spread": 0.5},
+], ids=["exp2", "power", "random-ap"])
+def test_shifted_maximal_constants_run_on_the_suite_weights(weights):
+    # On a product 2^{ks} omega with alpha1 = s, every c(k, j) is ||M(f) omega|| / ||f omega||,
+    # the scalar ratio of the same f; weights that vary across levels spread the constants.
+    import tlw.cli as cli
+
+    cfg = ExperimentConfig.from_dict(base_config(
+        suite="maximal", weights=weights, grid={"n": 1, "L": 2, "J": 6, "k_min": 0, "k_max": 3}))
+    checks = {c["name"]: c for c in cli.suite_maximal(cfg)}
+    low, high = checks["shifted_constant_bounded"]["value"]
+    assert checks["shifted_constant_max"]["value"] == high
+    if weights["kind"] == "random-ap":
+        assert high / low > 1 + 1e-3
+    else:
+        assert high == pytest.approx(checks["scalar_ratio[J=6]"]["value"], rel=1e-12)
+        assert low == pytest.approx(high, rel=1e-12)
+
+
+def test_seqnorms_suite_forms_m_once(monkeypatch):
+    # m_fun_sup and m_fun_l2_over_f22 read the same m; the Chebyshev check's m_P levels
+    # come from `m_p_levels`, which forms no m
+    import tlw.cli as cli
+    import tlw.seqspace as seqspace
+
+    real, calls = seqspace._m_fun_values, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(seqspace, "_m_fun_values", counted)
+    cli.suite_seqnorms(ExperimentConfig.from_dict(base_config(trials=2)))
+    assert calls == [2.0]
+
+
 def test_lambda_star_deficit_fails_with_a_finite_value(tmp_path, monkeypatch):
     import tlw.cli as cli
 

@@ -44,6 +44,20 @@ def test_grid_function_roundtrip_csv_complex(tmp_path):
     np.testing.assert_allclose(back.values, gf.values, rtol=1e-15)
 
 
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_complex_grid_function_roundtrips_exactly_from_any_layout(tmp_path, fmt):
+    # a transposed view is written in row-major order, and an infinite imaginary part comes
+    # back as itself with its real part intact
+    g = Grid(n=2, L=1, J=2, k_min=0, k_max=1)
+    rng = np.random.default_rng(405)
+    values = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)).T
+    values[0, 1] = complex(2.5, np.inf)
+    save_grid_function(GridFunction(g, values), tmp_path / "c", fmt=fmt)
+    back = load_grid_function(tmp_path / "c", k_min=0, k_max=1).values
+    assert np.array_equal(back.real, values.real) and np.array_equal(back.imag, values.imag)
+    assert back.flags.writeable == (fmt == "csv")  # a bin payload is read-only, real or complex
+
+
 def test_grid_function_header_fields(tmp_path):
     g = grid1()
     save_grid_function(GridFunction.zeros(g), tmp_path / "z")

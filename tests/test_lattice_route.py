@@ -4,9 +4,9 @@ Every routed function runs on `exp2` weights (each level a stride-0 view of one
 value) and is compared with the same function on the same weights made into
 grid arrays, which take the cell path, for w and for w.reciprocal().  One
 lattice point stands for c = 2^{n(J-k_max)} cells: exactly 4 on the first two
-grids, 16 and 64 on the others.  Values that select one summand (m_P, m, the
-counts of the sets E_Q) are equal bit for bit; sums run over the lattice in
-another order and agree to rel 1e-14.
+grids, 16 and 64 on the others, and 2 and 8 on two more for the m sweep alone.
+Values that select one summand (m_P, m, the counts of the sets E_Q) are equal
+bit for bit; sums run over the lattice in another order and agree to rel 1e-14.
 """
 
 import math
@@ -56,11 +56,14 @@ def materialised(w):
     return WeightSequence(w.grid, {k: np.array(v) for k, v in w.tk.items()}, w.meta)
 
 
-@pytest.fixture(params=[(name, inverse) for name in GRIDS for inverse in (False, True)],
-                ids=lambda case: f"{case[0]}-{'reciprocal' if case[1] else 'w'}")
-def case(request):
-    name, inverse = request.param
-    g = GRIDS[name]
+SWEEP_GRIDS = {  # the m sweep alone also runs where c is not a multiple of 4: c = 2, 8
+    **GRIDS,
+    "1d-c2": Grid(1, 2, 6, 0, 5),
+    "1d-c8": Grid(1, 2, 6, 0, 3),
+}
+
+
+def make_case(g, inverse):
     rng = np.random.default_rng(2021)
     w = exp2_weights(g, 0.3)
     cells = materialised(w)
@@ -69,8 +72,23 @@ def case(request):
     return g, w, cells, CoeffField.random(g, rng), rng
 
 
+def params(grids):
+    return {"params": [(name, inverse) for name in grids for inverse in (False, True)],
+            "ids": lambda case: f"{case[0]}-{'reciprocal' if case[1] else 'w'}"}
+
+
+@pytest.fixture(**params(GRIDS))
+def case(request):
+    return make_case(GRIDS[request.param[0]], request.param[1])
+
+
+@pytest.fixture(**params(SWEEP_GRIDS))
+def sweep_case(request):
+    return make_case(SWEEP_GRIDS[request.param[0]], request.param[1])
+
+
 def test_grids_have_the_stated_cells_per_point():
-    assert [cells_per_point(g) for g in GRIDS.values()] == [4, 4, 16, 64]
+    assert [cells_per_point(g) for g in SWEEP_GRIDS.values()] == [4, 4, 16, 64, 2, 8]
 
 
 def test_only_weights_constant_in_space_move_to_the_lattice():
@@ -102,13 +120,13 @@ def test_f_pq_and_f_inf_norms_match_the_cell_path(case):
         assert f_inf_norm(lam, w, q) == pytest.approx(f_inf_norm(lam, cells, q), rel=1e-14)
 
 
-def test_m_p_levels_and_m_fun_equal_the_cell_path(case):
-    g, w, cells, lam, _ = case
+def test_m_p_levels_and_m_fun_equal_the_cell_path(sweep_case):
+    g, w, cells, lam, _ = sweep_case
     got, want = m_p_levels(lam, w, 2.0), m_p_levels(lam, cells, 2.0)
     assert list(got) == list(want)
     assert all(np.array_equal(got[lev], want[lev]) for lev in got)
-    # a level-k_max cube has 1 lattice point but c >= 4 cells: it keeps its m_P
-    assert g.k_max in got
+    # a level-k_max cube has 1 lattice point and c cells: it keeps its m_P iff c >= 4
+    assert (g.k_max in got) == (cells_per_point(g) >= 4)
     assert np.array_equal(m_fun(lam, w, 3.0).values, m_fun(lam, cells, 3.0).values)
 
 
@@ -129,17 +147,18 @@ def test_m_p_levels_match_the_loop_oracle():
             assert got == pytest.approx(oracles.naive_m_p(on_p.ravel(), on_p.size), rel=1e-13)
 
 
-@pytest.mark.parametrize("c", [1, 2, 4, 16, 64])
+@pytest.mark.parametrize("c", [2 ** i for i in range(11)])
 def test_quartile_rank_on_the_points_is_the_rank_on_the_cells(c):
     # Each point's value fills c cells, so the r-th smallest cell value is the (r // c)-th
     # smallest point value.  With r = N - ceil(N/4) for N = c N_p cells, r // c is
     # N_p - ceil(ceil(c N_p / 4) / c) = N_p - ceil(N_p / 4): the points' own quartile rank.
-    # c >= 4, which `quartile_restricted_sup` requires, also gives every cube the 4 cells
-    # m_P needs.
-    for n_points in range(1, 400):
+    # A count of k points is k c cells, and the fraction k c / (c N_p) is k / N_p as floats.
+    for n_points in range(1, 5000):
         cells = c * n_points
         assert ((cells - 1 - _quartile_count(cells)) // c
                 == n_points - 1 - _quartile_count(n_points)), n_points
+        k = np.arange(n_points + 1)
+        assert np.array_equal((k * c) / cells, k / n_points), n_points
 
 
 def test_restriction_sets_from_m_fun_equal_the_cell_path(case):

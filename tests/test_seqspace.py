@@ -33,7 +33,7 @@ from tlw.seqspace import (
     quartile_restricted_sup,
     restricted_norm,
 )
-from tlw.weights import exp2_weights, power_profile, random_ap_weights
+from tlw.weights import WeightSequence, exp2_weights, power_profile, random_ap_weights
 
 from . import oracles
 
@@ -710,3 +710,44 @@ def test_random_restriction_equals_per_cube_argsort_oracle(g, keep_fraction):
 def test_random_restriction_rejects_keep_fraction_outside_unit_interval(keep_fraction):
     with pytest.raises(ValueError, match="keep_fraction"):
         RestrictionSets.random(Grid(1, 2, 6, 0, 3), keep_fraction, np.random.default_rng(0))
+
+
+# ------------------------------------------------------------------ symmetries of the box
+
+SYMMETRY_CASES = {  # (grid, weights): the first two sweep the cells, the top rung the lattice
+    "1d-cells": (Grid(1, 2, 10, 0, 6), "random-ap"),
+    "2d-cells": (Grid(2, 2, 5, 0, 3), "random-ap"),
+    "2d-top-rung-lattice": (Grid(2, 2, 7, 0, 4), "exp2"),
+}
+
+
+def box_maps(n):
+    """Reflections of each axis (i -> N-1-i on the cells and on every level's lattice) and,
+    in 2-D, the swap of the axes; each acts on any array with the grid's axes."""
+    maps = [lambda x, a=a: np.flip(x, a) for a in range(n)]
+    return maps + [np.transpose] if n == 2 else maps
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CASES)
+def test_quartile_chain_commutes_with_the_symmetries_of_the_box(name):
+    # every m_P and m is one sampled G value, so a map of lambda and the weights maps them
+    # bit for bit; the loop oracles cannot reach these sizes
+    g, kind = SYMMETRY_CASES[name]
+    rng = np.random.default_rng(1511)
+    lam = CoeffField.random(g, rng)
+    w = random_ap_weights(g, 0.5, rng) if kind == "random-ap" else exp2_weights(g, 0.3)
+    assert w.constant_in_space == (kind == "exp2")
+    levels, m = m_p_levels(lam, w, 2.0), m_fun(lam, w, 2.0).values
+    value, least = quartile_restricted_sup(lam, w, 2.0)
+    for op in box_maps(g.n):
+        # contiguous copies: numpy's complex abs can round a reversed view an ulp apart
+        lam_g = CoeffField(g, {k: np.ascontiguousarray(op(v)) for k, v in lam.entries.items()})
+        w_g = w if w.constant_in_space else WeightSequence(
+            g, {k: np.ascontiguousarray(op(v)) for k, v in w.tk.items()}, w.meta)
+        got = m_p_levels(lam_g, w_g, 2.0)
+        assert list(got) == list(levels)
+        assert all(np.array_equal(got[lev], op(levels[lev])) for lev in got)
+        assert np.array_equal(m_fun(lam_g, w_g, 2.0).values, op(m))
+        got_value, got_least = quartile_restricted_sup(lam_g, w_g, 2.0)
+        assert got_value == pytest.approx(value, rel=1e-14)
+        assert got_least == pytest.approx(least, rel=1e-14)
