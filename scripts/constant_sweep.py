@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tlw.dyadic import Grid, GridFunction
+from tlw.dyadic import Grid, GridFunction, lp_lq_norm
 from tlw.duality import extremal_sequence, localized_pairing, star_constraint_norm
 from tlw.maximal import MaximalConfig, fs_ratio
-from tlw.seqspace import CoeffField, f_inf_norm, f_pq_norm, m_fun_p_norm
+from tlw.seqspace import CoeffField, f_inf_norm, f_pq_norm, m_fun
 from tlw.weights import exp2_weights, power_profile, verify_x_class
 
 S_VALUES = (-0.5, 0.0, 0.3, 0.7)
@@ -33,7 +33,7 @@ def one_row(s: float, J: int, seed: int) -> dict:
     lam = CoeffField.random(grid, rng)
     fs = {k: GridFunction(grid, rng.standard_normal(grid.shape)) for k in w.levels}
     fsr = fs_ratio(fs.items(), w, 2.0, 2.0, MaximalConfig(grid))
-    mq_over_f = m_fun_p_norm(lam, w, 2.0, 2.0) / f_pq_norm(lam, w, 2.0, 2.0)
+    mq_over_f = lp_lq_norm(grid, [m_fun(lam, w, 2.0).values], 2.0) / f_pq_norm(lam, w, 2.0, 2.0)
     se = extremal_sequence(lam, w, 2.0)
     c = star_constraint_norm(se, w, 2.0)
     lower = localized_pairing(lam, se.scale(1.0 / c)) / f_inf_norm(lam, w, 2.0)

@@ -150,11 +150,13 @@ def _record(name: str, values, bound: float | None = None, op: str = "<=", *, J,
     a trial, or a finest cell's row-major index.
     """
     vals = np.asarray(values, dtype=float)
-    covered = int(np.count_nonzero(~np.isnan(vals)))
+    covered = vals.size - int(np.count_nonzero(np.isnan(vals)))
     if not covered:
         return {"name": name, "status": "skip", "reason": reason, "hard": False, "J": J,
                 "covered": 0}
-    at = int(np.nanargmin(vals) if op in (">=", ">") else np.nanargmax(vals))
+    # np.nanarg* copy vals to mask its NaNs; with none, np.arg* finds the same first instance
+    arg = (np.argmin, np.argmax) if covered == vals.size else (np.nanargmin, np.nanargmax)
+    at = int(arg[0](vals) if op in (">=", ">") else arg[1](vals))
     worst = float(vals.flat[at])
     witness = (labels[at] if labels is not None else at if vals.ndim == 1
                else [int(i) for i in np.unravel_index(at, vals.shape)])
@@ -252,18 +254,22 @@ def suite_maximal(config: ExperimentConfig) -> list[dict]:
         w = weights_from_spec(grid, config.weights, _rng_for(config, "maximal", "weights"))
         cfg = MaximalConfig(grid)
         f = GridFunction(grid, rng.standard_normal(grid.shape))
+        buf = rng.random(grid.shape)
+        buf += np.abs(f.values)  # g = |f| + U, with one temporary
+        maximal(GridFunction(grid, buf), cfg, out=buf)  # then M(g), in g's array
         mf = maximal(f, cfg)
-        checks.append(_record(f"maximal_dominates[J={grid.J}]", mf.values - np.abs(f.values),
-                              -1e-14, ">=", J=grid.J))
-        g = GridFunction(grid, np.abs(f.values) + rng.random(grid.shape))
-        mg = maximal(g, cfg)
-        checks.append(_record(f"maximal_monotone[J={grid.J}]", mg.values - mf.values,
-                              -1e-14, ">=", J=grid.J))
-        del g, mg
-        mcf = maximal(GridFunction(grid, -2.5 * f.values), cfg)
-        checks.append(_record(f"maximal_scaling[J={grid.J}]",
-                              np.abs(mcf.values - 2.5 * mf.values), 1e-12 * 2.5, J=grid.J))
-        del mcf
+        # each difference in buf, once M(g) is read: the checks add no grid array to f and M(f)
+        monotone = _record(f"maximal_monotone[J={grid.J}]", np.subtract(buf, mf.values, out=buf),
+                           -1e-14, ">=", J=grid.J)
+        np.subtract(mf.values, np.abs(f.values, out=buf), out=buf)
+        checks.append(_record(f"maximal_dominates[J={grid.J}]", buf, -1e-14, ">=", J=grid.J))
+        checks.append(monotone)
+        np.multiply(f.values, -2.5, out=buf)  # -2.5 f, then its M
+        maximal(GridFunction(grid, buf), cfg, out=buf)
+        np.subtract(buf, np.multiply(mf.values, 2.5), out=buf)
+        checks.append(_record(f"maximal_scaling[J={grid.J}]", np.abs(buf, out=buf), 1e-12 * 2.5,
+                              J=grid.J))
+        del buf
         t0 = w.as_grid_function(grid.k_min)
         ratios["scalar_ratio"][grid.J] = scalar_maximal_ratio(f, t0, 2.0, cfg, mf)
         if grid is grids[0]:  # the level-shifted inequality, with the weights' declared alpha1
@@ -310,6 +316,7 @@ def suite_seqnorms(config: ExperimentConfig) -> list[dict]:
             cheby_cubes.append([cube.level, list(cube.index)])
         E = RestrictionSets.random(grid, 0.75, subset_rng)
         restricted.append(restricted_norm(lam, w, 2.0, E) / max(a, 1e-300))
+        del E  # before the next trial draws its own
     checks.append(_record("f_inf_equals_cubeavg", identity, tol, J=grid.J, tolerance=tol))
     # The bound rests on lambda* >= |lambda|; where that fails, the check
     # fails on the largest deficit |lambda| - lambda* instead.
@@ -427,9 +434,9 @@ def suite_phitransform(config: ExperimentConfig) -> list[dict]:
             continue
         residuals = []
         try:
-            for _ in range(config.trials):
-                f = BandSignal.random_band(grid, rng, band)
-                residuals.append(roundtrip_residual(f, fp, band))
+            for _ in range(config.trials):  # one band signal alive at a time
+                residuals.append(roundtrip_residual(BandSignal.random_band(grid, rng, band),
+                                                    fp, band))
         except ResolutionError as exc:  # a band of one level may hold no frequency
             checks.append(_record(f"phitransform[J={grid.J}]", [], J=grid.J, reason=str(exc)))
             continue
@@ -439,14 +446,13 @@ def suite_phitransform(config: ExperimentConfig) -> list[dict]:
         w = weights_from_spec(wgrid, config.weights, _rng_for(config, "phitransform", "weights"))
         ratios = []
         for _ in range(config.trials):
-            f = BandSignal.random_band(wgrid, rng, band)
-            seq, fun = transfer_check(f, fp, w, 2.0, 2.0)
+            seq, fun = transfer_check(BandSignal.random_band(wgrid, rng, band), fp, w, 2.0, 2.0)
             ratios.append(seq / fun if fun > 0 else math.nan)
         ratio_ranges[grid.J] = [float(np.fmin.reduce(ratios)), float(np.fmax.reduce(ratios))]
         checks.append(_record(f"transfer_ratio_range[J={grid.J}]", ratios, J=grid.J,
                               value=ratio_ranges[grid.J],
                               reason="every transfer ratio is undefined (zero function norm)"))
-        del fp, w, f  # with their caches, before the J+1 grid builds its own
+        del fp, w  # with their caches, before the J+1 grid builds its own
     if len(ratio_ranges) == 2:
         (j0, (a0, b0)), (j1, (a1, b1)) = sorted(ratio_ranges.items())
         checks.append(_record("transfer_ratio_stable", [_rel_change(a0, a1), _rel_change(b0, b1)],

@@ -174,8 +174,12 @@ def _area_cells(shape: tuple[int, ...], depth: int) -> int:
     return width2 + _area_cells(tuple(m // 2 for m in shape), depth - 1)
 
 
-def maximal(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
+def maximal(f: GridFunction, cfg: MaximalConfig, out: np.ndarray | None = None) -> GridFunction:
     """Sup over the windows containing each cell of the window average of |f|.
+
+    The result is formed in `out`, a C-contiguous float array of the grid's
+    shape, if given, else in a new array; `out` may be `f.values`, which a
+    caller done with f gives up so that the call holds one grid array less.
 
     With A_w the averages of width w cells, anchor-indexed, set R_N = A_N and
     fold the widths largest first, R_w = max(A_w, D_w R_{2w}) (`_fold`); then
@@ -195,7 +199,11 @@ def maximal(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
     """
     if cfg.grid != f.grid:
         raise LevelMismatchError("config grid does not match the function grid")
-    res = np.abs(f.values, out=np.empty(f.grid.shape))
+    if out is None:
+        out = np.empty(f.grid.shape)
+    elif out.shape != f.grid.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array of the grid's shape")
+    res = np.abs(f.values, out=out)
     depth = 0
     while _area_cells(res.shape, depth) > _AREA_ARRAYS * res.size:
         depth += 1
@@ -245,11 +253,12 @@ def shifted_maximal_constant(f: GridFunction, w: WeightSequence, k: int, j: int,
     return lhs / (2.0 ** (alpha1 * (k - j)) * denom)
 
 
-def _weighted_power(v: np.ndarray, t: np.ndarray, q: float) -> np.ndarray:
-    """(t v)^q for nonnegative v and positive weights t, built in place in `v`."""
-    v *= t
-    v **= q
-    return v
+def _weighted_power(v: np.ndarray, t: np.ndarray, q: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """(t v)^q for nonnegative v and positive weights t, built in `out` (which may be
+    `v`) if given, else in a new array."""
+    out = np.multiply(v, t, out=out)
+    return np.power(out, q, out=out)
 
 
 @dataclass
@@ -267,8 +276,10 @@ def fs_ratio(fs: Iterable[tuple[int, GridFunction]], w: WeightSequence, p: float
 
     `fs` yields the pairs (k, f_k) in the order of `w.levels` (`dict.items()` will do)
     and is read once, one level at a time: the right-hand sum takes each f_k as the
-    left-hand norm reads its M(f_k), so a lazy `fs` keeps one f_k alive.  Other keys,
-    or keys in another order, raise LevelMismatchError.
+    left-hand norm reads its M(f_k): f_k is read into a = |f_k|, and M(f_k) = M(a) is
+    formed in a.  So with a lazy `fs` a call holds three grid arrays (the two sums and
+    a) besides `maximal`'s work area, while `dict.items()` keeps every f_k alive as long
+    as the dict.  Other keys, or keys in another order, raise LevelMismatchError.
     """
     if p <= 1 or not 1 < q < INF:
         raise LevelRangeError(f"vector-valued ratio needs p > 1 and 1 < q < inf, got {p}, {q}")
@@ -280,8 +291,10 @@ def fs_ratio(fs: Iterable[tuple[int, GridFunction]], w: WeightSequence, p: float
         if key != k:
             raise LevelMismatchError(f"function level {key} where weight level {k} is due; "
                                      f"weight levels are {list(w.levels)}")
-        np.add(rhs, _weighted_power(np.abs(f.values), w.level_values(k), q), out=rhs)
-        return _weighted_power(maximal(f, cfg).values, w.level_values(k), q)
+        f = GridFunction(f.grid, np.abs(f.values))  # |f_k|: the call holds f_k no more
+        np.add(rhs, _weighted_power(f.values, w.level_values(k), q), out=rhs)
+        m = maximal(f, cfg, out=f.values).values  # M(|f_k|) = M(f_k), into |f_k|
+        return _weighted_power(m, w.level_values(k), q, out=m)
 
     lhs = lp_lq_norm(w.grid, (lhs_summand(k) for k in w.levels), p, q)
     extra = next(pairs, None)

@@ -22,14 +22,16 @@ broadcast over the box or the quadrant (`_xi_abs`); only the band mask of
 The level-k lattice has M points per axis, step s = 2^{J-k}: `analyze` takes
 the filtered spectrum on the box (its s^n - 1 other aliases are exact zeros)
 and inverts that small spectrum; `synthesize` adds each level's small
-coefficient spectrum, filtered by Psi_k, onto the box.
+coefficient spectrum, filtered by Psi_k, onto the level-k_max box, which holds
+every level's box (`_synthesized_box`), and embeds that box in the grid.
 
 A `BandSignal` holds its samples or its fftn spectrum and computes the other
 once, on first read.  `random_band` draws a spectrum and `synthesize`
 returns one, so neither runs a full-grid transform; `analyze`, the weighted
-norms and `roundtrip_residual` (Parseval on the whole spectrum) read the
-spectrum.  Only reading `values` of such a signal runs one full-grid inverse
-FFT.  `_weighted_levels` inverts each filtered level spectrum on the full
+norms and `roundtrip_residual` read the spectrum.  `roundtrip_residual` is
+Parseval on the band box: the synthesis there against f's bins, plus f's own
+energy off the box, read through views, so it forms no full-grid array.  Only
+reading `values` of such a signal runs one full-grid inverse FFT.  `_weighted_levels` inverts each filtered level spectrum on the full
 grid; in 2-D it skips the lines of the first pass that miss the level's box:
 it transforms the box rows along axis 1 and then every column
 (`_ifftn_from_box`, bitwise equal to `np.fft.ifftn`).  1-D transforms are
@@ -308,30 +310,59 @@ def analyze(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> CoeffFiel
     return CoeffField(grid, entries)
 
 
-def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
-    """sum_k sum_m lambda_{k,m} psi_{k,m}: lattice spectra times Psi_k on their boxes, summed."""
+def _synthesized_box(lam: CoeffField, fp: FilterPair) -> np.ndarray:
+    """The spectrum of `synthesize(lam, fp)` on the level-k_max box, which holds every
+    level's box, laid out as `spec[_box_ix(grid, k_max)]`: it is 0 off that box."""
     grid = lam.grid
     if fp.grid.shape != grid.shape or fp.grid.L != grid.L:
         raise LevelMismatchError("filter pair and coefficients live on different grids")
     _check_level_representable(grid, grid.k_max)
-    acc = np.zeros(grid.shape, dtype=complex)
+    M = _box(grid, grid.k_max).size
+    acc = np.zeros((M,) * grid.n, dtype=complex)
     for k in lam.levels:
-        box = _box_ix(grid, k)
         tile = np.fft.fftn(lam.entries[k])  # the comb's spectrum on the box
         tile *= 2.0 ** (-k * grid.n / 2.0) / grid.cell_volume
-        acc[box] += tile * fp.psi_multiplier(k)
-    return BandSignal(grid, spectrum=acc)
+        acc[_box_ix(grid, k, M)] += tile * fp.psi_multiplier(k)
+    return acc
+
+
+def synthesize(lam: CoeffField, fp: FilterPair) -> BandSignal:
+    """sum_k sum_m lambda_{k,m} psi_{k,m}: lattice spectra times Psi_k on their boxes, summed."""
+    spec = np.zeros(lam.grid.shape, dtype=complex)
+    spec[_box_ix(lam.grid, lam.grid.k_max)] = _synthesized_box(lam, fp)
+    return BandSignal(lam.grid, spectrum=spec)
 
 
 def roundtrip_residual(f: BandSignal, fp: FilterPair, levels: tuple[int, int]) -> float:
-    """Relative L2 error of synthesize(analyze(f)), by Parseval on the whole spectrum; 0 for f = 0."""
+    """Relative L2 error of synthesize(analyze(f)), by Parseval; 0 for f = 0.
+
+    The synthesis is 0 off the level-k_max box, so the error there is f's own
+    spectrum: the sum runs over the box's M^n bins and over views of the rest.
+    """
     spec = f.spectrum
     denom = _energy(spec)
     if denom == 0.0:
         return 0.0
-    diff = synthesize(analyze(f, fp, levels), fp).spectrum
-    diff -= spec  # in place: no second full-grid array; the synthesized signal is not kept
-    return math.sqrt(_energy(diff) / denom)
+    lam = analyze(f, fp, levels)
+    diff = _synthesized_box(lam, fp)
+    diff -= spec[_box_ix(lam.grid, levels[1])]
+    return math.sqrt((_energy(diff) + _off_box_energy(spec, diff.shape[0])) / denom)
+
+
+def _off_box_energy(spec: np.ndarray, M: int, axis: int = 0) -> float:
+    """sum |spec|^2 off the centred box of M frequencies per axis (`_box`), from views:
+    the slab off the box along `axis`, then the rest off the box in the axes after it."""
+    N = spec.shape[axis]
+    lo, hi = M - M // 2, N - M // 2  # the box's low and high bins on this axis end there
+
+    def part(a: int, b: int) -> np.ndarray:
+        return spec[(slice(None),) * axis + (slice(a, b),)]
+
+    total = _energy(part(lo, hi))
+    if axis + 1 < spec.ndim:
+        total += _off_box_energy(part(0, lo), M, axis + 1)
+        total += _off_box_energy(part(hi, N), M, axis + 1)
+    return total
 
 
 def _energy(a: np.ndarray) -> float:

@@ -72,7 +72,9 @@ class CoeffField:
         for k in grid.levels:
             if k not in entries:
                 raise LevelMismatchError(f"missing coefficients for level {k}")
-            a = np.asarray(entries[k], dtype=complex)
+            # contiguous: numpy's complex abs rounds a strided view an ulp apart from the same
+            # values contiguous, and every norm would follow the layout; contiguous input is kept
+            a = np.ascontiguousarray(entries[k], dtype=complex)
             if a.shape != grid.level_shape(k):
                 raise LevelMismatchError(
                     f"level {k} has shape {a.shape}, lattice is {grid.level_shape(k)}"
@@ -377,13 +379,6 @@ def m_fun(lam: CoeffField, w: WeightSequence, q: float) -> GridFunction:
     """Pointwise sup of m_P over dyadic P containing each cell (levels -L..k_max); cubes
     with fewer than the 4 cells m_P needs are skipped."""
     return GridFunction(lam.grid, _m_fun_values(lam, _sweep(lam, w), q, np.empty(lam.grid.shape)))
-
-
-def m_fun_p_norm(lam: CoeffField, w: WeightSequence, p: float, q: float) -> float:
-    """L_p norm of the quartile functional; pairs with f_pq_norm in equivalence suites."""
-    if p == INF:
-        raise LevelRangeError("use the L_inf pairing with f_inf_norm instead")
-    return lp_lq_norm(lam.grid, [m_fun(lam, w, q).values], p)
 
 
 class RestrictionSets:

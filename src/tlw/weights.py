@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, cube_at, first_max
+from .dyadic import INF, DyadicCube, Grid, GridFunction, block_reduce, cube_at, first_max, inner_sum
 from .errors import (
     LevelMismatchError,
     LevelRangeError,
@@ -386,9 +386,11 @@ class XClassReport:
         lags = sorted(prof)
         if len(lags) < 2:
             return 0.0
+        # the centred least-squares slope: np.polyfit would call LAPACK for the same number
         x = np.array(lags, dtype=float)
         y = np.log2([prof[g] for g in lags])
-        return float(np.polyfit(x, y, 1)[0])
+        x -= x.mean()
+        return float(inner_sum(x, y - y.mean()) / inner_sum(x, x))
 
     def validates(self, growth_tol: float = 0.05) -> bool:
         """Neither constant is NaN and both lag profiles grow by at most `growth_tol`."""

@@ -406,6 +406,18 @@ def naive_synthesize(entries, grid, psi_k):
     return out
 
 
+def naive_roundtrip_residual(values, grid, levels, phi_k, psi_k):
+    """||naive_synthesize(naive_analyze(f)) - f||_2 / ||f||_2, summed cell by cell over the
+    whole grid; 0 for f = 0.  `phi_k(k)` and `psi_k(k)` give the level-k multipliers on the
+    grid's frequencies."""
+    recon = naive_synthesize(naive_analyze(values, grid, levels, phi_k), grid, psi_k)
+    num = den = 0.0
+    for cell in cell_iter(grid):
+        num += abs(recon[cell] - values[cell]) ** 2
+        den += abs(values[cell]) ** 2
+    return 0.0 if den == 0.0 else math.sqrt(num / den)
+
+
 def naive_F_pq_norm(values, tk, grid, p, q, phi_k):
     """|| (sum_k t_k^q |phi_k * f|^q)^{1/q} ||_{L_p}: a full-grid ifftn per level, then cells.
 

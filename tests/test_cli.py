@@ -306,6 +306,55 @@ def test_phitransform_suite_frees_the_first_grid_before_the_second():
     assert peak / np.zeros(cfg.make_grid(bump_j=1).shape).nbytes < 6.0
 
 
+VERIFY_2D_GRID = {"n": 2, "L": 2, "J": 5, "k_min": 0, "k_max": 3}
+
+
+@pytest.mark.parametrize("J", [5, 6], ids=["verify-2d", "512"])
+def test_maximal_suite_holds_three_grid_arrays_besides_the_maximal_work_area(J):
+    # in units of one J+1 grid array: every maximal call gives up a spent array to its
+    # result, so f, one spent buffer and M(f), or the fs_ratio sums and |f_k|, live beside
+    # the work area: 6.71 at 256^2, where the area is 3.68; at 512^2 (area 1.92) the checks'
+    # differences, formed in the spent buffer, stay below that too (4.93; new arrays for
+    # them and np.nanargmin's copy peaked at 5.14, and four arrays beside each maximal
+    # call at 6.13).  The suite ran once first, so the imports it makes are not counted.
+    import tlw.cli as cli
+
+    from .test_maximal import area_arrays
+
+    cfg = ExperimentConfig.from_dict(base_config(suite="maximal", grid={**VERIFY_2D_GRID, "J": J}))
+    cli.suite_maximal(cfg)
+    shape = cfg.make_grid(bump_j=1).shape
+    peak = traced_peak(cli.suite_maximal, cfg) / np.zeros(shape).nbytes
+    assert peak <= 3 + area_arrays(shape) + 0.1
+
+
+def test_phitransform_suite_holds_one_band_signal_at_a_time():
+    # in units of one J+1 grid array; 3.36 after a first run made its imports: the band
+    # signal's spectrum (two arrays) and the draws and lattices beside it; a second band
+    # signal alive through the next trial's draw and a full-grid round-trip sum read 4.43
+    import tlw.cli as cli
+
+    cfg = ExperimentConfig.from_dict(base_config(suite="phitransform", grid=VERIFY_2D_GRID))
+    cli.suite_phitransform(cfg)
+    peak = traced_peak(cli.suite_phitransform, cfg)
+    assert peak / np.zeros(cfg.make_grid(bump_j=1).shape).nbytes < 3.5
+
+
+def test_all_suites_run_without_lapack(monkeypatch):
+    # verify-2d's grid and weights; np.polyfit once fitted the x-class growth rates, and its
+    # first lstsq call touched about 1.3 MB of LAPACK pages and workspace
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    cfg = ExperimentConfig.from_dict(base_config(
+        suite="all", grid=VERIFY_2D_GRID, weights={"kind": "exp2", "s": 0.3, "p": 2}, trials=3))
+    checks = run(cfg).checks
+    assert checks and {c["status"] for c in checks} <= {"pass", "measured"}
+    assert {c["suite"] for c in checks} == set(SUITES)
+
+
 @pytest.mark.parametrize("suite, weights, message", [
     # t_2^3 = 2^{1800} overflows, so level 2 is refused as the suite reads its weights, before
     # any numpy arithmetic on it could warn (pyproject.toml makes a RuntimeWarning an error)
@@ -572,9 +621,9 @@ def test_maximal_suite_computes_each_maximal_function_once(monkeypatch):
     real = maximal_module.maximal
     inputs = []
 
-    def counted(f, cfg):
+    def counted(f, cfg, out=None):
         inputs.append(hashlib.blake2b(f.values.tobytes()).digest())
-        return real(f, cfg)
+        return real(f, cfg, out=out)
 
     monkeypatch.setattr(maximal_module, "maximal", counted)  # the suite imports it when run
     cli.suite_maximal(ExperimentConfig.from_dict(base_config(suite="maximal")))

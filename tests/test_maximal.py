@@ -10,6 +10,7 @@ from tlw.dyadic import DyadicCube, Grid, GridFunction, indicator
 from tlw.errors import LevelMismatchError, LevelRangeError, UndefinedRatioError
 from tlw.maximal import (
     MaximalConfig,
+    _area_cells,
     _fold,
     _split_cascade,
     fs_ratio,
@@ -134,6 +135,29 @@ def test_maximal_equals_padded_doubling_bitwise(n, L, seed, data):
     assert np.array_equal(f.values, values)
 
 
+@pytest.mark.parametrize("n, L, J", [(1, 2, 12), (2, 2, 5), (2, 2, 7)])
+def test_maximal_into_its_own_input_is_bitwise_the_fresh_result(n, L, J):
+    g = Grid(n, L, J, 0, 0)
+    values = np.random.default_rng(29).standard_normal(g.shape)
+    want = maximal(GridFunction(g, values.copy()), MaximalConfig(g)).values
+    f = GridFunction(g, values)
+    got = maximal(f, MaximalConfig(g), out=f.values)
+    assert got.values is values
+    assert np.array_equal(got.values, want)
+    for bad in (np.empty(g.shape, dtype=complex), np.empty(g.shape)[..., ::-1],
+                np.empty(g.shape[:-1] + (2,))):
+        with pytest.raises(ValueError, match="out must be"):
+            maximal(f, MaximalConfig(g), out=bad)
+
+
+def area_arrays(shape):
+    """`maximal`'s work area on `shape`, in grid arrays, split as `maximal` splits it."""
+    depth = 0
+    while _area_cells(shape, depth) > tlw.maximal._AREA_ARRAYS * math.prod(shape):
+        depth += 1
+    return _area_cells(shape, depth) / math.prod(shape)
+
+
 def test_maximal_peaks_within_five_grid_arrays_and_iteration_buffers():
     # |f| folded into M and the work area, every other width and a spare in rows of
     # 256 cells (3.68 arrays): 4.69; the containing max per width peaked at 5.38, the
@@ -172,6 +196,17 @@ def test_fs_ratio_releases_each_summand_once_it_is_added():
     peak = traced_peak(lambda: fs_ratio(fs(), w, 2.0, 2.0, MaximalConfig(g)))
     assert drawn == list(w.levels)
     assert peak / np.empty(g.shape).nbytes <= 8.5
+
+
+def test_fs_ratio_holds_three_grid_arrays_besides_the_maximal_work_area():
+    # the two sums and a = |f_k|, into which M(f_k) folds (6.69 at 256^2, where the area
+    # is 3.68 arrays); holding f_k through its maximal call took one array more
+    g = Grid(2, 2, 6, 0, 3)
+    w = exp2_weights(g, 0.3)
+    rng = np.random.default_rng(11)
+    fs = ((k, GridFunction(g, rng.standard_normal(g.shape))) for k in w.levels)
+    peak = traced_peak(lambda: fs_ratio(fs, w, 2.0, 2.0, MaximalConfig(g)))
+    assert peak / np.empty(g.shape).nbytes <= 3 + area_arrays(g.shape) + 0.1
 
 
 def test_fs_ratio_on_reciprocal_weights_equals_stored_reciprocals_in_the_same_memory():

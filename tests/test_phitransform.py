@@ -527,6 +527,31 @@ def test_spectral_roundtrip_residual_equals_the_cell_residual(g, band):
     assert got == pytest.approx(cell_residual(wide, fp, band), rel=1e-12)
 
 
+@pytest.mark.parametrize("g, band", [(Grid(1, 2, 7, 0, 4), (0, 4)), (Grid(2, 2, 3, 0, 2), (0, 2))],
+                         ids=["1d", "2d"])
+def test_roundtrip_residual_on_the_band_box_equals_the_full_grid_loop(g, band):
+    # the residual sums the box's bins and views of the spectrum off it; the oracle
+    # synthesizes on the full grid and sums every cell.  Signals drawn two levels past the
+    # band have energy off the level-k_max box, and one on every bin has it everywhere.
+    fp = build_filter_pair(g)
+    filters = {k: oracles.full_grid_filter(g, 1.0, k) for k in range(band[0], band[1] + 1)}
+
+    def oracle(f):
+        return oracles.naive_roundtrip_residual(f.values, g, band, lambda k: filters[k][0],
+                                                lambda k: filters[k][1])
+
+    rng = np.random.default_rng(30)
+    for _ in range(2):
+        f = BandSignal.random_band(g, rng, band)
+        assert roundtrip_residual(f, fp, band) == pytest.approx(oracle(f), rel=0, abs=1e-15)
+    spec = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    for f in (BandSignal.random_band(g, rng, (band[0], band[1] + 2)), BandSignal(g, spectrum=spec)):
+        assert np.abs(f.spectrum[~box_mask(g, band[1])]).max() > 0
+        got = roundtrip_residual(f, fp, band)
+        assert got > 1e-3
+        assert got == pytest.approx(oracle(f), rel=1e-12)
+
+
 @pytest.mark.parametrize("g, band", [(Grid(1, 2, 8, 0, 5), (0, 5)), (Grid(2, 2, 5, 0, 3), (0, 3))])
 def test_roundtrip_residual_detects_a_perturbed_synthesis_level(g, band):
     bad = build_filter_pair(g)

@@ -13,6 +13,8 @@ from tlw.dyadic import DyadicCube, Grid, GridFunction, block_reduce, cubes_at_le
 from tlw.errors import LevelRangeError, PositivityError, TlwError
 from tlw.weights import (
     WeightSequence,
+    XClassReport,
+    XClassWitness,
     alpha_consistency,
     ap_constant,
     ap_duality_identity,
@@ -260,6 +262,19 @@ def test_x_class_exp2_exact():
     rep = verify_x_class(w, s, s, 2.0, 2.0, 2.0)
     assert abs(rep.C1 - 1.0) <= 1e-12
     assert abs(rep.C2 - 1.0) <= 1e-12
+
+
+def test_growth_rate_is_the_least_squares_slope_of_polyfit():
+    # the closed form calls no LAPACK; np.polyfit's lstsq is the reference
+    rng = np.random.default_rng(30)
+    witness = XClassWitness(0, 0, DyadicCube(0, (0,)), 1.0)
+    for lags in range(2, 13):
+        for _ in range(20):
+            keys = sorted(rng.choice(40, size=lags, replace=False).tolist())
+            prof = {int(g): float(v) for g, v in zip(keys, 2.0 ** rng.normal(0, 3, lags))}
+            rep = XClassReport(1.0, 1.0, witness, witness, prof, prof)
+            want = np.polyfit(np.array(keys, dtype=float), np.log2(list(prof.values())), 1)[0]
+            assert rep.growth_rate(1) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_x_class_overdeclared_alpha_grows():
